@@ -22,59 +22,60 @@
 // hot. Self-checks (exit 1): pooled/legacy schedule digests must match,
 // and the pooled ping steady state must make ZERO allocations.
 //
-// A third axis measures the sharded parallel kernel (ISSUE 10): the Fig. 5
-// ping and quickstart-MD shapes run serial-vs-sharded (slab-x layout from
-// the topology bound, worker threads on) and the sharded schedule digest
-// must equal the serial one — same bit-identity contract determinism_test
-// gates, priced here in wall-clock.
-//
 // Gated metrics (tools/check_perf_trajectory.py):
 //   *_speedup_vs_legacy_floor  events/sec speedup, clamped at the 5x
 //                              target so improvements never trip the gate
 //   ping_zero_alloc_steady     1.0 = no allocation in the measured window
 //   schedule_match             1.0 = pooled == legacy schedule digests
-//   sharded_schedule_match     1.0 = sharded == serial schedule digests
-// Raw events/sec, packets/sec, allocs/event and the sharded speedups are
-// host-dependent and recorded informationally (measured against
-// themselves).
+// Raw events/sec, packets/sec and allocs/event are host-dependent and
+// recorded informationally (measured against themselves).
 #include "bench_common.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <new>
 
 #include "core/allreduce.hpp"
-#include "md/anton_app.hpp"
-#include "md/system.hpp"
 #include "util/hotpath.hpp"
 #include "util/torus_coord.hpp"
-#include "verify/lookahead.hpp"
-#include "verify/shard_contract.hpp"
 
 namespace {
-// Every operator new since process start. Atomic: the sharded kernel's
-// worker threads allocate too, and a torn counter would corrupt the
-// windowed deltas (and race under TSan).
-std::atomic<std::uint64_t> g_allocs{0};
+// Every operator new since process start (the bench is single-threaded).
+std::uint64_t g_allocs = 0;
 }
 
 // --- counting allocator hook ------------------------------------------------
 // Replacing the global allocation functions makes every heap allocation in
-// the process observable; the bench reads windowed deltas of g_allocs.
+// the process observable; the bench reads windowed deltas of g_allocs. The
+// nothrow forms are replaced too (std::stable_sort's buffer uses them), so
+// every block the matching operator delete frees came from malloc here.
 
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  return std::malloc(n != 0 ? n : 1);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  void* p = nullptr;
+  return posix_memalign(&p, std::size_t(a), n != 0 ? n : 1) == 0 ? p
+                                                                 : nullptr;
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return ::operator new(n, std::nothrow);
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return ::operator new(n, a, std::nothrow);
+}
 void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  if (void* p = ::operator new(n, std::nothrow)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, std::align_val_t a) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, std::size_t(a), n != 0 ? n : 1) != 0)
-    throw std::bad_alloc();
-  return p;
+  if (void* p = ::operator new(n, a, std::nothrow)) return p;
+  throw std::bad_alloc();
 }
 void* operator new[](std::size_t n, std::align_val_t a) {
   return ::operator new(n, a);
@@ -89,6 +90,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -128,26 +141,13 @@ std::uint64_t scheduleDigest(sim::Simulator& sim, net::Machine& m) {
   return h;
 }
 
-/// Worker-thread count for the sharded runs (matches the serve runner).
-constexpr int kShardWorkers = 3;
-
-/// slab-x layout over `shape` from the plan-free topology bound — the same
-/// construction the sharded determinism tests use.
-sim::ShardLayout slabLayout(util::TorusShape shape) {
-  return anton::verify::shardLayoutFromTopology(
-      shape, anton::verify::slabSharding(shape));
-}
-
 /// Fig. 5-shaped ping: counted 256 B remote writes to x-neighbors 1-4 hops
 /// out. One probe per iteration; `warmup` iterations heat pools and vector
-/// capacities before the `iters` measured ones. With a layout the probes
-/// run on the sharded kernel (slab-x, worker threads on).
-RunStats runPing(bool hot, int warmup, int iters,
-                 const sim::ShardLayout* layout = nullptr) {
+/// capacities before the `iters` measured ones.
+RunStats runPing(bool hot, int warmup, int iters) {
   util::ScopedHotPath scoped(hot);
   sim::Simulator sim;
   net::Machine m(sim, {8, 8, 8});
-  if (layout != nullptr) sim.enableSharded(*layout, kShardWorkers);
   auto probe = [&](int i) {
     int hops = 1 + (i % 4);
     net::ClientAddr dst{util::torusIndex({hops, 0, 0}, m.shape()),
@@ -160,57 +160,15 @@ RunStats runPing(bool hot, int warmup, int iters,
   RunStats out;
   std::uint64_t ev0 = sim.eventsProcessed();
   std::uint64_t pk0 = m.stats().packetsInjected;
-  std::uint64_t al0 = g_allocs.load(std::memory_order_relaxed);
+  std::uint64_t al0 = g_allocs;
   auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) probe(i);
   out.wallSec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  if (layout != nullptr) sim.disableSharded();
   out.events = sim.eventsProcessed() - ev0;
   out.packets = m.stats().packetsInjected - pk0;
-  out.allocs = g_allocs.load(std::memory_order_relaxed) - al0;
-  out.digest = scheduleDigest(sim, m);
-  return out;
-}
-
-/// The quickstart-MD shape (4x4x4 torus, 1536 synthetic atoms): `warmup`
-/// supersteps to heat pools, `steps` measured ones. Recovery stays
-/// disarmed in both modes so serial and sharded run the identical
-/// configuration (the drop registry is the one cross-shard mutable fault
-/// object the sharded kernel refuses).
-RunStats runMd(bool sharded, int warmup, int steps) {
-  util::ScopedHotPath scoped(true);
-  sim::Simulator sim;
-  net::Machine m(sim, {4, 4, 4});
-  anton::md::SyntheticSystemParams sp;
-  sp.targetAtoms = 1536;
-  sp.seed = 2010;
-  anton::md::AntonMdConfig cfg;
-  cfg.force.cutoff = 2.2;
-  cfg.ewald.grid = 16;
-  cfg.homeBoxMarginFrac = 0.10;
-  anton::md::AntonMdApp app(m, anton::md::buildSyntheticSystem(sp), cfg);
-  sim::ShardLayout layout;
-  if (sharded) {
-    layout = slabLayout(m.shape());
-    sim.enableSharded(layout, kShardWorkers);
-  }
-  app.runSteps(warmup);
-
-  RunStats out;
-  std::uint64_t ev0 = sim.eventsProcessed();
-  std::uint64_t pk0 = m.stats().packetsInjected;
-  std::uint64_t al0 = g_allocs.load(std::memory_order_relaxed);
-  auto t0 = std::chrono::steady_clock::now();
-  app.runSteps(steps);
-  out.wallSec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (sharded) sim.disableSharded();
-  out.events = sim.eventsProcessed() - ev0;
-  out.packets = m.stats().packetsInjected - pk0;
-  out.allocs = g_allocs.load(std::memory_order_relaxed) - al0;
+  out.allocs = g_allocs - al0;
   out.digest = scheduleDigest(sim, m);
   return out;
 }
@@ -235,7 +193,7 @@ RunStats runAllReduce(bool hot, int warmupRounds, int rounds) {
   RunStats out;
   std::uint64_t ev0 = sim.eventsProcessed();
   std::uint64_t pk0 = m.stats().packetsInjected;
-  std::uint64_t al0 = g_allocs.load(std::memory_order_relaxed);
+  std::uint64_t al0 = g_allocs;
   auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < rounds; ++r) round();
   out.wallSec =
@@ -243,7 +201,7 @@ RunStats runAllReduce(bool hot, int warmupRounds, int rounds) {
           .count();
   out.events = sim.eventsProcessed() - ev0;
   out.packets = m.stats().packetsInjected - pk0;
-  out.allocs = g_allocs.load(std::memory_order_relaxed) - al0;
+  out.allocs = g_allocs - al0;
   out.digest = scheduleDigest(sim, m);
   for (double v : sum) {
     std::uint64_t bits;
@@ -280,9 +238,6 @@ int main() {
   constexpr int kReps = 7;
   constexpr int kPingWarmup = 500, kPingIters = 12000;
   constexpr int kArWarmup = 1, kArRounds = 2;
-  constexpr int kShardReps = 3;
-  constexpr int kShardPingWarmup = 100, kShardPingIters = 2000;
-  constexpr int kMdWarmup = 1, kMdSteps = 2;
 
   auto [pingLegacy, pingPooled] = bestOfPaired(
       kReps, [&](bool hot) { return runPing(hot, kPingWarmup, kPingIters); });
@@ -290,26 +245,10 @@ int main() {
     return runAllReduce(hot, kArWarmup, kArRounds);
   });
 
-  // Serial-vs-sharded walls (both pooled): Fig. 5 ping and quickstart-MD.
-  sim::ShardLayout pingLayout = slabLayout({8, 8, 8});
-  auto [pingSerial, pingSharded] =
-      bestOfPaired(kShardReps, [&](bool sharded) {
-        return runPing(true, kShardPingWarmup, kShardPingIters,
-                       sharded ? &pingLayout : nullptr);
-      });
-  auto [mdSerial, mdSharded] = bestOfPaired(kShardReps, [&](bool sharded) {
-    return runMd(sharded, kMdWarmup, kMdSteps);
-  });
-
   double pingSpeedup = pingPooled.eventsPerSec() / pingLegacy.eventsPerSec();
   double arSpeedup = arPooled.eventsPerSec() / arLegacy.eventsPerSec();
-  double pingShardedSpeedup =
-      pingSharded.eventsPerSec() / pingSerial.eventsPerSec();
-  double mdShardedSpeedup = mdSharded.eventsPerSec() / mdSerial.eventsPerSec();
   bool schedulesMatch = pingLegacy.digest == pingPooled.digest &&
                         arLegacy.digest == arPooled.digest;
-  bool shardedMatch = pingSerial.digest == pingSharded.digest &&
-                      mdSerial.digest == mdSharded.digest;
   bool pingZeroAlloc = pingPooled.allocs == 0;
   double arAllocsPerEvent = double(arPooled.allocs) / double(arPooled.events);
 
@@ -325,18 +264,10 @@ int main() {
   row("ping 8x8x8", "pooled", pingPooled);
   row("allreduce 8x8x8", "legacy", arLegacy);
   row("allreduce 8x8x8", "pooled", arPooled);
-  row("ping 8x8x8", "serial", pingSerial);
-  row("ping 8x8x8", "sharded", pingSharded);
-  row("quickstart-md 4x4x4", "serial", mdSerial);
-  row("quickstart-md 4x4x4", "sharded", mdSharded);
   table.print(std::cout);
   std::cout << "ping speedup: " << util::TablePrinter::num(pingSpeedup, 2)
             << "x   allreduce speedup: "
-            << util::TablePrinter::num(arSpeedup, 2) << "x\n"
-            << "sharded (slab-x, " << kShardWorkers
-            << " workers) vs serial: ping "
-            << util::TablePrinter::num(pingShardedSpeedup, 2) << "x   md "
-            << util::TablePrinter::num(mdShardedSpeedup, 2) << "x\n";
+            << util::TablePrinter::num(arSpeedup, 2) << "x\n";
 
   bench::JsonReporter json("kernel");
   // Gates: the speedup floors are clamped at the 5x target (improvements
@@ -349,8 +280,6 @@ int main() {
   json.record("ping_zero_alloc_steady", 1.0, pingZeroAlloc ? 1.0 : 0.0,
               "bool");
   json.record("schedule_match", 1.0, schedulesMatch ? 1.0 : 0.0, "bool");
-  json.record("sharded_schedule_match", 1.0, shardedMatch ? 1.0 : 0.0,
-              "bool");
   // Host-dependent raw numbers: informational (deviation pinned 0).
   json.record("ping_events_per_sec", pingPooled.eventsPerSec(),
               pingPooled.eventsPerSec(), "events/s");
@@ -360,18 +289,10 @@ int main() {
               arPooled.eventsPerSec(), "events/s");
   json.record("allreduce_allocs_per_event", arAllocsPerEvent,
               arAllocsPerEvent, "allocs/event");
-  // Sharded wall-clock ratios are host- and core-count-dependent:
-  // informational, like the raw events/sec records. The bit-identity of
-  // the sharded schedule is the hard gate above.
-  json.record("ping_sharded_speedup", pingShardedSpeedup, pingShardedSpeedup,
-              "x");
-  json.record("md_sharded_speedup", mdShardedSpeedup, mdShardedSpeedup, "x");
 
-  bool ok = schedulesMatch && pingZeroAlloc && shardedMatch;
+  bool ok = schedulesMatch && pingZeroAlloc;
   if (!schedulesMatch)
     std::cout << "\nSCHEDULE MISMATCH: pooled kernel diverged from legacy\n";
-  if (!shardedMatch)
-    std::cout << "\nSCHEDULE MISMATCH: sharded kernel diverged from serial\n";
   if (!pingZeroAlloc)
     std::cout << "\nALLOCATION ON THE HOT PATH: " << pingPooled.allocs
               << " heap allocations in the pooled ping window\n";

@@ -616,8 +616,8 @@ sim::Task AntonMdApp::htisPhase(int node) {
     }
   }
   co_await machine_.sim().delay(spacing * k);
-  stage(node).htisUs = std::max(
-      stage(node).htisUs, sim::toUs(machine_.sim().now() - phaseStart));
+  current_.htisUs = std::max(
+      current_.htisUs, sim::toUs(machine_.sim().now() - phaseStart));
   if (auto* tr = machine_.trace())
     tr->record("HTIS", "range-limited", phaseStart, machine_.sim().now());
 }
@@ -700,8 +700,8 @@ sim::Task AntonMdApp::bondedPhase(int node) {
     args.payload = net::makePayload(q, sizeof q);
     co_await slice0.send(args);
   }
-  stage(node).bondedUs = std::max(
-      stage(node).bondedUs, sim::toUs(machine_.sim().now() - phaseStart));
+  current_.bondedUs = std::max(
+      current_.bondedUs, sim::toUs(machine_.sim().now() - phaseStart));
   if (auto* tr = machine_.trace())
     tr->record("GC", "bonded", phaseStart, machine_.sim().now());
 }
@@ -819,8 +819,8 @@ sim::Task AntonMdApp::longRangePhase(int node) {
     homeBlk[i] *= ewald_->influence(m1, m2, m3) * k3;
   }
   co_await fft_->run(node, true);
-  stage(node).fftUs = std::max(stage(node).fftUs,
-                               sim::toUs(machine_.sim().now() - fftStart));
+  current_.fftUs = std::max(current_.fftUs,
+                            sim::toUs(machine_.sim().now() - fftStart));
 
   // --- potential halo: multicast my block to the 26-neighborhood ----------
   const int potParity = int(ns.potRounds % 2);
@@ -919,8 +919,8 @@ sim::Task AntonMdApp::longRangePhase(int node) {
     args.payload = net::makePayload(q, sizeof q);
     co_await slice1.send(args);
   }
-  stage(node).lrUs = std::max(
-      stage(node).lrUs, sim::toUs(machine_.sim().now() - phaseStart));
+  current_.lrUs = std::max(
+      current_.lrUs, sim::toUs(machine_.sim().now() - phaseStart));
   if (auto* tr = machine_.trace())
     tr->record("FFT/LR", "fft-convolution", phaseStart, machine_.sim().now());
 }
@@ -957,7 +957,7 @@ sim::Task AntonMdApp::migrationPhase(int node) {
     ++sent;
   }
   ns.atoms = std::move(keep);
-  migratedStage_[std::size_t(node)] += std::uint64_t(sent);
+  migratedTotal_ += std::uint64_t(sent);
 
   // Flush: in-order counted write to all 26 neighbors, then wait for all
   // neighbors' flushes and drain the FIFO.
@@ -1000,8 +1000,8 @@ sim::Task AntonMdApp::migrationPhase(int node) {
   // Bookkeeping: slot tables and counted-write expectations are rebuilt.
   co_await machine_.sim().delay(
       sim::ns(cfg_.migrateAtomNs * double(sent + received) + 200.0));
-  stage(node).migrationUs = std::max(
-      stage(node).migrationUs, sim::toUs(machine_.sim().now() - migStart));
+  current_.migrationUs = std::max(
+      current_.migrationUs, sim::toUs(machine_.sim().now() - migStart));
 }
 
 sim::Task AntonMdApp::stepTask(int node, int stepNumber) {
@@ -1028,8 +1028,8 @@ sim::Task AntonMdApp::stepTask(int node, int stepNumber) {
   lrForce_[std::size_t(node)].assign(ns.atoms.size(), Vec3{});
   sim::Time sendStart = machine_.sim().now();
   co_await sendPositions(node);
-  stage(node).posSendUs = std::max(
-      stage(node).posSendUs, sim::toUs(machine_.sim().now() - sendStart));
+  current_.posSendUs = std::max(
+      current_.posSendUs, sim::toUs(machine_.sim().now() - sendStart));
   if (auto* tr = machine_.trace())
     tr->record("TS", "position-send", sendStart, machine_.sim().now());
 
@@ -1069,8 +1069,8 @@ sim::Task AntonMdApp::stepTask(int node, int stepNumber) {
   co_await awaitRecoverable(
       acc, cfg_.ctrForce, ns.forceExpected,
       dropRegistry_ ? ns.forceBySource : kNoSources);
-  stage(node).forceWaitUs = std::max(
-      stage(node).forceWaitUs, sim::toUs(machine_.sim().now() - waitStart));
+  current_.forceWaitUs = std::max(
+      current_.forceWaitUs, sim::toUs(machine_.sim().now() - waitStart));
   if (auto* tr = machine_.trace())
     tr->record("TS", "wait-forces", waitStart, machine_.sim().now());
   for (std::size_t i = 0; i < ns.atoms.size(); ++i) {
@@ -1103,8 +1103,8 @@ sim::Task AntonMdApp::stepTask(int node, int stepNumber) {
                                           (cfg_.targetTemperature / t - 1.0));
       for (AtomRecord& a : ns.atoms) a.vel *= lambda;
     }
-    stage(node).thermostatUs = std::max(
-        stage(node).thermostatUs, sim::toUs(machine_.sim().now() - tStart));
+    current_.thermostatUs = std::max(
+        current_.thermostatUs, sim::toUs(machine_.sim().now() - tStart));
     if (auto* tr = machine_.trace())
       tr->record("TS", "global-reduction", tStart, machine_.sim().now());
   }
@@ -1147,29 +1147,14 @@ void AntonMdApp::runSteps(int k) {
       dropRegistry_->prune(machine_.sim().now());
     }
 
-    stepStage_.assign(std::size_t(machine_.numNodes()), StepTiming{});
-    migratedStage_.assign(std::size_t(machine_.numNodes()), 0);
-
     sim::Time start = machine_.sim().now();
     for (int node = 0; node < machine_.numNodes(); ++node) {
-      // The affinity hint pins the task's event chain to the node's shard
-      // under sharded mode (a no-op hint when serial).
-      sim::ScopedEventNode affinity(node, false);
+      // Attribute the task's event chain to its node in the causal log (a
+      // no-op hint when no log is attached).
+      sim::ScopedCausalNodeHint hint(node, false);
       machine_.sim().spawn(stepTask(node, stepNumber));
     }
     machine_.sim().run();
-
-    for (const StepTiming& st : stepStage_) {
-      current_.posSendUs = std::max(current_.posSendUs, st.posSendUs);
-      current_.htisUs = std::max(current_.htisUs, st.htisUs);
-      current_.bondedUs = std::max(current_.bondedUs, st.bondedUs);
-      current_.fftUs = std::max(current_.fftUs, st.fftUs);
-      current_.lrUs = std::max(current_.lrUs, st.lrUs);
-      current_.forceWaitUs = std::max(current_.forceWaitUs, st.forceWaitUs);
-      current_.thermostatUs = std::max(current_.thermostatUs, st.thermostatUs);
-      current_.migrationUs = std::max(current_.migrationUs, st.migrationUs);
-    }
-    for (std::uint64_t m : migratedStage_) migratedTotal_ += m;
 
     current_.totalUs = sim::toUs(machine_.sim().now() - start);
     lastMigrated_ = migratedTotal_ - lastMigrated_;

@@ -304,14 +304,6 @@ class AntonMdApp {
   std::vector<StepTiming> timings_;
   std::uint64_t lastMigrated_ = 0;
   std::uint64_t migratedTotal_ = 0;
-  /// Per-node staging of the in-step timing maxima and migration counts.
-  /// Step tasks for different nodes may execute on different shards, so
-  /// they must not fold into shared accumulators mid-run; runSteps folds
-  /// the stages after run() returns. max and + are commutative, so the
-  /// folded values are bit-identical to the old shared-accumulator ones.
-  std::vector<StepTiming> stepStage_;
-  std::vector<std::uint64_t> migratedStage_;
-  StepTiming& stage(int node) { return stepStage_[std::size_t(node)]; }
 
   /// Receive-region modulus: smallest R such that srcNode % R is
   /// collision-free within every 27-neighborhood (multicast packets carry a

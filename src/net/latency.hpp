@@ -113,29 +113,6 @@ struct LatencyConfig {
     return sim::ns(double(bytes) / (ringBytesPerNs * ringConcurrency));
   }
 
-  // --- static minima (the conservative-PDES lookahead surface) --------------
-  //
-  // A parallel event kernel sharded over the torus needs a provable *lower
-  // bound* on how long any packet takes to cross from one node to a
-  // neighbor: that bound is the shard's lookahead (DESIGN.md §11). These
-  // accessors derive it from the same constants the machine charges on the
-  // live path (Machine::forwardOnLink): on-chip path to the exit adapter,
-  // adapter out, wire, adapter in. Queueing, faults, stalls and
-  // serialization only ever add time, so the head of any packet entering the
-  // far node's ring arrives no earlier than send time + minLinkCrossingNs.
-
-  /// Lower bound of any on-chip ring path (k >= 1 routers traversed).
-  double minRingPathNs() const { return routerHopBaseNs + routerHopEachNs; }
-
-  /// Static minimum latency for a packet head to cross one torus link in
-  /// `dim`: cheapest on-chip path to the exit adapter (straight-through
-  /// transit or a minimal ring hop), both link adapters, and the wire.
-  double minLinkCrossingNs(int dim) const {
-    double onChip =
-        std::min(transitNs[static_cast<std::size_t>(dim)], minRingPathNs());
-    return onChip + 2.0 * adapterNs + wireNs[static_cast<std::size_t>(dim)];
-  }
-
   /// Ring-path cost between two router slots in plain nanoseconds (the
   /// sim::Time twin is ringPath); the exact on-chip turn cost the static
   /// timing analyzer charges when a route's entry and exit adapters are
@@ -145,15 +122,14 @@ struct LatencyConfig {
            routerHopEachNs * ring.routersTraversed(fromRouter, toRouter);
   }
 
-  sim::Time minLinkCrossing(int dim) const {
-    return sim::ns(minLinkCrossingNs(dim));
-  }
-
   // --- capacity accessors (the static timing-analysis surface) --------------
   //
   // verify::analyzeTiming prices plan traffic with the same constants the
   // live machine charges (Machine::forwardOnLink, Node::reserveRing), exposed
   // here in plain nanoseconds so the analyzer never re-derives a rate.
+
+  /// Lower bound of any on-chip ring path (k >= 1 routers traversed).
+  double minRingPathNs() const { return routerHopBaseNs + routerHopEachNs; }
 
   /// Serialization time of one wire packet on a torus link, ns (the busy
   /// window Machine::forwardOnLink charges against the link).

@@ -31,15 +31,9 @@ Machine::Machine(sim::Simulator& sim, util::TorusShape shape, MachineConfig cfg)
   failedLinks_.assign(std::size_t(shape.size()) * 6, 0);
   saltByNode_.assign(std::size_t(shape.size()), 0);
   batchDrains_ = util::hotPath().batchDrains;
-  sim_.addShardParticipant(this);
 }
 
-Machine::~Machine() { sim_.removeShardParticipant(this); }
-
 void Machine::setTrace(trace::ActivityTrace* t) {
-  if (!shardStats_.empty())
-    throw std::logic_error(
-        "Machine::setTrace: cannot swap the trace while sharded mode is on");
   trace_ = t;
   if (t == nullptr) return;
   static constexpr const char* kNames[6] = {"link.X+", "link.X-", "link.Y+",
@@ -52,113 +46,6 @@ void Machine::setTrace(trace::ActivityTrace* t) {
   traceRstallKind_ = t->kind("rstall");
   traceLinkFailKind_ = t->kind("linkfail");
   traceFaultUnit_ = t->unit("fault");
-}
-
-trace::ActivityTrace* Machine::trace() const {
-  int s = sim::Simulator::currentShard();
-  if (s >= 0 && !stageTraces_.empty()) return &stageTraces_[std::size_t(s)];
-  return trace_;
-}
-
-void Machine::setFaultModel(FaultModel* f) {
-  if (f != nullptr && !shardStats_.empty())
-    throw std::logic_error(
-        "Machine::setFaultModel: fault state cannot be installed under a "
-        "running sharded kernel (disable sharding first)");
-  fault_ = f;
-}
-
-void Machine::onShardedEnable(const sim::ShardLayout& layout) {
-  if (fault_ != nullptr)
-    throw std::logic_error(
-        "Machine: refusing sharded mode with a fault model installed — "
-        "fault bookkeeping (shared stall windows, sticky link marks, drop "
-        "replay) is not shard-safe");
-  if (int(layout.shardOfNode.size()) < numNodes())
-    throw std::invalid_argument(
-        "Machine: sharding '" + layout.name + "' maps " +
-        std::to_string(layout.shardOfNode.size()) + " nodes but the machine has " +
-        std::to_string(numNodes()));
-  shardStats_.assign(std::size_t(layout.numShards), MachineStats{});
-  stageTraces_.clear();
-  if (trace_ != nullptr) {
-    stageTraces_.resize(std::size_t(layout.numShards));
-    for (trace::ActivityTrace& stage : stageTraces_)
-      stage.stageFrom(*trace_, [this] { return sim_.currentExecKey(); });
-  }
-}
-
-void Machine::onShardedBarrier(
-    const std::function<std::uint64_t(std::uint64_t)>& canon) {
-  // Batched-drain reservations parked on link queues may carry provisional
-  // seqs from the window that just closed; exchange them for their canonical
-  // values so a later window's re-arm replays the serial (time, seq) slot.
-  for (Link& l : links_) {
-    for (std::size_t i = l.pendingHead; i < l.pending.size(); ++i)
-      if (l.pending[i].seq & sim::Simulator::kProvBit)
-        l.pending[i].seq = canon(l.pending[i].seq);
-  }
-
-  // Every MachineStats field is an additive tally, so a fieldwise fold of
-  // the per-shard stages reproduces the serial aggregate exactly.
-  for (MachineStats& s : shardStats_) {
-    stats_.packetsInjected += s.packetsInjected;
-    stats_.packetsDelivered += s.packetsDelivered;
-    stats_.linkTraversals += s.linkTraversals;
-    stats_.wireBytes += s.wireBytes;
-    stats_.multicastForks += s.multicastForks;
-    stats_.crcRetransmits += s.crcRetransmits;
-    stats_.linkFailures += s.linkFailures;
-    stats_.outageStalls += s.outageStalls;
-    stats_.routerStalls += s.routerStalls;
-    stats_.faultReroutes += s.faultReroutes;
-    stats_.retransmitDelay += s.retransmitDelay;
-    stats_.stallDelay += s.stallDelay;
-    s = MachineStats{};
-  }
-
-  if (trace_ != nullptr && !stageTraces_.empty()) {
-    // Gather this window's staged intervals, canonicalize their emission
-    // keys, and append them to the main trace in (time, seq, record index)
-    // order — the exact order a serial run would have recorded them
-    // (serial execution visits events in (t, seq) order, and the record
-    // index preserves call order within one event). Names translate by
-    // string: a stage may have registered units the main trace has not seen.
-    struct Staged {
-      sim::Time t;
-      std::uint64_t seq;
-      std::uint32_t idx;
-      const trace::ActivityTrace* stage;
-      trace::ActivityTrace::Interval iv;
-    };
-    std::vector<Staged> merged;
-    for (trace::ActivityTrace& stage : stageTraces_) {
-      const auto& ivs = stage.intervals();
-      const auto& keys = stage.keys();
-      for (std::size_t i = 0; i < ivs.size(); ++i) {
-        std::uint64_t seq = keys[i].second;
-        if (seq & sim::Simulator::kProvBit) seq = canon(seq);
-        merged.push_back({keys[i].first, seq, std::uint32_t(i), &stage, ivs[i]});
-      }
-    }
-    std::sort(merged.begin(), merged.end(), [](const Staged& a, const Staged& b) {
-      if (a.t != b.t) return a.t < b.t;
-      if (a.seq != b.seq) return a.seq < b.seq;
-      return a.idx < b.idx;
-    });
-    for (const Staged& s : merged) {
-      trace_->record(
-          trace_->unit(s.stage->unitNames()[std::size_t(s.iv.unit)]),
-          trace_->kind(s.stage->kindNames()[std::size_t(s.iv.kind)]),
-          s.iv.start, s.iv.end);
-    }
-    for (trace::ActivityTrace& stage : stageTraces_) stage.clear();
-  }
-}
-
-void Machine::onShardedDisable() {
-  shardStats_.clear();
-  stageTraces_.clear();
 }
 
 int Machine::hops(int fromNode, int toNode) const {
@@ -183,7 +70,7 @@ void Machine::inject(const PacketPtr& p) {
   // re-injected directly): clear the tail lag the first transit left behind,
   // or a 0-hop replay would charge a wire serialization it never pays.
   p->tailLag = 0;
-  ++st().packetsInjected;
+  ++stats_.packetsInjected;
 
   Node& src = node(p->src.node);
   const LatencyConfig& lat = cfg_.latency;
@@ -199,9 +86,9 @@ void Machine::routeFrom(const PacketPtr& p, int nodeIdx, int entryRouter,
     // Stalled on-chip router: everything entering this node's ring waits.
     sim::Time free = fault_->routerStallUntil(nodeIdx, t);
     if (free > t) {
-      ++st().routerStalls;
-      st().stallDelay += free - t;
-      if (trace::ActivityTrace* tr = trace())
+      ++stats_.routerStalls;
+      stats_.stallDelay += free - t;
+      if (trace::ActivityTrace* tr = trace_)
         tr->record(traceFaultUnit_, traceRstallKind_, t, free);
       t = free;
     }
@@ -229,7 +116,7 @@ void Machine::routeFrom(const PacketPtr& p, int nodeIdx, int entryRouter,
         ++branches;
       }
     }
-    if (branches > 1) st().multicastForks += std::uint64_t(branches - 1);
+    if (branches > 1) stats_.multicastForks += std::uint64_t(branches - 1);
     return;
   }
 
@@ -268,7 +155,7 @@ void Machine::routeFrom(const PacketPtr& p, int nodeIdx, int entryRouter,
     useDim = prefDim;
     useSign = prefSign;
   }
-  if (useDim != prefDim || useSign != prefSign) ++st().faultReroutes;
+  if (useDim != prefDim || useSign != prefSign) ++stats_.faultReroutes;
   forwardOnLink(p, nodeIdx, entryRouter,
                 (viaDim == useDim && viaSign == useSign) ? viaDim : -1, useDim,
                 useSign, t);
@@ -298,9 +185,9 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
         fault_->onLinkTraversal(nodeIdx, dim, sign, p->wireBytes(), depart);
     if (out.stall > 0) {
       // Outage: the adapter holds the packet until the link comes back.
-      ++st().outageStalls;
-      st().stallDelay += out.stall;
-      if (trace::ActivityTrace* tr = trace())
+      ++stats_.outageStalls;
+      stats_.stallDelay += out.stall;
+      if (trace::ActivityTrace* tr = trace_)
         tr->record(traceLinkUnits_[std::size_t(adapterIdx)],
                    traceOutageKind_, depart, depart + out.stall);
       depart += out.stall;
@@ -310,9 +197,9 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
       // the link for its serialization plus the calibrated replay turnaround.
       sim::Time penalty =
           sim::Time(out.retransmits) * (ser + lat.retransmitPenalty());
-      st().crcRetransmits += std::uint64_t(out.retransmits);
-      st().retransmitDelay += penalty;
-      if (trace::ActivityTrace* tr = trace())
+      stats_.crcRetransmits += std::uint64_t(out.retransmits);
+      stats_.retransmitDelay += penalty;
+      if (trace::ActivityTrace* tr = trace_)
         tr->record(traceLinkUnits_[std::size_t(adapterIdx)],
                    traceRetxKind_, depart, depart + penalty);
       depart += penalty;
@@ -321,9 +208,9 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
   }
   l.busyUntil = depart + ser;
   ++l.traversals;
-  ++st().linkTraversals;
-  st().wireBytes += p->wireBytes();
-  if (trace::ActivityTrace* tr = trace()) {
+  ++stats_.linkTraversals;
+  stats_.wireBytes += p->wireBytes();
+  if (trace::ActivityTrace* tr = trace_) {
     tr->record(traceLinkUnits_[std::size_t(adapterIdx)],
                linkFailed ? traceLinkFailKind_ : traceKind_, depart,
                depart + std::max<sim::Time>(ser, 1));
@@ -335,7 +222,7 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
     // spent (busy window, traversal, byte accounting above) but nothing is
     // scheduled beyond the link — loss is now a software-visible condition.
     // The link keeps a sticky failed mark so recovery replays route around it.
-    ++st().linkFailures;
+    ++stats_.linkFailures;
     failedLinks_[std::size_t(nodeIdx) * 6 + std::size_t(adapterIdx)] = 1;
     if (dropHandler_) {
       util::TorusCoord nc =
@@ -359,16 +246,7 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
   int entryAdapterRouter =
       lat.ring.adapterRouter[std::size_t(RingLayout::adapterIndex(dim, -sign))];
   sim::Time atRing = headArrive + lat.adapter();
-  // A drain event executes on the far node's shard but mutates THIS link's
-  // pending queue, so batching is an intra-shard affair: arrivals crossing a
-  // shard boundary take the per-arrival path instead. Both paths consume
-  // their sequence number at this exact point, so any per-link mix of the
-  // two yields a bit-identical (time, seq) event schedule (the batched/
-  // legacy equivalence determinism_test pins).
-  const sim::ShardLayout* lay = sim_.shardLayout();
-  const bool cross =
-      lay != nullptr && lay->shardOf(nodeIdx) != lay->shardOf(nextIdx);
-  if (batchDrains_ && !cross) {
+  if (batchDrains_) {
     // Reserve the event sequence number here — the exact point where the
     // unbatched path consumes one — so batched and legacy runs share a
     // bit-identical (time, seq) event schedule. The arrival parks on the
@@ -385,20 +263,9 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
     if (!l.drainScheduled)
       scheduleDrain(std::size_t(nodeIdx) * 6 + std::size_t(adapterIdx));
   } else {
-    // Cross-shard handoff carries a clone: the mutable header bookkeeping
-    // (tailLag was fixed above, before any fork) is settled by now, but
-    // isolating each shard's copy keeps the two sides free of even benign
-    // shared-field access. The payload buffer is refcount-shared, exactly
-    // like a hardware multicast replica, so contents — and therefore every
-    // delivery — are identical to handing over the original pointer.
-    PacketPtr q = p;
-    if (cross) {
-      q = allocatePacket();
-      *q = *p;
-    }
-    sim::ScopedEventNode affinity(nextIdx, /*link=*/true);
-    sim_.at(atRing, [this, q, nextIdx, entryAdapterRouter, dim, sign, atRing] {
-      routeFrom(q, nextIdx, entryAdapterRouter, dim, sign, atRing);
+    sim::ScopedCausalNodeHint hint(nextIdx, /*link=*/true);
+    sim_.at(atRing, [this, p, nextIdx, entryAdapterRouter, dim, sign, atRing] {
+      routeFrom(p, nextIdx, entryAdapterRouter, dim, sign, atRing);
     });
   }
 }
@@ -483,12 +350,11 @@ void Machine::deliverLocal(const PacketPtr& p, int nodeIdx, int entryRouter,
   sim::Time start = node(nodeIdx).reserveRing(tPath, p->wireBytes());
   sim::Time commit = start + p->tailLag;
   // Same-node schedule point: attribute the commit to this node (not a link
-  // crossing) so the oracle's inheritance chain — and the sharded kernel's
-  // event routing — stays on the node's own shard.
-  sim::ScopedEventNode affinity(nodeIdx, /*link=*/false);
+  // crossing) so the causal log's inheritance chain stays on the node.
+  sim::ScopedCausalNodeHint hint(nodeIdx, /*link=*/false);
   sim_.at(commit, [this, p, nodeIdx, clientId] {
     node(nodeIdx).client(clientId).deliver(p);
-    ++st().packetsDelivered;
+    ++stats_.packetsDelivered;
   });
 }
 

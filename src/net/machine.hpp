@@ -54,14 +54,9 @@ struct MachineStats {
   friend bool operator==(const MachineStats&, const MachineStats&) = default;
 };
 
-/// The machine participates in the sharded kernel's window protocol: per
-/// shard it stages statistics, trace intervals and batched-drain sequence
-/// reservations, and folds them into the canonical (serial-identical) state
-/// at every window barrier.
-class Machine : public sim::ShardParticipant {
+class Machine {
  public:
   Machine(sim::Simulator& sim, util::TorusShape shape, MachineConfig cfg = {});
-  ~Machine() override;
 
   sim::Simulator& sim() { return sim_; }
   const util::TorusShape& shape() const { return shape_; }
@@ -103,31 +98,17 @@ class Machine : public sim::ShardParticipant {
 
   /// Attach an activity trace: every link traversal records its busy window
   /// on a per-direction "link.X+/X-/.../Z-" unit (aggregated machine-wide,
-  /// like the columns of SC10 Fig. 13). Pass nullptr to detach. Must not be
-  /// called while sharded mode is enabled (per-shard stages are derived from
-  /// the attached trace at enable time).
+  /// like the columns of SC10 Fig. 13). Pass nullptr to detach.
   void setTrace(trace::ActivityTrace* t);
-  /// The trace recording sink for the calling context: inside a shard window
-  /// this is the shard's staging trace (merged into the attached trace at
-  /// the window barrier), otherwise the attached trace itself. Record
-  /// through the returned pointer at the call site; do not cache it across
-  /// events.
-  trace::ActivityTrace* trace() const;
+  /// The attached activity trace, or nullptr.
+  trace::ActivityTrace* trace() const { return trace_; }
 
   /// Install a fault model (e.g. fault::FaultPlan), consulted on every link
   /// traversal, dimension choice, and node-ring entry. Pass nullptr to
   /// detach. A model that reports no faults leaves all timing bit-identical
-  /// to the fault-free machine. Refused while sharded (the machine declines
-  /// onShardedEnable with a fault model installed, and fault state cannot be
-  /// installed under a running sharded kernel either).
-  void setFaultModel(FaultModel* f);
+  /// to the fault-free machine.
+  void setFaultModel(FaultModel* f) { fault_ = f; }
   FaultModel* faultModel() const { return fault_; }
-
-  // --- sim::ShardParticipant -----------------------------------------------
-  void onShardedEnable(const sim::ShardLayout& layout) override;
-  void onShardedBarrier(
-      const std::function<std::uint64_t(std::uint64_t)>& canon) override;
-  void onShardedDisable() override;
 
   /// Toggle degraded-mode routing at runtime (initially
   /// MachineConfig::faultReroute). Only affects packets routed afterwards.
@@ -218,14 +199,6 @@ class Machine : public sim::ShardParticipant {
   /// adaptive routing is disabled; a salt-derived permutation otherwise).
   std::array<int, 3> dimOrder(const Packet& p) const;
 
-  /// Statistics sink for the calling context: the shard's staging counters
-  /// inside a window, the canonical aggregate otherwise.
-  MachineStats& st() {
-    int s = sim::Simulator::currentShard();
-    if (s >= 0 && !shardStats_.empty()) return shardStats_[std::size_t(s)];
-    return stats_;
-  }
-
   sim::Simulator& sim_;
   util::TorusShape shape_;
   MachineConfig cfg_;
@@ -235,11 +208,10 @@ class Machine : public sim::ShardParticipant {
   /// exhausts the retransmit cap and drops its packet.
   std::vector<char> failedLinks_;
   MachineStats stats_;
-  /// Per-source-node route-salt counters. Injections from one source node
-  /// always execute on that node's shard, so a per-node counter is both
-  /// race-free under the sharded kernel and independent of the global
-  /// injection interleaving (a process-wide counter would make the salt —
-  /// and adaptive dimension orders — depend on event execution order).
+  /// Per-source-node route-salt counters. A per-node counter is independent
+  /// of the global injection interleaving (a process-wide counter would make
+  /// the salt — and adaptive dimension orders — depend on event execution
+  /// order across nodes), and it is part of the pinned schedule.
   std::vector<std::uint64_t> saltByNode_;
   trace::ActivityTrace* trace_ = nullptr;
   std::array<int, 6> traceLinkUnits_{};
@@ -254,19 +226,8 @@ class Machine : public sim::ShardParticipant {
   /// Snapshot of util::hotPath().batchDrains at construction: whether link
   /// arrivals funnel through per-link drain events (one in the kernel per
   /// link) or schedule one event per traversal (the legacy reference path).
-  /// Under the sharded kernel only intra-shard arrivals batch; cross-shard
-  /// forwards take the per-arrival path (same (time, seq) schedule) so a
-  /// drain event on the far shard never mutates this shard's link state.
   bool batchDrains_ = true;
   DropHandler dropHandler_;
-
-  // --- sharded staging (empty in serial mode) ---
-  /// Per-shard staged statistics, folded into stats_ at every barrier.
-  std::vector<MachineStats> shardStats_;
-  /// Per-shard staged traces (only when a trace is attached), merged into
-  /// trace_ in canonical (time, seq) order at every barrier. Mutable: the
-  /// const trace() accessor hands out the calling shard's stage.
-  mutable std::vector<trace::ActivityTrace> stageTraces_;
 };
 
 }  // namespace anton::net

@@ -77,12 +77,10 @@ using PayloadPtr = std::shared_ptr<const PayloadBuf>;
 /// freelist when the last holder (machine event, FIFO, DropRegistry replay
 /// buffer) lets go.
 inline util::SlabPool& packetPool() {
-  if (util::SlabPool* o = util::poolOverrides().packet) return *o;
   thread_local util::SlabPool pool("packet");
   return pool;
 }
 inline util::SlabPool& payloadPool() {
-  if (util::SlabPool* o = util::poolOverrides().payload) return *o;
   thread_local util::SlabPool pool("payload");
   return pool;
 }

@@ -26,9 +26,9 @@ inline double oneWayLatencyNs(Machine& m, ClientAddr src, ClientAddr dst,
     out = sim::toNs(mm.sim().now());
   };
   {
-    // Pin the receiver's event chain to its node's shard under sharded
-    // mode (a no-op hint when serial).
-    sim::ScopedEventNode affinity(dst.node, false);
+    // Attribute the receiver's event chain to its node in the causal log
+    // (a no-op hint when no log is attached).
+    sim::ScopedCausalNodeHint hint(dst.node, false);
     m.sim().spawn(receiver(m, dst, done));
   }
   double start = sim::toNs(m.sim().now());
@@ -53,11 +53,11 @@ inline double bidirLatencyNs(Machine& m, ClientAddr a, ClientAddr b,
     out = sim::toNs(mm.sim().now());
   };
   {
-    sim::ScopedEventNode affinityA(a.node, false);
+    sim::ScopedCausalNodeHint hintA(a.node, false);
     m.sim().spawn(receiver(m, a, doneA));
   }
   {
-    sim::ScopedEventNode affinityB(b.node, false);
+    sim::ScopedCausalNodeHint hintB(b.node, false);
     m.sim().spawn(receiver(m, b, doneB));
   }
   double start = sim::toNs(m.sim().now());

@@ -68,11 +68,8 @@ std::string specToJson(const JobSpec& s) {
      << ",\"degradedMode\":" << (s.degradedMode ? "true" : "false")
      << ",\"recoveryTimeoutUs\":" << json::number(s.recoveryTimeoutUs)
      << ",\"recoveryMaxResends\":" << s.recoveryMaxResends
-     << ",\"recoveryBackoffUs\":" << json::number(s.recoveryBackoffUs);
-  // Emitted only when set: serial specs keep their pre-sharding canonical
-  // bytes (and thus their cache keys).
-  if (!s.sharding.empty()) os << ",\"sharding\":" << json::quoted(s.sharding);
-  os << "}";
+     << ",\"recoveryBackoffUs\":" << json::number(s.recoveryBackoffUs)
+     << "}";
   return os.str();
 }
 
@@ -84,7 +81,7 @@ JobSpec specFromValue(const json::Value& v) {
       "steps",         "atoms",          "maxHops",
       "payloadBytes",  "words",          "bitErrorRate",
       "maxRetransmits", "degradedMode",  "recoveryTimeoutUs",
-      "recoveryMaxResends", "recoveryBackoffUs", "sharding"};
+      "recoveryMaxResends", "recoveryBackoffUs"};
   for (const auto& [key, value] : v.obj)
     if (!kKnown.count(key))
       throw std::runtime_error("job spec: unknown field \"" + key + "\"");
@@ -118,8 +115,6 @@ JobSpec specFromValue(const json::Value& v) {
   getDouble("recoveryTimeoutUs", &s.recoveryTimeoutUs);
   getInt("recoveryMaxResends", &s.recoveryMaxResends);
   getDouble("recoveryBackoffUs", &s.recoveryBackoffUs);
-  if (const json::Value* f = json::optField(v, "sharding"))
-    s.sharding = json::asString(*f, "spec.sharding");
   return s;
 }
 
@@ -147,20 +142,6 @@ std::vector<std::string> validateSpec(const JobSpec& s) {
     err("recoveryMaxResends must be in [0, 1000]");
   if (!std::isfinite(s.recoveryBackoffUs) || s.recoveryBackoffUs < 0.0)
     err("recoveryBackoffUs must be finite and >= 0");
-  if (!s.sharding.empty()) {
-    if (s.sharding != "per-node" && s.sharding != "slab-x")
-      err("sharding must be \"\", \"per-node\" or \"slab-x\"");
-    if (s.family != JobFamily::kQuickstartMd &&
-        s.family != JobFamily::kTable2AllReduce)
-      err("sharding is only supported for quickstart-md and "
-          "table2-allreduce");
-    if (s.degradedMode)
-      err("sharding is incompatible with degradedMode (the sharded kernel "
-          "refuses fault models)");
-    if (s.bitErrorRate > 0.0)
-      err("sharding is incompatible with a nonzero bitErrorRate (the "
-          "sharded kernel refuses fault models)");
-  }
 
   switch (s.family) {
     case JobFamily::kQuickstartMd:

@@ -63,17 +63,6 @@ struct JobSpec {
   int recoveryMaxResends = 6;
   double recoveryBackoffUs = 0.5;
 
-  // Sharded (conservative-PDES) kernel opt-in: "" (serial, the default),
-  // "per-node" or "slab-x". Only quickstart-md and table2-allreduce accept
-  // it, and only without a fault model (no fault-sweep, no degradedMode,
-  // no bitErrorRate): the sharded kernel refuses fault hooks. The runner
-  // proves the sharding against the job's comm plan with the lookahead
-  // analyzer before enabling it, and falls back to serial (loudly) if the
-  // analyzer rejects it. Results are bit-identical either way — sharding
-  // only changes wall-clock time. Serialized only when non-empty, so
-  // pre-sharding cache keys are unchanged.
-  std::string sharding;
-
   friend bool operator==(const JobSpec&, const JobSpec&) = default;
 };
 

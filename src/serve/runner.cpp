@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include <cstdio>
-
 #include "core/allreduce.hpp"
 #include "core/recovery.hpp"
 #include "fault/plan.hpp"
@@ -15,8 +13,6 @@
 #include "net/probe.hpp"
 #include "plan_registry.hpp"
 #include "util/json.hpp"
-#include "verify/lookahead.hpp"
-#include "verify/shard_contract.hpp"
 #include "verify/snapshot.hpp"
 
 namespace anton::serve {
@@ -44,41 +40,7 @@ md::AntonMdConfig mdConfigFor(const JobSpec& spec) {
   cfg.recoveryTimeoutUs = spec.recoveryTimeoutUs;
   cfg.recoveryMaxResends = spec.recoveryMaxResends;
   cfg.recoveryBackoffUs = spec.recoveryBackoffUs;
-  // The sharded kernel has no fault model, so there is nothing for armed
-  // waits to recover from — and the shared drop registry is the one
-  // cross-shard mutable object the step tasks would race on. Disarm.
-  if (!spec.sharding.empty()) cfg.recoveryTimeoutUs = 0.0;
   return cfg;
-}
-
-/// Worker threads per sharded job: the server runs jobs concurrently, so
-/// each job's crew stays small.
-constexpr int kShardWorkers = 3;
-
-/// Prove spec.sharding against the job's comm plan with the live lookahead
-/// analyzer and enable the sharded kernel. Returns true when sharded; on
-/// analyzer rejection (or any sharding construction failure) logs the
-/// diagnostic and leaves the kernel serial — the job result is bit-identical
-/// either way, so falling back is always sound.
-bool enableShardingFor(const JobSpec& spec, sim::Simulator& arena) {
-  if (spec.sharding.empty()) return false;
-  try {
-    verify::Sharding sharding = spec.sharding == "per-node"
-                                    ? verify::perNodeSharding(spec.shape)
-                                    : verify::slabSharding(spec.shape);
-    verify::LookaheadReport report =
-        verify::analyzeLookahead(planForSpec(spec), sharding);
-    arena.enableSharded(
-        verify::shardLayoutFromReport(report, spec.shape, sharding),
-        kShardWorkers);
-    return true;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr,
-                 "serve: sharding \"%s\" refused for %s job, running "
-                 "serial: %s\n",
-                 spec.sharding.c_str(), familyName(spec.family), e.what());
-    return false;
-  }
 }
 
 core::RecoveryHooks recoveryHooksFor(const JobSpec& spec,
@@ -138,7 +100,6 @@ RunOutcome runQuickstartMd(const JobSpec& spec, sim::Simulator& arena,
   sp.targetAtoms = spec.atoms;
   sp.seed = spec.seed;
   md::AntonMdApp app(machine, md::buildSyntheticSystem(sp), mdConfigFor(spec));
-  const bool sharded = enableShardingFor(spec, arena);
   // One runSteps call per step so cancellation can land between steps: the
   // step counter carries across calls, so the phase schedule (long-range /
   // thermostat / migration cadence) is identical to one runSteps(steps).
@@ -146,10 +107,8 @@ RunOutcome runQuickstartMd(const JobSpec& spec, sim::Simulator& arena,
     if (cancel.stop()) return cancelledOutcome();
     app.runSteps(1);
   }
-  if (sharded) arena.disableSharded();
 
   std::map<std::string, double> m;
-  if (!spec.sharding.empty()) m["sharded"] = sharded ? 1.0 : 0.0;
   m["steps_done"] = double(app.stepsDone());
   double total = 0.0;
   for (const md::StepTiming& t : app.stepTimings()) total += t.totalUs;
@@ -220,30 +179,23 @@ RunOutcome runTable2AllReduce(const JobSpec& spec, sim::Simulator& arena,
   arena.reset();
   net::Machine machine(arena, spec.shape);
   core::DimOrderedAllReduce reduce(machine);
-  const bool sharded = enableShardingFor(spec, arena);
 
   const int n = machine.numNodes();
   const std::size_t words = std::size_t(spec.words);
   std::vector<std::vector<double>> out;
   out.resize(std::size_t(n));
   double start = sim::toUs(arena.now());
-  // Per-node completion stamps, folded after the run: under the sharded
-  // kernel the per-node tasks execute on different shards, so they must not
-  // max-fold into one shared accumulator mid-run.
-  std::vector<double> doneAt(std::size_t(n), start);
+  double done = start;
   auto task = [&](int node) -> sim::Task {
     std::vector<double> in(words, double(node));
     co_await reduce.run(node, std::move(in), &out[std::size_t(node)]);
-    doneAt[std::size_t(node)] = sim::toUs(arena.now());
+    done = std::max(done, sim::toUs(arena.now()));
   };
   for (int node = 0; node < n; ++node) {
-    sim::ScopedEventNode affinity(node, false);
+    sim::ScopedCausalNodeHint hint(node, false);
     arena.spawn(task(node));
   }
   arena.run();
-  if (sharded) arena.disableSharded();
-  double done = start;
-  for (double d : doneAt) done = std::max(done, d);
 
   double expect = double(n) * double(n - 1) / 2.0;  // sum 0..n-1, exact
   bool correct = true;
@@ -257,7 +209,6 @@ RunOutcome runTable2AllReduce(const JobSpec& spec, sim::Simulator& arena,
   m["nodes"] = double(n);
   m["words"] = double(spec.words);
   m["correct"] = correct ? 1.0 : 0.0;
-  if (!spec.sharding.empty()) m["sharded"] = sharded ? 1.0 : 0.0;
   return finish(spec, std::move(m));
 }
 

@@ -1,25 +1,27 @@
-// Causal-order oracle for the serial event kernel (DESIGN.md §11).
+// Causal-order log of the serial event kernel.
 //
-// The static lookahead analyzer (verify/lookahead.hpp) proves that every
-// cross-shard happens-before edge of a CommPlan carries at least the shard
-// pair's minimum link latency. This log is the dynamic side of that proof:
-// behind a util::hotPath()-style thread-local knob, the serial Simulator
-// records each executed event's (time, seq, causal parent, attributed node)
-// so an offline checker can assert every *observed* cross-shard delta
-// respects the statically claimed bound — a would-be race caught before a
-// single thread exists.
+// Behind a thread-local knob (causalOracle(), the util::hotPath() idiom),
+// the Simulator records each executed event's (time, seq, causal parent,
+// attributed node, link flag). The consumer is the timing oracle
+// (`verify_plans --timing-oracle`, DESIGN.md §12): it replays the live ping,
+// all-reduce and MD schedules with a log attached, requires them to stay
+// bit-identical to the unlogged runs, reports the attributed record count,
+// and holds the measured completion to the static critical-path bound of
+// verify::analyzeTiming. Determinism tests pin the log's digest as a second
+// fingerprint of the schedule.
 //
 // Attribution model:
 //   * parent   — the seq of the event whose execution scheduled this one
 //                (kNoCausalParent for events scheduled outside any event,
 //                e.g. test setup at time zero).
 //   * node     — the machine node the event acts on. net::Machine marks its
-//                cross-node scheduling points explicitly; everything else
-//                inherits the executing event's node (host orchestration
-//                that never crosses a link stays within its shard).
+//                cross-node and local-delivery scheduling points explicitly
+//                (ScopedCausalNodeHint); everything else inherits the
+//                executing event's node.
 //   * link     — true when the schedule point was a torus-link crossing
-//                (Machine::forwardOnLink). Only link edges claim the
-//                lookahead bound; inherited attribution is advisory.
+//                (Machine::forwardOnLink); inherited attribution never is.
+//   * epoch    — the Simulator::reset() generation: seqs restart on reset,
+//                so records of different generations must not alias.
 //
 // The knob must not perturb the schedule: recording happens strictly at
 // schedule/execute points the kernel visits anyway, and with no log
@@ -55,14 +57,10 @@ class CausalLog {
  public:
   /// Note an event scheduled under seq `seq`. Insert-if-absent: an earlier
   /// explicit note (the batched-drain reserveSeq point) wins over the
-  /// kernel's default note at atReserved() time. Absence spans the fallback
-  /// chain — a note migrated into the main log by an earlier window barrier
-  /// must not be shadowed by a stage entry when the drain re-arms later.
-  /// `node` < 0 inherits the scoped hint or, failing that, the executing
-  /// event's node.
+  /// kernel's default note at atReserved() time. `node` < 0 inherits the
+  /// scoped hint or, failing that, the executing event's node.
   void noteScheduled(std::uint64_t seq, std::int32_t node = -1,
                      bool link = false) {
-    if (fallback_ != nullptr && fallback_->pending_.count(seq) != 0) return;
     pending_.try_emplace(seq, Pending{node >= 0 ? node
                                       : hintNode_ >= 0 ? hintNode_
                                                        : executingNode_,
@@ -71,35 +69,18 @@ class CausalLog {
   }
 
   /// The kernel is about to run the event at (t, seq): append its record
-  /// and make it the causal context for everything it schedules. A per-shard
-  /// stage log (sharded kernel) misses events that were scheduled in an
-  /// earlier window — their notes were merged into the main log — so the
-  /// lookup falls back to a read-only probe of the fallback's pending map.
+  /// and make it the causal context for everything it schedules.
   void onExecute(Time t, std::uint64_t seq) {
     Pending p;
     if (auto it = pending_.find(seq); it != pending_.end()) {
       p = it->second;
       pending_.erase(it);
-    } else if (fallback_ != nullptr) {
-      // Read-only: the main log is not touched from worker threads. The
-      // consumed entry goes stale there, which is harmless — a seq is
-      // executed (or discarded) at most once per epoch.
-      if (auto it2 = fallback_->pending_.find(seq);
-          it2 != fallback_->pending_.end())
-        p = it2->second;
     }
     records_.push_back(
         {t, seq, p.parent, p.node, epoch_, std::uint8_t(p.link ? 1 : 0)});
     executingSeq_ = seq;
     executingNode_ = p.node;
   }
-
-  /// Sharded-kernel staging: make `main` the read-only fallback for
-  /// onExecute() lookups (nullptr detaches).
-  void setFallback(const CausalLog* main) { fallback_ = main; }
-  /// Sharded-kernel staging: stage records must carry the main log's epoch.
-  void setEpoch(std::uint16_t e) { epoch_ = e; }
-  std::uint16_t epoch() const { return epoch_; }
 
   /// The event's callback returned: leave its causal context.
   void onExecuteDone() {
@@ -154,9 +135,6 @@ class CausalLog {
 
  private:
   friend class ScopedCausalNodeHint;
-  // The sharded kernel's barrier remaps provisional seqs in stage records
-  // and migrates stage pending notes into the main log.
-  friend class Simulator;
 
   struct Pending {
     std::int32_t node = -1;
@@ -166,7 +144,6 @@ class CausalLog {
 
   std::vector<CausalRecord> records_;
   std::unordered_map<std::uint64_t, Pending> pending_;
-  const CausalLog* fallback_ = nullptr;
   std::uint64_t executingSeq_ = kNoCausalParent;
   std::int32_t executingNode_ = -1;
   std::int32_t hintNode_ = -1;

@@ -25,7 +25,6 @@ namespace anton::sim {
 
 /// Slab pool behind every sim::Task coroutine frame on this thread.
 inline util::SlabPool& taskFramePool() {
-  if (util::SlabPool* o = util::poolOverrides().taskFrame) return *o;
   thread_local util::SlabPool pool("task-frame");
   return pool;
 }
@@ -38,8 +37,7 @@ class [[nodiscard]] Task {
 
     /// Frames are slab-allocated (recycled per size class); oversized
     /// frames fall back to the heap inside the pool. Deletion routes through
-    /// the header's origin pool: under the sharded kernel a frame may be
-    /// destroyed on a different shard worker than the one that spawned it.
+    /// the header's origin pool, which rejects a free from a foreign thread.
     static void* operator new(std::size_t n) { return taskFramePool().alloc(n); }
     static void operator delete(void* p, std::size_t) noexcept {
       util::SlabPool::release(p);

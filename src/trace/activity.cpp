@@ -20,19 +20,6 @@ int ActivityTrace::kind(const std::string& name) {
 void ActivityTrace::record(int unit, int kind, sim::Time start, sim::Time end) {
   if (!enabled_ || end <= start) return;
   intervals_.push_back({unit, kind, start, end});
-  if (keyFn_) keys_.push_back(keyFn_());
-}
-
-void ActivityTrace::stageFrom(const ActivityTrace& main,
-                              std::function<EmitKey()> keyFn) {
-  enabled_ = main.enabled_;
-  unitNames_ = main.unitNames_;
-  kindNames_ = main.kindNames_;
-  unitIds_ = main.unitIds_;
-  kindIds_ = main.kindIds_;
-  intervals_.clear();
-  keys_.clear();
-  keyFn_ = std::move(keyFn);
 }
 
 sim::Time ActivityTrace::busyTime(int unit, int kind, sim::Time from,

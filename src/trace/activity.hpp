@@ -7,11 +7,8 @@
 // timeline with one row per unit group and one column per time bucket.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -26,12 +23,6 @@ class ActivityTrace {
     sim::Time start;
     sim::Time end;
   };
-
-  /// Emission key of one recorded interval under the sharded kernel: the
-  /// (time, raw seq) of the event that recorded it. After the window barrier
-  /// canonicalizes seqs, sorting staged intervals by this key reproduces the
-  /// exact order a serial run would have appended them in.
-  using EmitKey = std::pair<sim::Time, std::uint64_t>;
 
   /// Register (or look up) a unit row, e.g. "TS", "GC", "HTIS", "link.X+".
   int unit(const std::string& name);
@@ -51,21 +42,7 @@ class ActivityTrace {
   const std::vector<Interval>& intervals() const { return intervals_; }
   const std::vector<std::string>& unitNames() const { return unitNames_; }
   const std::vector<std::string>& kindNames() const { return kindNames_; }
-  void clear() {
-    intervals_.clear();
-    keys_.clear();
-  }
-
-  /// Turn this trace into a per-shard stage of `main`: copy main's name
-  /// tables (so unit/kind ids a caller cached against main stay valid here),
-  /// drop any recorded intervals, and tag every subsequent record() with the
-  /// emission key `keyFn` reports. The window barrier sorts staged intervals
-  /// by canonicalized key and appends them to main in serial order.
-  void stageFrom(const ActivityTrace& main, std::function<EmitKey()> keyFn);
-
-  /// Keys parallel to intervals(); populated only while staging.
-  const std::vector<EmitKey>& keys() const { return keys_; }
-  std::vector<EmitKey>& mutableKeys() { return keys_; }
+  void clear() { intervals_.clear(); }
 
   /// Total recorded time of `kind` on `unit` within [from, to).
   sim::Time busyTime(int unit, int kind, sim::Time from, sim::Time to) const;
@@ -87,8 +64,6 @@ class ActivityTrace {
   std::map<std::string, int> unitIds_;
   std::map<std::string, int> kindIds_;
   std::vector<Interval> intervals_;
-  std::vector<EmitKey> keys_;                ///< staging only
-  std::function<EmitKey()> keyFn_;           ///< staging only
 };
 
 /// RAII helper: records [construction, destruction) as one interval.

@@ -15,17 +15,15 @@
 // Oversized requests (> kMaxSlotBytes) always fall back to the heap.
 //
 // SlabPools are single-owner: each simulation arena (and its serve worker
-// thread) owns its own pools, and only the owner thread may alloc(). A slot
-// released on a *different* thread (the sharded kernel hands packets and
-// coroutine frames across shard workers) takes the remote-free path: a
-// lock-free Treiber stack the owner drains back into its freelists on the
-// next alloc() (or an explicit drainRemote() at a quiescent point). Heap
-// fallback blocks are released directly on any thread.
+// thread) owns its own pools, and only the thread that constructed a pool
+// may alloc() from it or free() into it. A free from any other thread is a
+// bug that would corrupt the freelists, so it aborts naming the pool.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -72,7 +70,6 @@ class SlabPool {
   /// Owner-thread only.
   void* alloc(std::size_t bytes) {
     if (!hotPath().pools || bytes > kMaxSlotBytes) return heapAlloc(bytes);
-    if (remoteHead_.load(std::memory_order_relaxed) != nullptr) drainRemote();
     std::size_t bucket = (bytes + kGranule - 1) / kGranule;  // >= 1
     if (FreeNode* n = freelists_[bucket]) {
       freelists_[bucket] = n->next;
@@ -90,32 +87,15 @@ class SlabPool {
     return tag(p, std::uint32_t(bucket));
   }
 
-  /// Release a block previously returned by alloc(). Any thread may call
-  /// this: the owner pushes straight onto the freelist, everyone else pushes
-  /// onto the lock-free remote stack for the owner to drain.
+  /// Release a block previously returned by alloc(). Owner-thread only:
+  /// a free from any other thread aborts naming the pool.
   void free(void* p) noexcept {
+    if (std::this_thread::get_id() != owner_) foreignFree();
     auto* h = reinterpret_cast<Header*>(static_cast<std::byte*>(p) -
                                         kHeaderBytes);
     if (h->bucket == kHeapBucket) {
-      // Heap blocks never touch the freelists, so they can be released
-      // directly on any thread; only the counter needs the atomic split.
-      if (std::this_thread::get_id() ==
-          owner_.load(std::memory_order_relaxed)) {
-        ++stats_.heapFrees;
-      } else {
-        remoteHeapFrees_.fetch_add(1, std::memory_order_relaxed);
-      }
+      ++stats_.heapFrees;
       ::operator delete(static_cast<void*>(h));
-      return;
-    }
-    if (std::this_thread::get_id() != owner_.load(std::memory_order_relaxed)) {
-      auto* rn = reinterpret_cast<RemoteNode*>(h);  // bucket stays at offset 0
-      RemoteNode* head = remoteHead_.load(std::memory_order_relaxed);
-      do {
-        rn->next = head;
-      } while (!remoteHead_.compare_exchange_weak(head, rn,
-                                                  std::memory_order_release,
-                                                  std::memory_order_relaxed));
       return;
     }
     auto* n = reinterpret_cast<FreeNode*>(h);
@@ -125,47 +105,17 @@ class SlabPool {
     --stats_.live;
   }
 
-  /// Move every remotely-freed slot back onto its freelist. Called by the
-  /// owner on alloc(), or explicitly at a quiescent point (a shard barrier,
-  /// or after worker threads have joined).
-  void drainRemote() noexcept {
-    RemoteNode* p = remoteHead_.exchange(nullptr, std::memory_order_acquire);
-    while (p != nullptr) {
-      RemoteNode* next = p->next;
-      auto* n = reinterpret_cast<FreeNode*>(p);
-      std::uint32_t bucket = p->bucket;
-      n->next = freelists_[bucket];
-      freelists_[bucket] = n;
-      ++stats_.poolFrees;
-      --stats_.live;
-      p = next;
-    }
-  }
-
   /// Release a block through the pool that served it, read from the header.
   /// For call sites that cannot remember the origin pool (e.g. coroutine
-  /// frame operator delete, which only gets a pointer): with per-shard
-  /// override pools, "the current thread's pool" is not necessarily the pool
-  /// the block came from.
+  /// frame operator delete, which only gets a pointer): the block goes back
+  /// to the pool that served it, so a block that strayed to another thread
+  /// fails the owner check instead of landing in that thread's pool.
   static void release(void* p) noexcept {
     reinterpret_cast<Header*>(static_cast<std::byte*>(p) - kHeaderBytes)
         ->origin->free(p);
   }
 
-  /// Transfer alloc()/drain rights to `id`. Only valid at a quiescent point
-  /// (no concurrent alloc/free), e.g. when a shard worker adopts its pools.
-  void setOwner(std::thread::id id) noexcept {
-    owner_.store(id, std::memory_order_relaxed);
-  }
-
-  /// Snapshot of the counters. By value: remote frees land via atomics, so
-  /// there is no single struct to hand out a stable reference to. Slots
-  /// sitting undrained on the remote stack still count as `live`.
-  SlabPoolStats stats() const {
-    SlabPoolStats s = stats_;
-    s.heapFrees += remoteHeapFrees_.load(std::memory_order_relaxed);
-    return s;
-  }
+  const SlabPoolStats& stats() const { return stats_; }
   const std::string& name() const { return name_; }
 
   /// Shrink (or raise) the slab-memory budget; carving past it throws.
@@ -184,16 +134,14 @@ class SlabPool {
   struct FreeNode {
     FreeNode* next;
   };
-  // Overlays the 16-byte header of a remotely-freed slot: the bucket tag is
-  // preserved at offset 0 (where Header keeps it) so the owner can route the
-  // slot to the right freelist at drain time; the chain pointer sits in the
-  // header's padding.
-  struct RemoteNode {
-    std::uint32_t bucket;
-    std::uint32_t pad;
-    RemoteNode* next;
-  };
-  static_assert(sizeof(RemoteNode) <= kHeaderBytes);
+
+  [[noreturn]] void foreignFree() const noexcept {
+    std::fprintf(stderr,
+                 "SlabPool '%s': block freed on a thread that does not own "
+                 "the pool\n",
+                 name_.c_str());
+    std::abort();
+  }
 
   void* tag(void* block, std::uint32_t bucket) {
     auto* h = reinterpret_cast<Header*>(block);
@@ -235,28 +183,8 @@ class SlabPool {
   // freelists_[b] chains free slots of bucket b (b * kGranule payload bytes).
   FreeNode* freelists_[kMaxSlotBytes / kGranule + 1] = {};
   SlabPoolStats stats_;
-  std::atomic<std::thread::id> owner_{std::this_thread::get_id()};
-  std::atomic<RemoteNode*> remoteHead_{nullptr};
-  std::atomic<std::uint64_t> remoteHeapFrees_{0};
+  const std::thread::id owner_ = std::this_thread::get_id();
 };
-
-/// Thread-local override slots for the named hot-path pools. The accessors in
-/// net/packet.hpp, sim/task.hpp and sim/simulator.hpp consult these before
-/// their default thread-local pools; the sharded kernel points them at
-/// Simulator-owned per-worker pool sets so pooled objects outlive the worker
-/// threads that allocated them (a thread_local pool would be destroyed at
-/// thread exit while cross-shard packets still hold its slots).
-struct PoolOverrides {
-  SlabPool* packet = nullptr;
-  SlabPool* payload = nullptr;
-  SlabPool* taskFrame = nullptr;
-  SlabPool* eventHandle = nullptr;
-};
-
-inline PoolOverrides& poolOverrides() {
-  thread_local PoolOverrides o;
-  return o;
-}
 
 /// Minimal std allocator over a SlabPool, for std::allocate_shared — the
 /// control block and the object land in one recycled slot, so a pooled

@@ -49,8 +49,8 @@ struct Event {
 
 /// Delivered destination clients of each write, mirroring the
 /// count-consistency pass (checks.cpp) without re-emitting its diagnostics:
-/// malformed patterns simply deliver nowhere. Shared by the lookahead and
-/// timing analyzers so every happens-before walk prices the same fan-out.
+/// malformed patterns simply deliver nowhere. The timing analyzer prices its
+/// happens-before walk over exactly this fan-out.
 std::vector<std::vector<net::ClientAddr>> deliveredTargets(
     const CommPlan& plan);
 
@@ -83,7 +83,7 @@ class EventGraph {
   int entrySlot(int node, int phase) const;
 
   /// Happens-before successors of `vertex`, as a CSR slice (begin/end
-  /// pointers into the adjacency array). The lookahead analyzer walks every
+  /// pointers into the adjacency array). The timing analyzer walks every
   /// edge once through this.
   const int* succBegin(int vertex) const {
     return adjEdges_.data() + adjStart_[std::size_t(vertex)];

@@ -17,8 +17,6 @@
 #include "sim/simulator.hpp"
 #include "trace/activity.hpp"
 #include "util/hotpath.hpp"
-#include "verify/lookahead.hpp"
-#include "verify/shard_contract.hpp"
 
 namespace anton {
 namespace {
@@ -325,95 +323,6 @@ TEST(Determinism, MdRecoveryArmedButIdleIsTimingInvisible) {
     EXPECT_EQ(bare.sys.velocities[std::size_t(i)],
               armed.sys.velocities[std::size_t(i)]);
   }
-}
-
-// --- sharded kernel: the full MD pipeline, serial vs parallel ---------------
-
-struct MdShardedResult {
-  md::MDSystem sys;
-  net::MachineStats stats;
-  std::uint64_t digest = 0;
-  sim::Time finalTime = 0;
-  std::uint64_t migrated = 0;
-  std::vector<md::StepTiming> timings;
-};
-
-// Three MD supersteps (forces, FFT convolution, thermostat, migration) on a
-// 4x4x4 machine, optionally under the sharded kernel. Recovery stays off:
-// the drop registry is the one cross-node mutable object the step tasks
-// share, so sharded MD runs are only defined without it.
-MdShardedResult mdRun(const std::string& shardingName, int workers) {
-  md::SyntheticSystemParams sp;
-  sp.targetAtoms = 1536;
-  sp.temperature = 0.8;
-  sp.seed = 11;
-  md::MDSystem sys = md::buildSyntheticSystem(sp);
-  md::AntonMdConfig cfg;
-  cfg.force.cutoff = 2.2;
-  cfg.ewald.grid = 16;
-  cfg.homeBoxMarginFrac = 0.10;
-  cfg.migrationInterval = 2;
-  cfg.longRangeInterval = 2;
-
-  sim::Simulator sim;
-  net::Machine m(sim, {4, 4, 4});
-  md::AntonMdApp app(m, sys, cfg);
-  if (!shardingName.empty()) {
-    util::TorusShape shape{4, 4, 4};
-    verify::Sharding sharding = shardingName == "per-node"
-                                    ? verify::perNodeSharding(shape)
-                                    : verify::slabSharding(shape);
-    sim.enableSharded(verify::shardLayoutFromTopology(shape, sharding),
-                      workers);
-  }
-  app.runSteps(3);
-  MdShardedResult r;
-  if (!shardingName.empty()) sim.disableSharded();
-  r.stats = m.stats();
-  r.sys = app.gatherSystem();
-  r.digest = machineDigest(m);
-  r.finalTime = sim.now();
-  r.migrated = app.totalMigrated();
-  r.timings = app.stepTimings();
-  return r;
-}
-
-void expectMdIdentical(const MdShardedResult& a, const MdShardedResult& b) {
-  EXPECT_EQ(a.stats, b.stats);
-  EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.finalTime, b.finalTime);
-  EXPECT_EQ(a.migrated, b.migrated);
-  ASSERT_EQ(a.sys.numAtoms(), b.sys.numAtoms());
-  for (int i = 0; i < a.sys.numAtoms(); ++i) {
-    EXPECT_EQ(a.sys.positions[std::size_t(i)], b.sys.positions[std::size_t(i)]);
-    EXPECT_EQ(a.sys.velocities[std::size_t(i)],
-              b.sys.velocities[std::size_t(i)]);
-  }
-  ASSERT_EQ(a.timings.size(), b.timings.size());
-  for (std::size_t i = 0; i < a.timings.size(); ++i) {
-    EXPECT_EQ(a.timings[i].totalUs, b.timings[i].totalUs) << "step " << i;
-    EXPECT_EQ(a.timings[i].fftUs, b.timings[i].fftUs) << "step " << i;
-    EXPECT_EQ(a.timings[i].htisUs, b.timings[i].htisUs) << "step " << i;
-    EXPECT_EQ(a.timings[i].bondedUs, b.timings[i].bondedUs) << "step " << i;
-    EXPECT_EQ(a.timings[i].migrationUs, b.timings[i].migrationUs)
-        << "step " << i;
-    EXPECT_EQ(a.timings[i].forceWaitUs, b.timings[i].forceWaitUs)
-        << "step " << i;
-  }
-}
-
-TEST(Determinism, MdShardedPerNodeMatchesSerialBitIdentically) {
-  MdShardedResult serial = mdRun("", 0);
-  MdShardedResult sharded = mdRun("per-node", 0);
-  expectMdIdentical(serial, sharded);
-}
-
-TEST(Determinism, MdShardedSlabWithWorkersMatchesSerial) {
-  MdShardedResult serial = mdRun("", 0);
-  MdShardedResult slab = mdRun("slab-x", 2);
-  expectMdIdentical(serial, slab);
-  MdShardedResult perNode = mdRun("per-node", 4);
-  expectMdIdentical(serial, perNode);
 }
 
 }  // namespace

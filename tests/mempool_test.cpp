@@ -1,7 +1,8 @@
 // Pool-layer coverage for the zero-allocation hot path: slab exhaustion is
 // a loud error (never UB), recycled slots come back with fresh bookkeeping,
-// multicast replicas share one refcounted payload slot, and blocks survive
-// the pooling knob flipping between heap and slab origins.
+// multicast replicas share one refcounted payload slot, blocks survive the
+// pooling knob flipping between heap and slab origins, and a free from a
+// thread that does not own the pool aborts.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -108,112 +109,46 @@ TEST(SlabPool, BlocksSurviveThePoolingKnobFlippingBetweenAllocAndFree) {
   }
 }
 
-// --- cross-thread discipline for the sharded kernel's per-shard pools ------
-// Shard workers each own a pool set (Simulator::WorkerPoolSet); a block may
-// still be released from a different thread (e.g. a cross-shard mail's
-// payload dropping its last reference at the consuming shard). The contract:
-// a non-owner free NEVER touches another pool's freelists — it parks on the
-// owner's lock-free remote stack until the owner drains at an alloc or a
-// shard barrier.
-
-TEST(SlabPool, CrossThreadFreeParksUntilTheOwnerDrainsAtTheNextAlloc) {
-  ScopedHotPath hot(true);
-  SlabPool pool("xfree");
-  void* a = pool.alloc(48);
-  std::thread([&] { pool.free(a); }).join();
-  // Parked on the remote stack: not yet recycled, still counted live.
-  EXPECT_EQ(pool.stats().live, 1u);
-  EXPECT_EQ(pool.stats().poolFrees, 0u);
-  // The owner's next alloc drains the stack and reuses the slot with no
-  // new slab consumption.
-  std::uint64_t carved = pool.stats().slabBytes;
-  void* b = pool.alloc(48);
-  EXPECT_EQ(b, a);
-  EXPECT_EQ(pool.stats().slabBytes, carved);
-  EXPECT_EQ(pool.stats().poolFrees, 1u);
-  EXPECT_EQ(pool.stats().live, 1u);
-  pool.free(b);
-}
-
-TEST(SlabPool, ExplicitDrainAtAQuiescentPointRecoversParkedSlots) {
-  ScopedHotPath hot(true);
-  SlabPool pool("xdrain");
-  void* a = pool.alloc(64);
-  void* b = pool.alloc(64);
-  std::thread([&] {
-    pool.free(a);
-    pool.free(b);
-  }).join();
-  EXPECT_EQ(pool.stats().live, 2u);
-  pool.drainRemote();  // what a shard barrier does
-  EXPECT_EQ(pool.stats().live, 0u);
-  EXPECT_EQ(pool.stats().poolFrees, 2u);
-}
+// --- single-owner discipline ------------------------------------------------
+// A pool belongs to the thread that built it. A free from any other thread
+// would corrupt the freelists (or race the counters), so it must fail loudly
+// — abort naming the pool — rather than be absorbed.
 
 TEST(SlabPool, ReleaseRoutesEveryBlockToItsOriginPoolNotTheCallersPool) {
   ScopedHotPath hot(true);
-  SlabPool shard0("shard0");
-  SlabPool shard1("shard1");
-  void* a = shard0.alloc(64);
-  void* b = shard1.alloc(64);
+  SlabPool first("first");
+  SlabPool second("second");
+  void* a = first.alloc(64);
+  void* b = second.alloc(64);
   // release() reads the origin from the block header; it must not consult
   // any notion of "the current pool".
   SlabPool::release(b);
   SlabPool::release(a);
-  EXPECT_EQ(shard0.stats().live, 0u);
-  EXPECT_EQ(shard0.stats().poolFrees, 1u);
-  EXPECT_EQ(shard1.stats().live, 0u);
-  EXPECT_EQ(shard1.stats().poolFrees, 1u);
+  EXPECT_EQ(first.stats().live, 0u);
+  EXPECT_EQ(first.stats().poolFrees, 1u);
+  EXPECT_EQ(second.stats().live, 0u);
+  EXPECT_EQ(second.stats().poolFrees, 1u);
 }
 
-TEST(SlabPool, ForeignWorkerReleaseNeverTouchesAnotherPoolsFreelist) {
-  ScopedHotPath hot(true);
-  SlabPool shard0("shard0");
-  SlabPool shard1("shard1");
-  void* a = shard0.alloc(64);
-  std::thread([&] {
-    // Shard 1's worker drops shard 0's block: it must park on shard 0's
-    // remote stack, and shard 1's pool must be untouched.
-    SlabPool::release(a);
-  }).join();
-  EXPECT_EQ(shard1.stats().poolAllocs, 0u);
-  EXPECT_EQ(shard1.stats().poolFrees, 0u);
-  EXPECT_EQ(shard0.stats().live, 1u);  // parked
-  shard0.drainRemote();
-  EXPECT_EQ(shard0.stats().live, 0u);
-  EXPECT_EQ(shard0.stats().poolFrees, 1u);
-}
-
-TEST(SlabPool, CrossThreadHeapFreeIsImmediateAndCounted) {
-  SlabPool pool("xheap");
-  void* p;
-  {
-    ScopedHotPath off(false);
-    p = pool.alloc(64);  // heap-tagged block
-  }
-  std::thread([&] { pool.free(p); }).join();
-  // Heap blocks never ride the freelists, so the non-owner free completes
-  // immediately; only the counter crosses threads (atomically).
-  EXPECT_EQ(pool.stats().heapFrees, 1u);
-  EXPECT_EQ(pool.stats().live, 0u);
-}
-
-TEST(SlabPool, SetOwnerHandsFreelistRightsToTheAdoptingWorker) {
-  ScopedHotPath hot(true);
-  SlabPool pool("adopted");
-  void* a = pool.alloc(48);
-  std::thread worker([&] {
-    ScopedHotPath workerHot(true);
-    pool.setOwner(std::this_thread::get_id());
-    pool.free(a);  // owner path now: straight onto the freelist
-    void* b = pool.alloc(48);
-    EXPECT_EQ(b, a) << "the adopting owner must see its own freelist";
-    pool.free(b);
-  });
-  worker.join();
-  pool.setOwner(std::this_thread::get_id());  // hand back after the join
-  EXPECT_EQ(pool.stats().poolFrees, 2u);
-  EXPECT_EQ(pool.stats().live, 0u);
+TEST(SlabPoolDeathTest, ForeignThreadFreeAbortsNamingThePool) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ScopedHotPath hot(true);
+        SlabPool pool("xfree");
+        void* p = pool.alloc(48);
+        std::thread([&] { SlabPool::release(p); }).join();
+      },
+      "SlabPool 'xfree'.*does not own");
+  // Heap-fallback blocks obey the same rule: their counter is owner-only.
+  EXPECT_DEATH(
+      {
+        ScopedHotPath off(false);
+        SlabPool pool("xheap");
+        void* p = pool.alloc(64);
+        std::thread([&] { pool.free(p); }).join();
+      },
+      "SlabPool 'xheap'.*does not own");
 }
 
 TEST(PacketPool, RecycledPacketSlotComesBackWithFreshBookkeeping) {

@@ -121,66 +121,33 @@ TEST(Runner, CancelTokenStopsBetweenUnitsOfWork) {
   EXPECT_TRUE(out.resultJson.empty());
 }
 
-TEST(JobSpec, ShardingRoundTripsAndKeepsSerialBytesStable) {
-  JobSpec spec = quickstartMdSpec();
-  // Serial specs must serialize exactly as before the sharding field
-  // existed (cache keys of cached results stay valid).
-  EXPECT_EQ(specToJson(spec).find("sharding"), std::string::npos);
-  spec.sharding = "per-node";
-  EXPECT_NE(specToJson(spec).find("\"sharding\":\"per-node\""),
-            std::string::npos);
-  JobSpec back = specFromJson(specToJson(spec));
-  EXPECT_EQ(back, spec);
-  EXPECT_TRUE(validateSpec(spec).empty());
+TEST(JobSpec, ShardingIsAnUnknownKeyInSpecsAndOverTheProtocol) {
+  // The event kernel is serial only; a spec still carrying the retired
+  // "sharding" field is refused like any other unknown key, both by the
+  // strict parser and over the line protocol, and the server stays healthy.
+  const std::string serial = specToJson(table2AllReduceSpec({2, 2, 2}));
+  EXPECT_EQ(serial.find("sharding"), std::string::npos);
+  const std::string withSharding =
+      serial.substr(0, serial.size() - 1) + ",\"sharding\":\"per-node\"}";
+  try {
+    specFromJson(withSharding);
+    FAIL() << "a spec with \"sharding\" must not parse";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown field \"sharding\""),
+              std::string::npos)
+        << e.what();
+  }
 
-  JobSpec bad = spec;
-  bad.sharding = "checkerboard";
-  EXPECT_FALSE(validateSpec(bad).empty());
-  bad = fig5PingSpec();
-  bad.sharding = "per-node";
-  EXPECT_FALSE(validateSpec(bad).empty());
-  bad = faultSweepSpec({2, 2, 2}, 1e-5);
-  bad.sharding = "slab-x";
-  EXPECT_FALSE(validateSpec(bad).empty());
-  bad = quickstartMdSpec();
-  bad.sharding = "per-node";
-  bad.degradedMode = true;
-  EXPECT_FALSE(validateSpec(bad).empty());
-}
-
-TEST(Runner, ShardedQuickstartMdIsBitIdenticalToSerial) {
-  // The serve-level acceptance check: a sharded MD job computes the same
-  // trajectory (positionDigest) and the same step metrics as the serial
-  // run of the same spec — sharding may only change wall-clock time.
-  sim::Simulator arena;
-  JobSpec spec = quickstartMdSpec(/*steps=*/2);
-  RunOutcome serial = runJob(spec, arena);
-  spec.sharding = "per-node";
-  RunOutcome sharded = runJob(spec, arena);
-
-  EXPECT_EQ(sharded.metrics.at("sharded"), 1.0) << "fell back to serial";
-  for (const char* key : {"steps_done", "mean_step_us", "last_step_us",
-                          "sim_us", "migrated_total"})
-    EXPECT_EQ(serial.metrics.at(key), sharded.metrics.at(key)) << key;
-  auto digestOf = [](const RunOutcome& o) {
-    return util::json::asString(
-        util::json::field(util::json::parse(o.resultJson, "result"),
-                          "positionDigest", "positionDigest"),
-        "positionDigest");
-  };
-  EXPECT_EQ(digestOf(serial), digestOf(sharded));
-}
-
-TEST(Runner, ShardedAllReduceMatchesSerialTiming) {
-  sim::Simulator arena;
-  JobSpec spec = table2AllReduceSpec({4, 4, 2}, /*words=*/4);
-  RunOutcome serial = runJob(spec, arena);
-  spec.sharding = "slab-x";
-  RunOutcome sharded = runJob(spec, arena);
-  EXPECT_EQ(sharded.metrics.at("sharded"), 1.0) << "fell back to serial";
-  EXPECT_EQ(sharded.metrics.at("correct"), 1.0);
-  EXPECT_EQ(serial.metrics.at("allreduce_us"),
-            sharded.metrics.at("allreduce_us"));
+  JobServer server({.workers = 1, .queueCapacity = 4});
+  ProtocolResult r = handleLine(
+      server, "{\"op\":\"submit\",\"spec\":" + withSharding + "}");
+  EXPECT_FALSE(r.shutdown);
+  json::Value resp = json::parse(r.response, "resp");
+  EXPECT_FALSE(json::asBool(json::field(resp, "ok", "r"), "ok"));
+  SubmitOutcome out = server.submit(specFromJson(serial));
+  ASSERT_TRUE(out.accepted) << out.reason;
+  EXPECT_EQ(server.wait(out.id).state, JobState::kDone);
+  server.shutdown();
 }
 
 // The acceptance-criteria core: 8 mixed-family jobs on a 4-worker server

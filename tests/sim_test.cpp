@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sim/causal_log.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
@@ -362,6 +363,37 @@ TEST(Simulator, RootsAreReapedIncrementally) {
   // intervals of events) most frames must already be gone.
   EXPECT_LT(liveAtEnd, std::size_t(kTasks));
   EXPECT_EQ(sim.liveRoots(), 0u);
+}
+
+TEST(CausalLog, ResetOpensANewEpochSoGenerationsDoNotAlias) {
+  // reset() restarts sequence numbers, so an attached log must tag each
+  // generation with its own epoch: the timing oracle's records would
+  // otherwise alias across the resets a serve worker performs between jobs.
+  CausalLog log;
+  ScopedCausalOracle oracle(log);
+  Simulator sim;
+  auto chain = [&] {
+    sim.at(ns(1), [&] { sim.after(ns(1), [] {}); });
+    sim.run();
+  };
+  chain();
+  sim.at(ns(5), [] {});  // pending note dropped with its event by reset()
+  EXPECT_EQ(sim.reset(), 1u);
+  chain();
+
+  const std::vector<CausalRecord>& r = log.records();
+  ASSERT_EQ(r.size(), 4u);
+  // Seqs and parents repeat verbatim across the two generations...
+  EXPECT_EQ(r[2].seq, r[0].seq);
+  EXPECT_EQ(r[3].seq, r[1].seq);
+  EXPECT_EQ(r[3].parent, r[2].seq);
+  EXPECT_EQ(r[2].parent, kNoCausalParent);
+  // ...and only the epoch tells them apart.
+  EXPECT_EQ(r[0].epoch, 0);
+  EXPECT_EQ(r[1].epoch, 0);
+  EXPECT_EQ(r[2].epoch, 1);
+  EXPECT_EQ(r[3].epoch, 1);
+  EXPECT_NE(r[0], r[2]);
 }
 
 }  // namespace

@@ -17,8 +17,6 @@
 //   --max-hops N    --payload N   --words N
 //   --ber X         --max-retransmits N         --degraded
 //   --recovery-timeout-us X  --recovery-max-resends N  --recovery-backoff-us X
-//   --sharded per-node|slab-x (parallel event kernel; quickstart-md and
-//                              table2-allreduce only, results bit-identical)
 //   --no-cache      --deadline-ms X             --wait
 
 #include <sys/socket.h>
@@ -200,8 +198,6 @@ int runSubmit(Connection& conn, int argc, char** argv, int i) {
       spec.recoveryMaxResends = std::stoi(o.value);
     } else if (o.flag == "--recovery-backoff-us") {
       spec.recoveryBackoffUs = std::stod(o.value);
-    } else if (o.flag == "--sharded") {
-      spec.sharding = o.value;
     } else {
       usage("unknown submit flag " + o.flag);
     }

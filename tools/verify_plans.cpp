@@ -30,32 +30,16 @@
 //                       (tools/plan_registry.hpp) or snapshot files; prints
 //                       one line per difference. Exit 0 when identical, 1
 //                       when the plans differ, 2 on error.
-//   --lookahead         static parallel-safety audit (ISSUE 8): prove every
-//                       cross-shard happens-before edge of each golden plan
-//                       meets the shard pair's lookahead bound under the
-//                       shipped shardings, and that each seeded-unsafe
-//                       sharding fires its diagnostic. Output mirrors to
-//                       VERIFY_lookahead.json (committed golden file).
-//   --oracle            dynamic causal-order cross-check: record a causal
-//                       trace of the live quickstart MD and Fig. 5 ping
-//                       shapes and assert every observed cross-shard link
-//                       edge respects the statically claimed bound; then
-//                       re-run both workloads on the sharded kernel itself
-//                       (per-node and slab-x, 2 workers, budget from the
-//                       committed contract) and require the live parallel
-//                       schedule to pass the same causal check AND stay
-//                       bit-identical to serial; output mirrors to
-//                       VERIFY_oracle.json.
-//   --timing            static critical-path & link-occupancy audit (ISSUE
-//                       9): price every golden plan's happens-before graph
-//                       with the calibrated latency model — critical-path
-//                       lower bound with the bottleneck named event-by-
-//                       event, per-link x per-phase occupancy hotspots with
-//                       the timing.contention check, and degraded-mode
+//   --timing            static critical-path & link-occupancy audit: price
+//                       every golden plan's happens-before graph with the
+//                       calibrated latency model — critical-path lower
+//                       bound with the bottleneck named event-by-event,
+//                       per-link x per-phase occupancy hotspots with the
+//                       timing.contention check, and degraded-mode
 //                       inflation — plus seeded-bad plans that must fire
 //                       timing.contention and timing.degraded-blowup.
 //                       Output mirrors to VERIFY_timing.json (committed
-//                       golden file, like VERIFY_lookahead.json).
+//                       golden file).
 //   --timing-oracle     measured-latency oracle: run the live ping / MD /
 //                       all-reduce schedules (causal-log attribution
 //                       attached, schedule provably unperturbed) and pin
@@ -64,9 +48,8 @@
 //                       envelope; a seeded inflated bound must be refuted.
 //                       Output mirrors to VERIFY_timing_oracle.json.
 //   --update-goldens [DIR]  regenerate the golden plan snapshots AND the
-//                       committed verify reports (VERIFY_lookahead.json,
-//                       VERIFY_timing.json) in DIR (default
-//                       tests/golden_plans) in one step.
+//                       committed timing report (VERIFY_timing.json) in DIR
+//                       (default tests/golden_plans) in one step.
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -84,8 +67,6 @@
 #include "sim/causal_log.hpp"
 #include "sim/simulator.hpp"
 #include "verify/checks.hpp"
-#include "verify/lookahead.hpp"
-#include "verify/shard_contract.hpp"
 #include "verify/snapshot.hpp"
 #include "verify/timing.hpp"
 
@@ -405,337 +386,6 @@ void runSelfTests(Emitter& em, Totals& t) {
        << ",\"fired\":" << (fired ? "true" : "false") << "}";
     em.line(os.str());
   }
-}
-
-// --- --lookahead: static parallel-safety audit (ISSUE 8 tentpole) -----------
-
-std::string lookaheadLine(const verify::LookaheadReport& r) {
-  std::ostringstream os;
-  os << "{\"kind\":\"lookahead\",\"plan\":" << JsonReporter::quoted(r.plan)
-     << ",\"sharding\":" << JsonReporter::quoted(r.sharding)
-     << ",\"shards\":" << r.numShards
-     << ",\"safeLookaheadNs\":" << JsonReporter::number(r.safeLookaheadNs)
-     << ",\"conflictDegree\":" << r.conflictDegree
-     << ",\"crossShardEdges\":" << r.crossShardEdges
-     << ",\"events\":" << r.eventsModeled << ",\"pairs\":" << r.pairs.size()
-     << ",\"violations\":" << r.violations.size()
-     << ",\"ok\":" << (r.ok() ? "true" : "false") << "}";
-  return os.str();
-}
-
-void emitLookahead(Emitter& em, const verify::LookaheadReport& r) {
-  em.line(lookaheadLine(r));
-  for (const verify::Violation& v : r.violations)
-    em.line(findingLine(r.plan, v));
-  // The tightest (and every violating) edge per shard pair, capped so the
-  // golden file stays reviewable; the cap only drops edges that are neither
-  // violating nor pair-minimal beyond the 8 tightest.
-  std::size_t cap = std::min<std::size_t>(8, r.criticalEdges.size());
-  for (std::size_t i = 0; i < cap; ++i) {
-    const verify::CriticalEdge& e = r.criticalEdges[i];
-    std::ostringstream os;
-    os << "{\"kind\":\"critical-edge\",\"plan\":"
-       << JsonReporter::quoted(r.plan)
-       << ",\"sharding\":" << JsonReporter::quoted(r.sharding)
-       << ",\"from\":" << JsonReporter::quoted(e.from)
-       << ",\"to\":" << JsonReporter::quoted(e.to)
-       << ",\"fromShard\":" << e.fromShard << ",\"toShard\":" << e.toShard
-       << ",\"latencyNs\":" << JsonReporter::number(e.latencyNs)
-       << ",\"boundNs\":" << JsonReporter::number(e.boundNs)
-       << ",\"violates\":" << (e.violates ? "true" : "false") << "}";
-    em.line(os.str());
-  }
-}
-
-/// Audit every registered golden plan under the shipped (safe) shardings,
-/// then prove each unsafe-sharding diagnostic fires on a seeded case.
-/// Output mirrors to VERIFY_lookahead.json (committed as a golden file).
-int runLookahead(const std::string& outPath = "VERIFY_lookahead.json") {
-  Emitter em(outPath);
-  int audits = 0, violations = 0, selftests = 0, selftestFailures = 0;
-  for (const std::string& name : tools::goldenPlanNames()) {
-    verify::CommPlan plan = tools::buildNamedPlan(name);
-    for (const verify::Sharding& sh :
-         {verify::perNodeSharding(plan.shape),
-          verify::slabSharding(plan.shape)}) {
-      verify::LookaheadReport r = verify::analyzeLookahead(plan, sh);
-      ++audits;
-      violations += int(r.violations.size());
-      emitLookahead(em, r);
-    }
-  }
-
-  // Seeded-unsafe shardings: each must fire its distinct diagnostic.
-  struct UnsafeCase {
-    std::string name;
-    std::string expect;
-    std::string planName;
-    verify::Sharding sharding;
-  };
-  std::vector<UnsafeCase> cases;
-  {
-    verify::CommPlan md = tools::buildNamedPlan("quickstart-md");
-    cases.push_back({"unsafe-split-node", "lookahead.zero", "quickstart-md",
-                     verify::splitNodeSharding(md.shape)});
-    cases.push_back({"unsafe-zero-cycle", "lookahead.deadlock",
-                     "quickstart-md", verify::splitNodeSharding(md.shape)});
-  }
-  {
-    verify::CommPlan ar = tools::buildNamedPlan("table2-allreduce-2x2x2");
-    cases.push_back({"unsafe-inflated-claim", "lookahead.slack",
-                     "table2-allreduce-2x2x2",
-                     verify::claimedLookaheadSharding(ar.shape, 10000.0)});
-  }
-  for (const UnsafeCase& c : cases) {
-    verify::CommPlan plan = tools::buildNamedPlan(c.planName);
-    verify::LookaheadReport r = verify::analyzeLookahead(plan, c.sharding);
-    std::string edge;  // the named critical edge of the fired diagnostic
-    bool fired = false;
-    for (const verify::Violation& v : r.violations)
-      if (v.check == c.expect) {
-        fired = true;
-        edge = v.detail;
-        break;
-      }
-    ++selftests;
-    if (!fired) ++selftestFailures;
-    std::ostringstream os;
-    os << "{\"kind\":\"selftest\",\"plan\":" << JsonReporter::quoted(c.name)
-       << ",\"expected\":" << JsonReporter::quoted(c.expect)
-       << ",\"violations\":" << r.violations.size()
-       << ",\"fired\":" << (fired ? "true" : "false")
-       << ",\"edge\":" << JsonReporter::quoted(edge) << "}";
-    em.line(os.str());
-  }
-
-  bool ok = violations == 0 && selftestFailures == 0;
-  std::ostringstream os;
-  os << "{\"kind\":\"summary\",\"mode\":\"lookahead\",\"audits\":" << audits
-     << ",\"violations\":" << violations << ",\"selftests\":" << selftests
-     << ",\"selftestFailures\":" << selftestFailures
-     << ",\"ok\":" << (ok ? "true" : "false") << "}";
-  em.line(os.str());
-  std::cerr << (ok ? "verify_plans --lookahead: OK"
-                   : "verify_plans --lookahead: FAILED")
-            << " (" << audits << " audits, " << violations << " violations, "
-            << selftestFailures << "/" << selftests << " selftest failures)\n";
-  return ok ? 0 : 1;
-}
-
-// --- --oracle: dynamic causal-order cross-check -----------------------------
-
-/// One live execution of an oracle workload: serial or sharded, with or
-/// without the causal oracle attached.
-struct LiveRun {
-  sim::Time finalTime = 0;
-  net::MachineStats stats;
-  sim::CausalLog log;  ///< filled only when the oracle was attached
-};
-
-struct OracleWorkload {
-  std::string name;
-  anton::util::TorusShape shape;
-  LiveRun traced;  ///< serial, oracle attached
-  LiveRun bare;    ///< serial, oracle detached (must match traced)
-  bool statsMatch = false;
-};
-
-/// The quickstart MD configuration, run live for two supersteps — the same
-/// extraction the "quickstart-md" golden plan audits statically. When a
-/// layout is given the run uses the sharded kernel (2 worker threads) with
-/// recovery disarmed: the drop registry is the one cross-shard mutable
-/// fault-model object, and an armed-but-idle watchdog is timing-invisible,
-/// so the result must still be bit-identical to the armed serial run.
-LiveRun runMdWorkload(const anton::util::TorusShape& shape, bool withOracle,
-                      const sim::ShardLayout* layout) {
-  LiveRun r;
-  anton::sim::Simulator simulator;
-  net::Machine machine(simulator, shape);
-  anton::md::SyntheticSystemParams sp;
-  sp.targetAtoms = 1536;
-  sp.seed = 2010;
-  anton::md::AntonMdConfig cfg = tools::quickstartMdConfig();
-  if (layout != nullptr) cfg.recoveryTimeoutUs = 0;
-  anton::md::AntonMdApp app(machine, anton::md::buildSyntheticSystem(sp),
-                            cfg);
-  std::optional<sim::ScopedCausalOracle> oracle;
-  if (withOracle) oracle.emplace(r.log);
-  if (layout != nullptr) simulator.enableSharded(*layout, /*workers=*/2);
-  app.runSteps(2);
-  if (layout != nullptr) simulator.disableSharded();
-  r.finalTime = simulator.now();
-  r.stats = machine.stats();
-  return r;
-}
-
-/// Fig. 5-style counted-write pings on the paper's 8x8x8 torus at 1, 4 and
-/// 12 hops (the probe helpers are the same ones behind the Fig. 5 bench).
-LiveRun runPingWorkload(const anton::util::TorusShape& shape, bool withOracle,
-                        const sim::ShardLayout* layout) {
-  LiveRun r;
-  anton::sim::Simulator simulator;
-  net::Machine machine(simulator, shape);
-  std::optional<sim::ScopedCausalOracle> oracle;
-  if (withOracle) oracle.emplace(r.log);
-  if (layout != nullptr) simulator.enableSharded(*layout, /*workers=*/2);
-  for (anton::util::TorusCoord dst :
-       {anton::util::TorusCoord{1, 0, 0}, anton::util::TorusCoord{2, 2, 0},
-        anton::util::TorusCoord{4, 4, 4}})
-    net::oneWayLatencyNs(machine, {0, net::kSlice0},
-                         {anton::util::torusIndex(dst, shape), net::kSlice0},
-                         64);
-  if (layout != nullptr) simulator.disableSharded();
-  r.finalTime = simulator.now();
-  r.stats = machine.stats();
-  return r;
-}
-
-LiveRun runWorkload(const OracleWorkload& w, bool withOracle,
-                    const sim::ShardLayout* layout = nullptr) {
-  return w.name == "quickstart-md" ? runMdWorkload(w.shape, withOracle, layout)
-                                   : runPingWorkload(w.shape, withOracle, layout);
-}
-
-std::string oracleLine(const OracleWorkload& w, const std::string& sharding,
-                       const verify::OracleCheckResult& r) {
-  std::ostringstream os;
-  os << "{\"kind\":\"oracle\",\"workload\":" << JsonReporter::quoted(w.name)
-     << ",\"sharding\":" << JsonReporter::quoted(sharding)
-     << ",\"records\":" << r.recordsSeen
-     << ",\"linkEdges\":" << r.linkEdgesChecked
-     << ",\"crossShardEdges\":" << r.crossShardEdges
-     << ",\"minObservedNs\":" << JsonReporter::number(r.minObservedNs)
-     << ",\"scheduleUnperturbed\":"
-     << (w.traced.finalTime == w.bare.finalTime && w.statsMatch ? "true"
-                                                                : "false")
-     << ",\"violations\":" << r.violations.size()
-     << ",\"ok\":" << (r.ok() ? "true" : "false") << "}";
-  return os.str();
-}
-
-std::string shardedOracleLine(const OracleWorkload& w,
-                              const std::string& sharding, bool identical,
-                              bool fromContract,
-                              const verify::OracleCheckResult& r) {
-  std::ostringstream os;
-  os << "{\"kind\":\"oracle-sharded\",\"workload\":"
-     << JsonReporter::quoted(w.name)
-     << ",\"sharding\":" << JsonReporter::quoted(sharding)
-     << ",\"workers\":2,\"contract\":" << (fromContract ? "true" : "false")
-     << ",\"records\":" << r.recordsSeen
-     << ",\"linkEdges\":" << r.linkEdgesChecked
-     << ",\"crossShardEdges\":" << r.crossShardEdges
-     << ",\"minObservedNs\":" << JsonReporter::number(r.minObservedNs)
-     << ",\"bitIdenticalToSerial\":" << (identical ? "true" : "false")
-     << ",\"violations\":" << r.violations.size()
-     << ",\"ok\":" << (r.ok() && identical ? "true" : "false") << "}";
-  return os.str();
-}
-
-/// Record a causal trace of the live quickstart MD and Fig. 5 ping shapes,
-/// check every observed cross-shard link edge against the same bounds the
-/// static analyzer proves, and confirm the oracle knob did not perturb the
-/// schedule (final clock identical with the knob off). Then re-run each
-/// workload live on the sharded kernel (2 workers, per-node and slab-x,
-/// lookahead budget taken from the committed contract when available) and
-/// hold the parallel schedule to the same two standards: its causal log
-/// passes the oracle check, and its result is bit-identical to serial.
-int runOracle() {
-  Emitter em("VERIFY_oracle.json");
-  int violations = 0, selftests = 0, selftestFailures = 0;
-  bool schedulesMatch = true;
-
-  // Prefer the committed lookahead contract — the oracle should exercise
-  // the exact budget the kernel ships with. Fall back to the plan-free
-  // topology bound (sound for any workload) when run outside a checkout.
-  const char* kContractPath = "tests/golden_plans/VERIFY_lookahead.json";
-  std::vector<verify::LookaheadContractRow> contract;
-  bool haveContract = false;
-  try {
-    contract = verify::loadLookaheadContract(kContractPath);
-    haveContract = true;
-  } catch (const std::exception& e) {
-    std::cerr << "verify_plans --oracle: warning: " << e.what()
-              << "; sharded runs will use the topology bound\n";
-  }
-
-  std::vector<OracleWorkload> workloads(2);
-  workloads[0].name = "quickstart-md";
-  workloads[0].shape = {4, 4, 4};
-  workloads[1].name = "fig5-ping";
-  workloads[1].shape = {8, 8, 8};
-  for (OracleWorkload& w : workloads) {
-    w.traced = runWorkload(w, /*withOracle=*/true);
-    w.bare = runWorkload(w, /*withOracle=*/false);
-    w.statsMatch = w.traced.stats == w.bare.stats;
-    schedulesMatch = schedulesMatch &&
-                     w.traced.finalTime == w.bare.finalTime && w.statsMatch;
-    for (const verify::Sharding& sh :
-         {verify::perNodeSharding(w.shape), verify::slabSharding(w.shape)}) {
-      verify::OracleCheckResult r =
-          verify::checkCausalLog(w.traced.log.records(), w.shape, sh);
-      violations += int(r.violations.size());
-      em.line(oracleLine(w, sh.name, r));
-      for (const verify::Violation& v : r.violations)
-        em.line(findingLine(w.name, v));
-
-      // Live sharded execution under this sharding's committed budget.
-      sim::ShardLayout layout =
-          haveContract
-              ? verify::shardLayoutFromContract(contract, w.name, w.shape, sh)
-              : verify::shardLayoutFromTopology(w.shape, sh);
-      OracleWorkload sharded = w;
-      sharded.traced = runWorkload(w, /*withOracle=*/true, &layout);
-      bool identical = sharded.traced.finalTime == w.bare.finalTime &&
-                       sharded.traced.stats == w.bare.stats;
-      schedulesMatch = schedulesMatch && identical;
-      verify::OracleCheckResult rs = verify::checkCausalLog(
-          sharded.traced.log.records(), w.shape, sh);
-      violations += int(rs.violations.size());
-      em.line(shardedOracleLine(w, sh.name, identical, haveContract, rs));
-      for (const verify::Violation& v : rs.violations)
-        em.line(findingLine(w.name + "-sharded", v));
-    }
-  }
-
-  // Seeded-unsafe claim: a lookahead nobody can guarantee (1 ms) must make
-  // the oracle flag the very first observed link crossing.
-  {
-    const OracleWorkload& w = workloads[0];
-    verify::Sharding inflated =
-        verify::claimedLookaheadSharding(w.shape, 1.0e6);
-    verify::OracleCheckResult r =
-        verify::checkCausalLog(w.traced.log.records(), w.shape, inflated);
-    bool fired = false;
-    for (const verify::Violation& v : r.violations)
-      if (v.check == "oracle.lookahead") fired = true;
-    ++selftests;
-    if (!fired) ++selftestFailures;
-    std::ostringstream os;
-    os << "{\"kind\":\"selftest\",\"plan\":"
-       << JsonReporter::quoted("oracle-inflated-claim")
-       << ",\"expected\":" << JsonReporter::quoted("oracle.lookahead")
-       << ",\"violations\":" << r.violations.size()
-       << ",\"fired\":" << (fired ? "true" : "false") << "}";
-    em.line(os.str());
-  }
-
-  bool ok = violations == 0 && selftestFailures == 0 && schedulesMatch;
-  std::ostringstream os;
-  os << "{\"kind\":\"summary\",\"mode\":\"oracle\",\"workloads\":"
-     << workloads.size() << ",\"violations\":" << violations
-     << ",\"selftests\":" << selftests
-     << ",\"selftestFailures\":" << selftestFailures
-     << ",\"schedulesMatch\":" << (schedulesMatch ? "true" : "false")
-     << ",\"ok\":" << (ok ? "true" : "false") << "}";
-  em.line(os.str());
-  std::cerr << (ok ? "verify_plans --oracle: OK"
-                   : "verify_plans --oracle: FAILED")
-            << " (" << workloads.size() << " workloads, " << violations
-            << " violations, " << selftestFailures << "/" << selftests
-            << " selftest failures, schedules "
-            << (schedulesMatch ? "unperturbed" : "PERTURBED") << ")\n";
-  return ok ? 0 : 1;
 }
 
 // --- --timing: static critical-path & link-occupancy audit (ISSUE 9) --------
@@ -1263,18 +913,16 @@ int runDump(const std::string& dir) {
 }
 
 /// --update-goldens: regenerate every committed snapshot in place — the
-/// plan JSON files plus the golden-diffed verify reports — so an intended
+/// plan JSON files plus the golden-diffed timing report — so an intended
 /// extractor or pricing change is a one-command refresh.
 int runUpdateGoldens(const std::string& dir) {
   runDump(dir);
-  int la = runLookahead(
-      (std::filesystem::path(dir) / "VERIFY_lookahead.json").string());
   int ti =
       runTiming((std::filesystem::path(dir) / "VERIFY_timing.json").string());
-  std::cerr << "verify_plans --update-goldens: refreshed snapshots and "
-               "verify reports in "
+  std::cerr << "verify_plans --update-goldens: refreshed snapshots and the "
+               "timing report in "
             << dir << "\n";
-  return la != 0 || ti != 0 ? 1 : 0;
+  return ti;
 }
 
 }  // namespace
@@ -1299,8 +947,6 @@ int main(int argc, char** argv) {
         return runDump(argv[i + 1]);
       }
       if (std::strcmp(argv[i], "--plan-keys") == 0) return runPlanKeys();
-      if (std::strcmp(argv[i], "--lookahead") == 0) return runLookahead();
-      if (std::strcmp(argv[i], "--oracle") == 0) return runOracle();
       if (std::strcmp(argv[i], "--timing") == 0) return runTiming();
       if (std::strcmp(argv[i], "--timing-oracle") == 0)
         return runTimingOracle();
@@ -1316,7 +962,7 @@ int main(int argc, char** argv) {
       } else {
         std::cerr << "usage: verify_plans [--fast] [--selftest-only] "
                      "[--dump-plans DIR] [--diff A B] [--plan-keys] "
-                     "[--lookahead] [--oracle] [--timing] [--timing-oracle] "
+                     "[--timing] [--timing-oracle] "
                      "[--update-goldens [DIR]]\n";
         return 2;
       }
