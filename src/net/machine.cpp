@@ -5,7 +5,6 @@
 
 #include "sim/causal_log.hpp"
 #include "trace/activity.hpp"
-#include "util/hotpath.hpp"
 
 namespace anton::net {
 
@@ -30,7 +29,6 @@ Machine::Machine(sim::Simulator& sim, util::TorusShape shape, MachineConfig cfg)
   links_.resize(std::size_t(shape.size()) * 6);
   failedLinks_.assign(std::size_t(shape.size()) * 6, 0);
   saltByNode_.assign(std::size_t(shape.size()), 0);
-  batchDrains_ = util::hotPath().batchDrains;
 }
 
 void Machine::setTrace(trace::ActivityTrace* t) {
@@ -242,32 +240,22 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
   util::TorusCoord next =
       torusNeighbor(util::torusCoordOf(nodeIdx, shape_), dim, sign, shape_);
   int nextIdx = util::torusIndex(next, shape_);
-  // Arriving via the opposite adapter of the same dimension.
-  int entryAdapterRouter =
-      lat.ring.adapterRouter[std::size_t(RingLayout::adapterIndex(dim, -sign))];
   sim::Time atRing = headArrive + lat.adapter();
-  if (batchDrains_) {
-    // Reserve the event sequence number here — the exact point where the
-    // unbatched path consumes one — so batched and legacy runs share a
-    // bit-identical (time, seq) event schedule. The arrival parks on the
-    // link's pending queue; at most one drain event sits in the kernel per
-    // link regardless of how many packets are in flight on it. The causal
-    // oracle attributes the arrival here too (node, link crossing, and the
-    // currently executing event as parent) — at atReserved() time the
-    // executing event would be the previous drain, which the unbatched
-    // schedule never had.
-    std::uint64_t seq = sim_.reserveSeq();
-    if (sim::CausalLog* log = sim::causalOracle())
-      log->noteScheduled(seq, nextIdx, /*link=*/true);
-    l.pending.push_back({p, atRing, seq});
-    if (!l.drainScheduled)
-      scheduleDrain(std::size_t(nodeIdx) * 6 + std::size_t(adapterIdx));
-  } else {
-    sim::ScopedCausalNodeHint hint(nextIdx, /*link=*/true);
-    sim_.at(atRing, [this, p, nextIdx, entryAdapterRouter, dim, sign, atRing] {
-      routeFrom(p, nextIdx, entryAdapterRouter, dim, sign, atRing);
-    });
-  }
+  // Reserve the arrival's event sequence number here, at the traversal, not
+  // when a drain is armed for it: the reserved seq fixes the arrival's place
+  // in the kernel's (time, seq) order, so the schedule is the same however
+  // many arrivals queue on the link. The arrival parks on the link's pending
+  // queue; at most one drain event sits in the kernel per link regardless of
+  // how many packets are in flight on it. The causal oracle attributes the
+  // arrival here too (node, link crossing, and the currently executing event
+  // as parent) — at atReserved() time the executing event would be the
+  // previous drain, not the traversal that caused the arrival.
+  std::uint64_t seq = sim_.reserveSeq();
+  if (sim::CausalLog* log = sim::causalOracle())
+    log->noteScheduled(seq, nextIdx, /*link=*/true);
+  l.pending.push_back({p, atRing, seq});
+  if (!l.drainScheduled)
+    scheduleDrain(std::size_t(nodeIdx) * 6 + std::size_t(adapterIdx));
 }
 
 void Machine::scheduleDrain(std::size_t li) {
@@ -294,8 +282,8 @@ void Machine::drainLink(std::size_t li) {
   // reserved (time, seq) slot. Per-link head-arrival times are strictly
   // monotonic (busyUntil advances by at least one serialization per
   // traversal), so there is never a second same-time arrival to fold in —
-  // and unrelated events interleave between two arrivals exactly as they
-  // would between the per-traversal events of the unbatched path.
+  // and unrelated events interleave between two arrivals by their own
+  // (time, seq) slots, exactly as if each arrival were its own event.
   // drainScheduled stays true across routeFrom so a multicast loop that
   // lands back on this link cannot double-schedule; the tail re-arm below
   // picks any such appendee up.

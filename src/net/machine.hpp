@@ -147,8 +147,8 @@ class Machine {
   friend class NetworkClient;
 
   /// One packet parked on a link, waiting for its head to reach the far
-  /// ring. `seq` was reserved at forwarding time, so the batched drain
-  /// replays the exact (time, seq) schedule the per-arrival events had.
+  /// ring. `seq` was reserved at forwarding time, so the drain routes the
+  /// arrival at the (time, seq) slot its traversal fixed.
   struct Arrival {
     PacketPtr p;
     sim::Time atRing;
@@ -223,10 +223,6 @@ class Machine {
   int traceFaultUnit_ = 0;
   FaultModel* fault_ = nullptr;
   bool faultReroute_ = false;
-  /// Snapshot of util::hotPath().batchDrains at construction: whether link
-  /// arrivals funnel through per-link drain events (one in the kernel per
-  /// link) or schedule one event per traversal (the legacy reference path).
-  bool batchDrains_ = true;
   DropHandler dropHandler_;
 };
 

@@ -1,8 +1,8 @@
 // Causal-order log of the serial event kernel.
 //
-// Behind a thread-local knob (causalOracle(), the util::hotPath() idiom),
-// the Simulator records each executed event's (time, seq, causal parent,
-// attributed node, link flag). The consumer is the timing oracle
+// Behind a thread-local pointer (causalOracle()), the Simulator records
+// each executed event's (time, seq, causal parent, attributed node, link
+// flag). The consumer is the timing oracle
 // (`verify_plans --timing-oracle`, DESIGN.md §12): it replays the live ping,
 // all-reduce and MD schedules with a log attached, requires them to stay
 // bit-identical to the unlogged runs, reports the attributed record count,
@@ -23,13 +23,12 @@
 //   * epoch    — the Simulator::reset() generation: seqs restart on reset,
 //                so records of different generations must not alias.
 //
-// The knob must not perturb the schedule: recording happens strictly at
+// Recording must not perturb the schedule: it happens strictly at
 // schedule/execute points the kernel visits anyway, and with no log
 // attached the hooks are a single thread-local pointer test. Batched link
-// drains (util::hotPath().batchDrains) attribute arrivals at their
-// reserveSeq() point — the exact spot the legacy path consumes a seq — so
-// the recorded trace is bit-identical across hot-path knob modes
-// (tests/determinism_test.cpp pins this).
+// drains attribute each arrival at its reserveSeq() point — the link
+// traversal that caused it, not the drain event that later routes it
+// (tests/determinism_test.cpp pins the resulting trace digest).
 #pragma once
 
 #include <cstdint>
@@ -113,8 +112,8 @@ class CausalLog {
     executingNode_ = -1;
   }
 
-  /// FNV-1a over every record, field by field — the value that must match
-  /// bit-for-bit across hot-path knob modes.
+  /// FNV-1a over every record, field by field — the trace's fingerprint,
+  /// pinned by tests/determinism_test.cpp.
   std::uint64_t digest() const {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     auto mix = [&h](std::uint64_t v) {
@@ -152,8 +151,8 @@ class CausalLog {
 };
 
 /// This thread's attached oracle log, or nullptr (the default: the kernel
-/// hooks reduce to one pointer test and record nothing). Thread-local for
-/// the same reason util::hotPath() is: serve workers each own an arena.
+/// hooks reduce to one pointer test and record nothing). Thread-local
+/// because serve workers each own an arena.
 inline CausalLog*& causalOracle() {
   thread_local CausalLog* log = nullptr;
   return log;

@@ -1,16 +1,12 @@
 // Slab-friendly event callback: a move-only, type-erased void() whose
 // capture lives inline in the event record.
 //
-// The kernel's hot path schedules one continuation per packet hop; storing
-// them as std::function heap-allocates every capture larger than the SBO
-// (~16 bytes — the per-hop routing continuation is ~48). EventFn gives each
-// event a fixed 64-byte inline capture slot, falling back to a heap box only
-// for oversized captures, so steady-state event scheduling never allocates.
-//
-// With util::hotPath().inlineEvents off, EventFn emulates std::function's
-// small-buffer behavior (captures above 16 bytes go to the heap) — the
-// legacy reference mode bench/kernel_throughput measures speedups against.
-// The knob changes host allocation only; invocation semantics are identical.
+// The kernel's hot path schedules a continuation per packet delivery and per
+// link drain; storing them as std::function heap-allocates every capture
+// larger than its SBO (~16 bytes — the delivery continuation is 32). EventFn
+// gives each event a fixed 64-byte inline capture slot, falling back to a
+// heap box only for oversized captures, so steady-state event scheduling
+// never allocates.
 #pragma once
 
 #include <cstddef>
@@ -19,18 +15,14 @@
 #include <type_traits>
 #include <utility>
 
-#include "util/hotpath.hpp"
-
 namespace anton::sim {
 
 class EventFn {
  public:
-  /// Inline capture capacity: sized for the fattest hot-path continuation
-  /// (per-hop routing: this + PacketPtr + 4 ints + a Time) with headroom.
+  /// Inline capture capacity: the fattest hot-path continuation (local
+  /// delivery: this + PacketPtr + 2 ints) with headroom.
   static constexpr std::size_t kInlineBytes = 64;
   static constexpr std::size_t kInlineAlign = 16;
-  /// Capture limit emulated in legacy mode (std::function's typical SBO).
-  static constexpr std::size_t kLegacySboBytes = 16;
 
   EventFn() noexcept = default;
 
@@ -42,18 +34,14 @@ class EventFn {
     using D = std::decay_t<F>;
     static_assert(std::is_nothrow_move_constructible_v<D>,
                   "event callbacks must be nothrow-movable");
-    constexpr bool fits =
-        sizeof(D) <= kInlineBytes && alignof(D) <= kInlineAlign;
-    if constexpr (fits) {
-      if (sizeof(D) <= kLegacySboBytes || util::hotPath().inlineEvents) {
-        ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-        ops_ = &inlineOps<D>;
-        return;
-      }
+    if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= kInlineAlign) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &inlineOps<D>;
+    } else {
+      // Oversized capture: box it on the heap.
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+      ops_ = &boxedOps<D>;
     }
-    // Oversized capture (or legacy mode): box it on the heap.
-    ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-    ops_ = &boxedOps<D>;
   }
 
   EventFn(EventFn&& o) noexcept : ops_(o.ops_) {

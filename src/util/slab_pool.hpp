@@ -9,10 +9,10 @@
 // handles without touching the host allocator (ndn-dpdk's DPDK mempool
 // idiom, applied to simulated packets).
 //
-// Every block carries a 16-byte header tagging its origin (pool bucket or
-// heap fallback), so allocation and release stay correct even when the
-// pooling knob (util::hotPath().pools) is flipped between the two.
-// Oversized requests (> kMaxSlotBytes) always fall back to the heap.
+// Requests over kMaxSlotBytes fall back to the heap. Every block carries a
+// 16-byte header tagging its origin (pool bucket or heap fallback, and the
+// serving pool), so free() knows where a block goes and release() can find
+// its pool from the pointer alone.
 //
 // SlabPools are single-owner: each simulation arena (and its serve worker
 // thread) owns its own pools, and only the thread that constructed a pool
@@ -31,15 +31,13 @@
 #include <thread>
 #include <vector>
 
-#include "util/hotpath.hpp"
-
 namespace anton::util {
 
 /// Monotonic counters plus live-slot gauges of one SlabPool.
 struct SlabPoolStats {
   std::uint64_t poolAllocs = 0;   ///< slots served from a slab or freelist
   std::uint64_t poolFrees = 0;    ///< slots pushed back onto a freelist
-  std::uint64_t heapAllocs = 0;   ///< heap fallbacks (oversized or pooling off)
+  std::uint64_t heapAllocs = 0;   ///< heap fallbacks (oversized requests)
   std::uint64_t heapFrees = 0;
   std::uint64_t slabBytes = 0;    ///< total slab memory carved so far
   std::size_t live = 0;           ///< pool slots currently outstanding
@@ -66,10 +64,10 @@ class SlabPool {
   SlabPool& operator=(const SlabPool&) = delete;
 
   /// Allocate `bytes` (aligned for any ordinary type). Pool slot when the
-  /// pooling knob is on and the size fits a bucket; tagged heap otherwise.
+  /// size fits a bucket; tagged heap block over kMaxSlotBytes.
   /// Owner-thread only.
   void* alloc(std::size_t bytes) {
-    if (!hotPath().pools || bytes > kMaxSlotBytes) return heapAlloc(bytes);
+    if (bytes > kMaxSlotBytes) return heapAlloc(bytes);
     std::size_t bucket = (bytes + kGranule - 1) / kGranule;  // >= 1
     if (FreeNode* n = freelists_[bucket]) {
       freelists_[bucket] = n->next;

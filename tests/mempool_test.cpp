@@ -1,8 +1,8 @@
 // Pool-layer coverage for the zero-allocation hot path: slab exhaustion is
 // a loud error (never UB), recycled slots come back with fresh bookkeeping,
-// multicast replicas share one refcounted payload slot, blocks survive the
-// pooling knob flipping between heap and slab origins, and a free from a
-// thread that does not own the pool aborts.
+// multicast replicas share one refcounted payload slot, oversized requests
+// fall back to the heap, and a free from a thread that does not own the
+// pool aborts.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,17 +15,14 @@
 #include "sim/event_fn.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
-#include "util/hotpath.hpp"
 #include "util/slab_pool.hpp"
 
 namespace anton {
 namespace {
 
-using util::ScopedHotPath;
 using util::SlabPool;
 
 TEST(SlabPool, ServesAndRecyclesSlots) {
-  ScopedHotPath hot(true);
   SlabPool pool("t");
   void* a = pool.alloc(48);
   void* b = pool.alloc(48);
@@ -48,7 +45,6 @@ TEST(SlabPool, ServesAndRecyclesSlots) {
 }
 
 TEST(SlabPool, ExhaustionIsALoudErrorNamingThePool) {
-  ScopedHotPath hot(true);
   SlabPool pool("tiny-budget", /*maxBytes=*/1024);
   try {
     pool.alloc(64);  // the first slab carve (64 KiB) already busts 1 KiB
@@ -64,49 +60,14 @@ TEST(SlabPool, ExhaustionIsALoudErrorNamingThePool) {
   pool.free(p);
 }
 
-TEST(SlabPool, OversizedRequestsAndDisabledPoolingFallBackToTheHeap) {
+TEST(SlabPool, OversizedRequestsFallBackToTheHeap) {
   SlabPool pool("t");
-  {
-    ScopedHotPath hot(true);
-    void* big = pool.alloc(SlabPool::kMaxSlotBytes + 1);
-    EXPECT_EQ(pool.stats().heapAllocs, 1u);
-    EXPECT_EQ(pool.stats().poolAllocs, 0u);
-    pool.free(big);
-    EXPECT_EQ(pool.stats().heapFrees, 1u);
-  }
-  {
-    ScopedHotPath hot(false);
-    void* p = pool.alloc(64);
-    EXPECT_EQ(pool.stats().heapAllocs, 2u);
-    pool.free(p);
-    EXPECT_EQ(pool.stats().heapFrees, 2u);
-  }
+  void* big = pool.alloc(SlabPool::kMaxSlotBytes + 1);
+  EXPECT_EQ(pool.stats().heapAllocs, 1u);
+  EXPECT_EQ(pool.stats().poolAllocs, 0u);
+  pool.free(big);
+  EXPECT_EQ(pool.stats().heapFrees, 1u);
   EXPECT_EQ(pool.stats().slabBytes, 0u) << "no slab was ever carved";
-}
-
-TEST(SlabPool, BlocksSurviveThePoolingKnobFlippingBetweenAllocAndFree) {
-  // Origin is tagged in the block header, so a block allocated under one
-  // knob setting is released correctly under the other.
-  SlabPool pool("t");
-  void* heapBorn;
-  void* poolBorn;
-  {
-    ScopedHotPath off(false);
-    heapBorn = pool.alloc(64);
-  }
-  {
-    ScopedHotPath on(true);
-    poolBorn = pool.alloc(64);
-    pool.free(heapBorn);  // heap-tagged: must go back to operator delete
-    EXPECT_EQ(pool.stats().heapFrees, 1u);
-    EXPECT_EQ(pool.stats().poolFrees, 0u);
-  }
-  {
-    ScopedHotPath off(false);
-    pool.free(poolBorn);  // pool-tagged: must go back to its freelist
-    EXPECT_EQ(pool.stats().poolFrees, 1u);
-    EXPECT_EQ(pool.stats().live, 0u);
-  }
 }
 
 // --- single-owner discipline ------------------------------------------------
@@ -115,7 +76,6 @@ TEST(SlabPool, BlocksSurviveThePoolingKnobFlippingBetweenAllocAndFree) {
 // — abort naming the pool — rather than be absorbed.
 
 TEST(SlabPool, ReleaseRoutesEveryBlockToItsOriginPoolNotTheCallersPool) {
-  ScopedHotPath hot(true);
   SlabPool first("first");
   SlabPool second("second");
   void* a = first.alloc(64);
@@ -134,7 +94,6 @@ TEST(SlabPoolDeathTest, ForeignThreadFreeAbortsNamingThePool) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(
       {
-        ScopedHotPath hot(true);
         SlabPool pool("xfree");
         void* p = pool.alloc(48);
         std::thread([&] { SlabPool::release(p); }).join();
@@ -143,16 +102,14 @@ TEST(SlabPoolDeathTest, ForeignThreadFreeAbortsNamingThePool) {
   // Heap-fallback blocks obey the same rule: their counter is owner-only.
   EXPECT_DEATH(
       {
-        ScopedHotPath off(false);
         SlabPool pool("xheap");
-        void* p = pool.alloc(64);
+        void* p = pool.alloc(SlabPool::kMaxSlotBytes + 1);
         std::thread([&] { pool.free(p); }).join();
       },
       "SlabPool 'xheap'.*does not own");
 }
 
 TEST(PacketPool, RecycledPacketSlotComesBackWithFreshBookkeeping) {
-  ScopedHotPath hot(true);
   net::PacketPtr p = net::allocatePacket();
   p->counterId = 7;
   p->address = 0xabcd;
@@ -177,7 +134,6 @@ TEST(PacketPool, RecycledPacketSlotComesBackWithFreshBookkeeping) {
 }
 
 TEST(PacketPool, RecycledPayloadSlotIsRezeroed) {
-  ScopedHotPath hot(true);
   std::vector<std::byte> junk(net::kMaxPayloadBytes, std::byte{0xff});
   net::PayloadPtr a = net::makePayload(junk.data(), junk.size());
   const void* slot = a.get();
@@ -190,7 +146,6 @@ TEST(PacketPool, RecycledPayloadSlotIsRezeroed) {
 }
 
 TEST(PacketPool, MulticastReplicasShareOnePayloadSlot) {
-  ScopedHotPath hot(true);
   sim::Simulator sim;
   net::Machine m(sim, {2, 2, 1});
   // Local fan-out to three slices plus one link hop to the +x neighbor,
@@ -234,39 +189,34 @@ TEST(PacketPool, MulticastReplicasShareOnePayloadSlot) {
       << "the shared slot must return once the last replica lets go";
 }
 
-TEST(EventFn, LargeCapturesStayInlineWhenTheKnobIsOnAndWorkBoxed) {
-  // Behavior (invocation, moves, destruction) is identical in both modes;
-  // only the storage strategy differs.
+TEST(EventFn, LargeCapturesStayInlineThroughMovesAndCalls) {
   struct Big {
-    int pad[12] = {};  // 48 bytes: over the legacy SBO, under kInlineBytes
+    int pad[12] = {};  // 48 bytes: over std::function's SBO, under kInlineBytes
     int* hits;
     void operator()() const { ++*hits; }
   };
-  for (bool knob : {true, false}) {
-    ScopedHotPath hot(knob);
-    int hits = 0;
-    sim::EventFn fn(Big{{}, &hits});
-    sim::EventFn moved(std::move(fn));
-    EXPECT_FALSE(static_cast<bool>(fn));  // NOLINT(bugprone-use-after-move)
-    ASSERT_TRUE(static_cast<bool>(moved));
-    moved();
-    moved();
-    EXPECT_EQ(hits, 2);
-    sim::EventFn assigned;
-    assigned = std::move(moved);
-    assigned();
-    EXPECT_EQ(hits, 3);
-  }
+  static_assert(sizeof(Big) <= sim::EventFn::kInlineBytes);
+  int hits = 0;
+  sim::EventFn fn(Big{{}, &hits});
+  sim::EventFn moved(std::move(fn));
+  EXPECT_FALSE(static_cast<bool>(fn));  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(static_cast<bool>(moved));
+  moved();
+  moved();
+  EXPECT_EQ(hits, 2);
+  sim::EventFn assigned;
+  assigned = std::move(moved);
+  assigned();
+  EXPECT_EQ(hits, 3);
 }
 
-TEST(EventFn, OversizedCapturesBoxToTheHeapInEitherMode) {
+TEST(EventFn, OversizedCapturesBoxToTheHeap) {
   struct Huge {
     char pad[96] = {};  // over kInlineBytes: always boxed
     int* hits;
     void operator()() const { ++*hits; }
   };
   static_assert(sizeof(Huge) > sim::EventFn::kInlineBytes);
-  ScopedHotPath hot(true);
   int hits = 0;
   sim::EventFn fn(Huge{{}, &hits});
   sim::EventFn moved(std::move(fn));
@@ -275,7 +225,6 @@ TEST(EventFn, OversizedCapturesBoxToTheHeapInEitherMode) {
 }
 
 TEST(TaskFramePool, CoroutineFramesRecycleThroughTheSlabPool) {
-  ScopedHotPath hot(true);
   const util::SlabPoolStats before = sim::taskFramePool().stats();
   sim::Simulator sim;
   auto tiny = [](sim::Simulator& s) -> sim::Task { co_await s.delay(sim::ns(1)); };
