@@ -12,15 +12,21 @@
 // A global operator new/delete override counts every heap allocation; the
 // measured windows run after a warmup so pools and vector capacities are
 // hot. Self-checks (exit 1): both schedule digests must equal the pinned
-// ones, and the ping steady state must make ZERO allocations.
+// ones, the ping steady state must make ZERO allocations, and building and
+// destroying the process's first 8x8x8 Machine must stay lazy — fewer than
+// kLazyBuildMaxFaults minor page faults.
 //
 // Gated metrics (tools/check_perf_trajectory.py):
 //   ping_zero_alloc_steady     1.0 = no allocation in the measured window
 //   schedule_match             1.0 = ping and allreduce schedule digests
 //                              equal their pinned values
+//   machine_build_lazy         1.0 = first 8x8x8 build + teardown took
+//                              fewer than kLazyBuildMaxFaults minor faults
 // Raw events/sec, packets/sec and allocs/event are host-dependent and
 // recorded informationally (measured against themselves).
 #include "bench_common.hpp"
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -132,6 +138,23 @@ std::uint64_t scheduleDigest(sim::Simulator& sim, net::Machine& m) {
   return h;
 }
 
+std::uint64_t minorFaults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return std::uint64_t(ru.ru_minflt);
+}
+
+/// Minor faults taken by building and destroying one 8x8x8 Machine. Run
+/// first in the process, so no earlier Machine has warmed the allocator.
+std::uint64_t buildFaults() {
+  std::uint64_t f0 = minorFaults();
+  {
+    sim::Simulator sim;
+    net::Machine m(sim, {8, 8, 8});
+  }
+  return minorFaults() - f0;
+}
+
 /// Fig. 5-shaped ping: counted 256 B remote writes to x-neighbors 1-4 hops
 /// out. One probe per iteration; `warmup` iterations heat pools and vector
 /// capacities before the `iters` measured ones.
@@ -212,7 +235,12 @@ int main() {
   // carried an unpooled reference mode that reproduced them bit for bit.
   constexpr std::uint64_t kPingDigest = 0xcaa404cf86fe898cULL;
   constexpr std::uint64_t kArDigest = 0xc001edce764d6e63ULL;
+  // 32 MiB of 4 KiB pages: room for the nodes, clients and links, and far
+  // below the ~229k pages of 3,584 eagerly zeroed 256 KiB client memories.
+  constexpr std::uint64_t kLazyBuildMaxFaults = 8192;
 
+  const std::uint64_t faults = buildFaults();
+  const bool buildLazy = faults < kLazyBuildMaxFaults;
   RunStats ping = runPing(kPingWarmup, kPingIters);
   RunStats ar = runAllReduce(kArWarmup, kArRounds);
 
@@ -232,12 +260,15 @@ int main() {
   row("ping 8x8x8", ping);
   row("allreduce 8x8x8", ar);
   table.print(std::cout);
+  std::cout << "\n8x8x8 Machine build + teardown: " << faults
+            << " minor faults (limit " << kLazyBuildMaxFaults << ")\n";
 
   bench::JsonReporter json("kernel");
   // Gates: the boolean invariants gate on exact 1.0.
   json.record("ping_zero_alloc_steady", 1.0, pingZeroAlloc ? 1.0 : 0.0,
               "bool");
   json.record("schedule_match", 1.0, schedulesMatch ? 1.0 : 0.0, "bool");
+  json.record("machine_build_lazy", 1.0, buildLazy ? 1.0 : 0.0, "bool");
   // Host-dependent raw numbers: informational (deviation pinned 0).
   json.record("ping_events_per_sec", ping.eventsPerSec(), ping.eventsPerSec(),
               "events/s");
@@ -248,7 +279,7 @@ int main() {
   json.record("allreduce_allocs_per_event", arAllocsPerEvent,
               arAllocsPerEvent, "allocs/event");
 
-  bool ok = schedulesMatch && pingZeroAlloc;
+  bool ok = schedulesMatch && pingZeroAlloc && buildLazy;
   if (!schedulesMatch)
     std::cout << "\nSCHEDULE MISMATCH: digests differ from the pinned "
               << util::hex64(kPingDigest) << " (ping) and "
@@ -256,6 +287,9 @@ int main() {
   if (!pingZeroAlloc)
     std::cout << "\nALLOCATION ON THE HOT PATH: " << ping.allocs
               << " heap allocations in the ping window\n";
+  if (!buildLazy)
+    std::cout << "\nEAGER MACHINE BUILD: " << faults
+              << " minor faults building and destroying an 8x8x8 Machine\n";
   if (ok) std::cout << "\nkernel invariants hold\n";
   return ok ? 0 : 1;
 }

@@ -7,11 +7,8 @@
 namespace anton::net {
 
 NetworkClient::NetworkClient(Machine& machine, ClientAddr addr,
-                             std::size_t memBytes, int numCounters)
-    : machine_(machine),
-      addr_(addr),
-      mem_(memBytes),
-      counters_(std::size_t(numCounters)) {}
+                             std::span<std::byte> mem, int numCounters)
+    : machine_(machine), addr_(addr), mem_(mem), numCounters_(numCounters) {}
 
 void NetworkClient::hostWrite(std::uint32_t address, const void* data,
                               std::size_t n) {
@@ -25,7 +22,7 @@ sim::Time NetworkClient::pollLatency() const {
 }
 
 void NetworkClient::CounterWait::await_suspend(std::coroutine_handle<> h) const {
-  SyncCounter& c = client.counters_[std::size_t(id)];
+  SyncCounter& c = client.counter(id);
   if (c.value >= target) {
     // Already satisfied: the poll still costs one successful-poll latency.
     client.machine_.sim().resumeAfter(client.pollLatency(), h);
@@ -37,7 +34,7 @@ void NetworkClient::CounterWait::await_suspend(std::coroutine_handle<> h) const 
 std::uint64_t NetworkClient::onCounter(int id, std::uint64_t target,
                                        std::function<void()> fn) {
   checkCounter(id);
-  SyncCounter& c = counters_[std::size_t(id)];
+  SyncCounter& c = counter(id);
   if (c.value >= target) {
     machine_.sim().after(pollLatency(), std::move(fn));
     return 0;
@@ -50,7 +47,7 @@ std::uint64_t NetworkClient::onCounter(int id, std::uint64_t target,
 bool NetworkClient::cancelCounterWaiter(int id, std::uint64_t token) {
   if (token == 0) return false;
   checkCounter(id);
-  SyncCounter& c = counters_[std::size_t(id)];
+  SyncCounter& c = counter(id);
   for (auto it = c.waiters.begin(); it != c.waiters.end(); ++it) {
     if (it->token == token) {
       c.waiters.erase(it);
@@ -69,7 +66,7 @@ std::map<int, std::uint64_t> NetworkClient::counterSources(int id) const {
 }
 
 void NetworkClient::bumpCounter(int id, sim::Time /*now*/, int srcNode) {
-  SyncCounter& c = counters_[std::size_t(id)];
+  SyncCounter& c = counter(id);
   ++c.value;
   if (srcNode >= 0) {
     std::uint64_t key = tallyKey(id, srcNode);
@@ -140,7 +137,7 @@ sim::Task NetworkClient::send(SendArgs args) {
 
 void ProcessingSlice::deliver(const PacketPtr& p) {
   if (p->type == PacketType::kFifo) {
-    fifo_.push_back(p);
+    fifo_.push(p);
     fifoHighWater_ = std::max(fifoHighWater_, fifo_.size());
     if (p->counterId != kNoCounter) {
       checkCounter(p->counterId);
@@ -153,16 +150,14 @@ void ProcessingSlice::deliver(const PacketPtr& p) {
 }
 
 void ProcessingSlice::FifoWait::await_suspend(std::coroutine_handle<> h) {
-  slice.fifoWaiters_.push_back({this, h});
+  slice.fifoWaiters_.push({this, h});
   slice.tryWakeFifoWaiter(slice.machine().sim().now());
 }
 
 void ProcessingSlice::tryWakeFifoWaiter(sim::Time /*now*/) {
   while (!fifoWaiters_.empty() && !fifo_.empty()) {
-    FifoWaiterRef w = fifoWaiters_.front();
-    fifoWaiters_.pop_front();
-    w.wait->result = std::move(fifo_.front());
-    fifo_.pop_front();
+    FifoWaiterRef w = fifoWaiters_.pop();
+    w.wait->result = fifo_.pop();
     machine_.sim().resumeAfter(pollLatency(), w.handle);
   }
 }

@@ -1,17 +1,18 @@
 // Network clients: the endpoints of Anton's communication fabric.
 //
-// Every client owns a local memory that directly accepts write packets and a
+// Every client has a local memory that directly accepts write packets and a
 // bank of synchronization counters incremented as counted packets commit
-// (SC10 §III-B). Processing slices additionally own a hardware-managed
-// message FIFO for traffic whose pattern cannot be fixed in advance
-// (§III-C, used for migration). Accumulation memories cannot send and apply
+// (SC10 §III-B). The memory is a view into the owning Machine's one
+// client-memory mapping; the counter bank is allocated on first use.
+// Processing slices additionally own a hardware-managed message FIFO for
+// traffic whose pattern cannot be fixed in advance (§III-C, used for
+// migration). Accumulation memories cannot send and apply
 // 4-byte-wise adds for accumulation packets.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <map>
 #include <span>
@@ -26,6 +27,31 @@
 namespace anton::net {
 
 class Machine;
+
+/// A FIFO over a grow-only vector: pops advance a head index, and the vector
+/// is cleared (capacity retained) whenever the last element is popped, so a
+/// queue that drains between bursts never reallocates and an idle one never
+/// allocates at all.
+template <typename T>
+class RecyclingQueue {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  std::size_t size() const { return items_.size() - head_; }
+  void push(T v) { items_.push_back(std::move(v)); }
+  const T& front() const { return items_[head_]; }
+  T pop() {
+    T v = std::move(items_[head_++]);
+    if (empty()) {
+      items_.clear();
+      head_ = 0;
+    }
+    return v;
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+};
 
 /// One synchronization counter: a monotonically increasing packet count plus
 /// the list of wake actions polling it for a threshold (coroutine resumes
@@ -45,7 +71,8 @@ struct SyncCounter {
 
 class NetworkClient {
  public:
-  NetworkClient(Machine& machine, ClientAddr addr, std::size_t memBytes,
+  /// `mem` is this client's slice of the machine's client-memory mapping.
+  NetworkClient(Machine& machine, ClientAddr addr, std::span<std::byte> mem,
                 int numCounters);
   virtual ~NetworkClient() = default;
   NetworkClient(const NetworkClient&) = delete;
@@ -73,8 +100,11 @@ class NetworkClient {
   }
 
   // --- synchronization counters ---
-  int numCounters() const { return static_cast<int>(counters_.size()); }
-  std::uint64_t counterValue(int id) const { return counters_.at(size_t(id)).value; }
+  int numCounters() const { return numCounters_; }
+  std::uint64_t counterValue(int id) const {
+    checkCounter(id);
+    return counters_.empty() ? 0 : counters_[std::size_t(id)].value;
+  }
 
   /// Awaitable: suspend until counters[id] >= target, then resume after the
   /// polling latency (local poll for slices/HTIS, cross-ring poll for
@@ -109,7 +139,8 @@ class NetworkClient {
   /// Number of wake actions currently parked on counter `id` (observability
   /// for leak tests and diagnostics).
   std::size_t counterWaiters(int id) const {
-    return counters_.at(std::size_t(id)).waiters.size();
+    checkCounter(id);
+    return counters_.empty() ? 0 : counters_[std::size_t(id)].waiters.size();
   }
 
   /// Arrival tally (source node -> packets) of a counter. Sources are
@@ -161,8 +192,17 @@ class NetworkClient {
 
   Machine& machine_;
   ClientAddr addr_;
-  std::vector<std::byte> mem_;
-  std::vector<SyncCounter> counters_;
+  std::span<std::byte> mem_;
+
+ private:
+  /// Counter `id` (unchecked), sizing the bank on first use.
+  SyncCounter& counter(int id) {
+    if (counters_.empty()) counters_.resize(std::size_t(numCounters_));
+    return counters_[std::size_t(id)];
+  }
+
+  int numCounters_;
+  std::vector<SyncCounter> counters_;  ///< empty until first used
   std::uint64_t waiterSeq_ = 0;  ///< cancellation-token source (0 reserved)
   /// Per-(counter, source-node) arrival tally, maintained from the first
   /// counted delivery onward. Flattened to one hash map keyed by
@@ -200,12 +240,7 @@ class ProcessingSlice final : public NetworkClient {
 
   /// Non-blocking pop: the next queued FIFO message, or null when empty.
   /// Used after a flush counter guarantees all messages have arrived.
-  PacketPtr pollFifo() {
-    if (fifo_.empty()) return nullptr;
-    PacketPtr p = std::move(fifo_.front());
-    fifo_.pop_front();
-    return p;
-  }
+  PacketPtr pollFifo() { return fifo_.empty() ? nullptr : fifo_.pop(); }
 
   std::size_t fifoDepth() const { return fifo_.size(); }
   std::size_t fifoHighWater() const { return fifoHighWater_; }
@@ -214,13 +249,13 @@ class ProcessingSlice final : public NetworkClient {
   friend struct FifoWait;
   void tryWakeFifoWaiter(sim::Time now);
 
-  std::deque<PacketPtr> fifo_;
+  RecyclingQueue<PacketPtr> fifo_;
   std::size_t fifoHighWater_ = 0;
   struct FifoWaiterRef {
     FifoWait* wait;
     std::coroutine_handle<> handle;
   };
-  std::deque<FifoWaiterRef> fifoWaiters_;
+  RecyclingQueue<FifoWaiterRef> fifoWaiters_;
 };
 
 /// The high-throughput interaction subsystem endpoint. Behaviorally a client

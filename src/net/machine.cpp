@@ -1,6 +1,11 @@
 #include "net/machine.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <new>
 #include <stdexcept>
 
 #include "sim/causal_log.hpp"
@@ -16,15 +21,53 @@ constexpr std::array<std::array<int, 3>, 6> kDimPerms = {{
 
 }  // namespace
 
-Machine::Machine(sim::Simulator& sim, util::TorusShape shape, MachineConfig cfg)
-    : sim_(sim), shape_(shape), cfg_(cfg), faultReroute_(cfg.faultReroute) {
+Machine::ClientMemory::ClientMemory(std::size_t bytes) : size_(bytes) {
+  if (bytes == 0) return;
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  base_ = static_cast<std::byte*>(p);
+}
+
+Machine::ClientMemory::~ClientMemory() {
+  if (base_ != nullptr) munmap(base_, size_);
+}
+
+std::size_t Machine::clientMemoryBytes(const util::TorusShape& shape,
+                                       const MachineConfig& cfg) {
   if (shape.nx < 1 || shape.ny < 1 || shape.nz < 1)
     throw std::invalid_argument("torus extents must be positive");
+  const std::uint64_t nodes =
+      std::uint64_t(shape.nx) * std::uint64_t(shape.ny) * std::uint64_t(shape.nz);
+  if (nodes > std::uint64_t(std::numeric_limits<int>::max()))
+    throw std::invalid_argument("torus has more nodes than an int can index");
+  if (cfg.countersPerClient < 0)
+    throw std::invalid_argument("countersPerClient must be non-negative");
+  // Packet addresses are 32-bit byte offsets: memory past 4 GiB would be
+  // unreachable by any packet.
+  if (cfg.clientMemBytes > (std::uint64_t(1) << 32))
+    throw std::invalid_argument(
+        "clientMemBytes exceeds the 32-bit packet address range");
+  const std::size_t clients = std::size_t(nodes) * kClientsPerNode;
+  if (cfg.clientMemBytes != 0 &&
+      clients > std::numeric_limits<std::size_t>::max() / cfg.clientMemBytes)
+    throw std::invalid_argument("total client memory overflows size_t");
+  return clients * cfg.clientMemBytes;
+}
+
+Machine::Machine(sim::Simulator& sim, util::TorusShape shape, MachineConfig cfg)
+    : sim_(sim),
+      shape_(shape),
+      cfg_(cfg),
+      clientMem_(clientMemoryBytes(shape, cfg)),
+      faultReroute_(cfg.faultReroute) {
+  const std::size_t nodeMem = cfg.clientMemBytes * kClientsPerNode;
   nodes_.reserve(std::size_t(shape.size()));
   for (int i = 0; i < shape.size(); ++i) {
-    nodes_.push_back(std::make_unique<Node>(*this, i, util::torusCoordOf(i, shape),
-                                            cfg.clientMemBytes,
-                                            cfg.countersPerClient));
+    nodes_.push_back(std::make_unique<Node>(
+        *this, i, util::torusCoordOf(i, shape),
+        clientMem_.bytes().subspan(std::size_t(i) * nodeMem, nodeMem),
+        cfg.countersPerClient));
   }
   links_.resize(std::size_t(shape.size()) * 6);
   failedLinks_.assign(std::size_t(shape.size()) * 6, 0);
@@ -253,14 +296,14 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
   std::uint64_t seq = sim_.reserveSeq();
   if (sim::CausalLog* log = sim::causalOracle())
     log->noteScheduled(seq, nextIdx, /*link=*/true);
-  l.pending.push_back({p, atRing, seq});
+  l.pending.push({p, atRing, seq});
   if (!l.drainScheduled)
     scheduleDrain(std::size_t(nodeIdx) * 6 + std::size_t(adapterIdx));
 }
 
 void Machine::scheduleDrain(std::size_t li) {
   Link& l = links_[li];
-  const Arrival& head = l.pending[l.pendingHead];
+  const Arrival& head = l.pending.front();
   l.drainScheduled = true;
   sim_.atReserved(head.atRing, head.seq, [this, li] { drainLink(li); });
 }
@@ -287,17 +330,13 @@ void Machine::drainLink(std::size_t li) {
   // drainScheduled stays true across routeFrom so a multicast loop that
   // lands back on this link cannot double-schedule; the tail re-arm below
   // picks any such appendee up.
-  Arrival head = std::move(l.pending[l.pendingHead]);
-  ++l.pendingHead;
+  Arrival head = l.pending.pop();
   routeFrom(head.p, nextIdx, entryAdapterRouter, dim, sign, head.atRing);
 
-  if (l.pendingHead == l.pending.size()) {
-    l.pending.clear();  // capacity retained: the queue recycles, never churns
-    l.pendingHead = 0;
+  if (l.pending.empty())
     l.drainScheduled = false;
-  } else {
+  else
     scheduleDrain(li);
-  }
 }
 
 std::vector<ClientAddr> Machine::downstreamReceivers(const PacketPtr& p,

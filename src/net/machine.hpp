@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,9 @@ namespace anton::net {
 /// Structural configuration of a machine instance.
 struct MachineConfig {
   LatencyConfig latency;
-  std::size_t clientMemBytes = 256 << 10;  ///< local memory per client
+  std::size_t clientMemBytes = 256 << 10;  ///< local memory per client (at
+                                           ///< most 4 GiB: packet addresses
+                                           ///< are 32-bit)
   int countersPerClient = 256;           ///< sync counters per client
   bool adaptiveRouting = true;  ///< permute dimension order for packets
                                 ///< without the in-order flag
@@ -56,6 +59,10 @@ struct MachineStats {
 
 class Machine {
  public:
+  /// Throws std::invalid_argument, before any memory is mapped, for a
+  /// non-positive extent, more nodes than an int indexes, a negative
+  /// counter count, a clientMemBytes beyond the 32-bit packet address
+  /// range, or a total client memory that overflows size_t.
   Machine(sim::Simulator& sim, util::TorusShape shape, MachineConfig cfg = {});
 
   sim::Simulator& sim() { return sim_; }
@@ -160,11 +167,9 @@ class Machine {
     std::uint64_t traversals = 0;
     // Batched drain state: arrivals are appended in (monotonic) time order
     // and consumed front-to-back; at most one drain event is in the kernel
-    // per link, however many packets are in flight on it. The vector acts
-    // as a grow-only ring (head index + clear-on-empty), so steady-state
-    // traffic never reallocates it.
-    std::vector<Arrival> pending;
-    std::size_t pendingHead = 0;
+    // per link, however many packets are in flight on it. Steady-state
+    // traffic never reallocates the queue.
+    RecyclingQueue<Arrival> pending;
     bool drainScheduled = false;
   };
   Link& link(int nodeIdx, int dim, int sign) {
@@ -199,9 +204,31 @@ class Machine {
   /// adaptive routing is disabled; a salt-derived permutation otherwise).
   std::array<int, 3> dimOrder(const Packet& p) const;
 
+  /// Every client's local memory: one anonymous private mapping, reserved
+  /// but not committed (MAP_NORESERVE). The kernel supplies a zero page on
+  /// a page's first touch, and munmap frees only the pages a run touched,
+  /// so building and destroying a machine costs O(touched memory).
+  class ClientMemory {
+   public:
+    explicit ClientMemory(std::size_t bytes);
+    ~ClientMemory();
+    ClientMemory(const ClientMemory&) = delete;
+    ClientMemory& operator=(const ClientMemory&) = delete;
+    std::span<std::byte> bytes() const { return {base_, size_}; }
+
+   private:
+    std::byte* base_ = nullptr;
+    std::size_t size_ = 0;
+  };
+
+  /// Validate the shape and sizes; returns the client-memory mapping size.
+  static std::size_t clientMemoryBytes(const util::TorusShape& shape,
+                                       const MachineConfig& cfg);
+
   sim::Simulator& sim_;
   util::TorusShape shape_;
   MachineConfig cfg_;
+  ClientMemory clientMem_;  ///< before nodes_: unmapped after the clients die
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<Link> links_;
   /// Sticky per-link failed marks (node * 6 + adapter), set when a traversal

@@ -7,19 +7,20 @@
 namespace anton::net {
 
 Node::Node(Machine& machine, int index, util::TorusCoord coord,
-           std::size_t clientMemBytes, int countersPerClient)
+           std::span<std::byte> mem, int countersPerClient)
     : machine_(machine), index_(index), coord_(coord) {
+  const std::size_t perClient = mem.size() / kClientsPerNode;
   for (int c = 0; c < kClientsPerNode; ++c) {
     ClientAddr a{index, c};
+    std::span<std::byte> cm = mem.subspan(std::size_t(c) * perClient, perClient);
     std::unique_ptr<NetworkClient> client;
     if (c < kNumSlices) {
-      client = std::make_unique<ProcessingSlice>(machine, a, clientMemBytes,
+      client = std::make_unique<ProcessingSlice>(machine, a, cm,
                                                  countersPerClient);
     } else if (c == kHtis) {
-      client = std::make_unique<Htis>(machine, a, clientMemBytes,
-                                      countersPerClient);
+      client = std::make_unique<Htis>(machine, a, cm, countersPerClient);
     } else {
-      client = std::make_unique<AccumulationMemory>(machine, a, clientMemBytes,
+      client = std::make_unique<AccumulationMemory>(machine, a, cm,
                                                     countersPerClient);
     }
     clients_[std::size_t(c)] = std::move(client);

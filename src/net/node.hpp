@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "net/client.hpp"
 #include "net/packet.hpp"
@@ -28,8 +29,10 @@ class Machine;
 
 class Node {
  public:
+  /// `mem` is this node's slice of the machine's client-memory mapping,
+  /// split evenly among its kClientsPerNode clients.
   Node(Machine& machine, int index, util::TorusCoord coord,
-       std::size_t clientMemBytes, int countersPerClient);
+       std::span<std::byte> mem, int countersPerClient);
 
   int index() const { return index_; }
   util::TorusCoord coord() const { return coord_; }
