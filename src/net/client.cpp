@@ -18,7 +18,7 @@ void NetworkClient::hostWrite(std::uint32_t address, const void* data,
 }
 
 sim::Time NetworkClient::pollLatency() const {
-  return machine_.latency().pollSuccess();
+  return machine_.delays().pollSuccess;
 }
 
 void NetworkClient::CounterWait::await_suspend(std::coroutine_handle<> h) const {
@@ -59,10 +59,33 @@ bool NetworkClient::cancelCounterWaiter(int id, std::uint64_t token) {
 
 std::map<int, std::uint64_t> NetworkClient::counterSources(int id) const {
   std::map<int, std::uint64_t> out;
-  for (const auto& [key, n] : srcTally_)
-    if ((key >> 32) == std::uint64_t(std::uint32_t(id)))
-      out[int(std::uint32_t(key))] = n;
+  for (const TallyCell& c : tally_)
+    if (c.key != kFreeCell && (c.key >> 32) == std::uint64_t(std::uint32_t(id)))
+      out[int(std::uint32_t(c.key))] = c.count;
   return out;
+}
+
+std::size_t NetworkClient::tallyCell(std::uint64_t key) {
+  if (2 * (tallyUsed_ + 1) > tally_.size()) {
+    std::vector<TallyCell> old(std::max<std::size_t>(16, 2 * tally_.size()),
+                               TallyCell{kFreeCell, 0});
+    old.swap(tally_);
+    tallyUsed_ = 0;
+    for (const TallyCell& c : old)
+      if (c.key != kFreeCell) tally_[tallyCell(c.key)].count = c.count;
+  }
+  const std::size_t mask = tally_.size() - 1;
+  // Fibonacci hashing: the high bits of key * 2^64/phi.
+  std::size_t i = std::size_t((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+  while (tally_[i].key != key) {
+    if (tally_[i].key == kFreeCell) {
+      tally_[i].key = key;
+      ++tallyUsed_;
+      break;
+    }
+    i = (i + 1) & mask;
+  }
+  return i;
 }
 
 void NetworkClient::bumpCounter(int id, sim::Time /*now*/, int srcNode) {
@@ -70,11 +93,9 @@ void NetworkClient::bumpCounter(int id, sim::Time /*now*/, int srcNode) {
   ++c.value;
   if (srcNode >= 0) {
     std::uint64_t key = tallyKey(id, srcNode);
-    if (lastTallyCell_ == nullptr || key != lastTallyKey_) {
-      lastTallyCell_ = &srcTally_[key];
-      lastTallyKey_ = key;
-    }
-    ++*lastTallyCell_;
+    if (tally_.empty() || tally_[lastTally_].key != key)
+      lastTally_ = tallyCell(key);
+    ++tally_[lastTally_].count;
   }
   // Wake every poller whose threshold is now met; each resumes after the
   // polling latency of this client's counter bank.
@@ -128,9 +149,9 @@ sim::Task NetworkClient::send(SendArgs args) {
   // Packet creation is pipelined: the core is occupied for the injection
   // slot (or the wire serialization, whichever is longer), while the 36 ns
   // assembly latency is charged inside the packet's own pipeline.
-  const auto& lat = machine_.latency();
-  co_await machine_.sim().delay(std::max(
-      sim::ns(lat.injectOccupancyNs), lat.linkSerialization(p->wireBytes())));
+  const HopDelays& d = machine_.delays();
+  co_await machine_.sim().delay(
+      std::max(d.injectOccupancy, d.linkSerialization[p->wire]));
 }
 
 // --- ProcessingSlice ------------------------------------------------------
@@ -165,7 +186,7 @@ void ProcessingSlice::tryWakeFifoWaiter(sim::Time /*now*/) {
 // --- AccumulationMemory ---------------------------------------------------
 
 sim::Time AccumulationMemory::pollLatency() const {
-  return machine_.latency().accumPoll();
+  return machine_.delays().accumPoll;
 }
 
 void AccumulationMemory::deliver(const PacketPtr& p) {
@@ -182,7 +203,8 @@ void AccumulationMemory::deliver(const PacketPtr& p) {
     throw std::logic_error("accumulation address must be 4-byte aligned");
   if (p->address + n > mem_.size())
     throw std::out_of_range("accumulation past end of memory");
-  const std::byte* src = p->payload->data();
+  // A 0-byte accumulation carries no payload buffer at all.
+  const std::byte* src = n != 0 ? p->payload->data() : nullptr;
   for (std::size_t off = 0; off < n; off += 4) {
     std::uint32_t cur, add;
     std::memcpy(&cur, mem_.data() + p->address + off, 4);

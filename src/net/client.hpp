@@ -17,7 +17,6 @@
 #include <map>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -205,17 +204,24 @@ class NetworkClient {
   std::vector<SyncCounter> counters_;  ///< empty until first used
   std::uint64_t waiterSeq_ = 0;  ///< cancellation-token source (0 reserved)
   /// Per-(counter, source-node) arrival tally, maintained from the first
-  /// counted delivery onward. Flattened to one hash map keyed by
-  /// (id << 32 | node): the bump is on the delivery hot path (plus a
-  /// last-cell memo for same-source streams — mapped references are
-  /// node-stable, so the memo survives rehashing); the per-counter view the
-  /// watchdogs read is assembled on demand in counterSources().
+  /// counted delivery onward: a flat open-addressing table of (key, count)
+  /// cells keyed by (id << 32 | node), grown by doubling at half load, plus
+  /// a memo of the last cell hit for same-source streams. The bump is on
+  /// the delivery hot path; the per-counter view the watchdogs read is
+  /// assembled on demand in counterSources().
+  struct TallyCell {
+    std::uint64_t key;
+    std::uint64_t count;
+  };
+  static constexpr std::uint64_t kFreeCell = ~std::uint64_t(0);
   static std::uint64_t tallyKey(int id, int srcNode) {
     return (std::uint64_t(std::uint32_t(id)) << 32) | std::uint32_t(srcNode);
   }
-  std::unordered_map<std::uint64_t, std::uint64_t> srcTally_;
-  std::uint64_t lastTallyKey_ = 0;
-  std::uint64_t* lastTallyCell_ = nullptr;
+  /// Index of `key`'s cell, inserting it (count 0) if absent.
+  std::size_t tallyCell(std::uint64_t key);
+  std::vector<TallyCell> tally_;  ///< power-of-two size, or empty
+  std::size_t tallyUsed_ = 0;
+  std::size_t lastTally_ = 0;  ///< the memo: index of the last cell hit
 };
 
 /// A processing slice: one Tensilica core plus two geometry cores. Programs

@@ -21,6 +21,31 @@ constexpr std::array<std::array<int, 3>, 6> kDimPerms = {{
 
 }  // namespace
 
+HopDelays::HopDelays(const LatencyConfig& lat)
+    : assembly(lat.assembly()),
+      adapter(lat.adapter()),
+      pollSuccess(lat.pollSuccess()),
+      accumPoll(lat.accumPoll()),
+      injectOccupancy(sim::ns(lat.injectOccupancyNs)) {
+  auto onRing = [](int router) { return router >= 0 && router < kNumRouters; };
+  if (!std::all_of(lat.ring.clientRouter.begin(), lat.ring.clientRouter.end(),
+                   onRing) ||
+      !std::all_of(lat.ring.adapterRouter.begin(),
+                   lat.ring.adapterRouter.end(), onRing))
+    throw std::invalid_argument("ring layout names a router off the ring");
+  for (int d = 0; d < 3; ++d) {
+    transit[std::size_t(d)] = lat.transit(d);
+    wire[std::size_t(d)] = lat.wire(d);
+  }
+  for (int a = 0; a < kNumRouters; ++a)
+    for (int b = 0; b < kNumRouters; ++b)
+      ringPath[std::size_t(a)][std::size_t(b)] = lat.ringPath(a, b);
+  for (std::size_t n = 0; n <= kMaxWireBytes; ++n) {
+    linkSerialization[n] = lat.linkSerialization(n);
+    ringOccupancy[n] = lat.ringOccupancy(n);
+  }
+}
+
 Machine::ClientMemory::ClientMemory(std::size_t bytes) : size_(bytes) {
   if (bytes == 0) return;
   void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
@@ -59,17 +84,46 @@ Machine::Machine(sim::Simulator& sim, util::TorusShape shape, MachineConfig cfg)
     : sim_(sim),
       shape_(shape),
       cfg_(cfg),
+      delays_(cfg.latency),
       clientMem_(clientMemoryBytes(shape, cfg)),
       faultReroute_(cfg.faultReroute) {
   const std::size_t nodeMem = cfg.clientMemBytes * kClientsPerNode;
-  nodes_.reserve(std::size_t(shape.size()));
-  for (int i = 0; i < shape.size(); ++i) {
-    nodes_.push_back(std::make_unique<Node>(
-        *this, i, util::torusCoordOf(i, shape),
-        clientMem_.bytes().subspan(std::size_t(i) * nodeMem, nodeMem),
-        cfg.countersPerClient));
+  const std::size_t n = std::size_t(shape.size());
+  nodes_.reserve(n);
+  coords_.reserve(n);
+  neighbors_.resize(n * 6);
+  // Linear index order (x fastest); each neighbour is its coordinate
+  // stepped with wrap-around, re-linearized.
+  auto index = [&](int x, int y, int z) {
+    return x + shape.nx * (y + shape.ny * z);
+  };
+  for (int z = 0; z < shape.nz; ++z) {
+    const int zp = z + 1 == shape.nz ? 0 : z + 1;
+    const int zm = z == 0 ? shape.nz - 1 : z - 1;
+    for (int y = 0; y < shape.ny; ++y) {
+      const int yp = y + 1 == shape.ny ? 0 : y + 1;
+      const int ym = y == 0 ? shape.ny - 1 : y - 1;
+      for (int x = 0; x < shape.nx; ++x) {
+        const int xp = x + 1 == shape.nx ? 0 : x + 1;
+        const int xm = x == 0 ? shape.nx - 1 : x - 1;
+        const int i = int(coords_.size());
+        coords_.push_back({x, y, z});
+        int* nb = &neighbors_[std::size_t(i) * 6];
+        // adapterIndex order: X+, X-, Y+, Y-, Z+, Z-.
+        nb[0] = index(xp, y, z);
+        nb[1] = index(xm, y, z);
+        nb[2] = index(x, yp, z);
+        nb[3] = index(x, ym, z);
+        nb[4] = index(x, y, zp);
+        nb[5] = index(x, y, zm);
+        nodes_.push_back(std::make_unique<Node>(
+            *this, i, coords_.back(),
+            clientMem_.bytes().subspan(std::size_t(i) * nodeMem, nodeMem),
+            cfg.countersPerClient));
+      }
+    }
   }
-  links_.resize(std::size_t(shape.size()) * 6);
+  links_.resize(n * 6);
   failedLinks_.assign(std::size_t(shape.size()) * 6, 0);
   saltByNode_.assign(std::size_t(shape.size()), 0);
 }
@@ -90,8 +144,8 @@ void Machine::setTrace(trace::ActivityTrace* t) {
 }
 
 int Machine::hops(int fromNode, int toNode) const {
-  return util::torusHops(util::torusCoordOf(fromNode, shape_),
-                         util::torusCoordOf(toNode, shape_), shape_);
+  return util::torusHops(coords_.at(std::size_t(fromNode)),
+                         coords_.at(std::size_t(toNode)), shape_);
 }
 
 std::array<int, 3> Machine::dimOrder(const Packet& p) const {
@@ -105,6 +159,16 @@ void Machine::inject(const PacketPtr& p) {
   if (p->multicastPattern != kNoMulticast &&
       (p->multicastPattern < 0 || p->multicastPattern >= kMulticastPatterns))
     throw std::out_of_range("bad multicast pattern id");
+  auto isClient = [this](ClientAddr a) {
+    return a.node >= 0 && a.node < numNodes() && a.client >= 0 &&
+           a.client < kClientsPerNode;
+  };
+  if (!isClient(p->src))
+    throw std::out_of_range("packet source is not a client of this machine");
+  if (p->multicastPattern == kNoMulticast && !isClient(p->dst))
+    throw std::out_of_range(
+        "packet destination is not a client of this machine");
+  p->wire = std::uint32_t(p->wireBytes());
   p->injectedAt = sim_.now();
   p->routeSalt = saltByNode_[std::size_t(p->src.node)]++;
   // Replays hand back the same Packet object (e.g. a registry-held pointer
@@ -113,11 +177,10 @@ void Machine::inject(const PacketPtr& p) {
   p->tailLag = 0;
   ++stats_.packetsInjected;
 
-  Node& src = node(p->src.node);
-  const LatencyConfig& lat = cfg_.latency;
-  sim::Time t0 = sim_.now() + lat.assembly();
-  sim::Time start = src.reserveRing(t0, p->wireBytes());
-  int entryRouter = lat.ring.clientRouter[std::size_t(p->src.client)];
+  Node& src = *nodes_[std::size_t(p->src.node)];
+  sim::Time t0 = sim_.now() + delays_.assembly;
+  sim::Time start = src.reserveRing(t0, p->wire);
+  int entryRouter = cfg_.latency.ring.clientRouter[std::size_t(p->src.client)];
   routeFrom(p, p->src.node, entryRouter, /*viaDim=*/-1, /*viaSign=*/0, start);
 }
 
@@ -136,7 +199,8 @@ void Machine::routeFrom(const PacketPtr& p, int nodeIdx, int entryRouter,
   }
 
   if (p->multicastPattern != kNoMulticast) {
-    const MulticastEntry& e = node(nodeIdx).multicast(p->multicastPattern);
+    const MulticastEntry& e =
+        nodes_[std::size_t(nodeIdx)]->multicast(p->multicastPattern);
     if (e.empty())
       throw std::logic_error("multicast packet hit an empty pattern entry");
     int branches = 0;
@@ -168,8 +232,8 @@ void Machine::routeFrom(const PacketPtr& p, int nodeIdx, int entryRouter,
   // (degradedRoute) additionally avoid links that already dropped a packet
   // at cap exhaustion (sticky failed marks) — re-entering the link that ate
   // the original copy would likely lose the replay too.
-  util::TorusCoord here = util::torusCoordOf(nodeIdx, shape_);
-  util::TorusCoord dest = util::torusCoordOf(p->dst.node, shape_);
+  const util::TorusCoord& here = coords_[std::size_t(nodeIdx)];
+  const util::TorusCoord& dest = coords_[std::size_t(p->dst.node)];
   int prefDim = -1, prefSign = 0;
   int useDim = -1, useSign = 0;
   for (int dim : dimOrder(*p)) {
@@ -204,26 +268,26 @@ void Machine::routeFrom(const PacketPtr& p, int nodeIdx, int entryRouter,
 
 void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
                             int straightViaDim, int dim, int sign, sim::Time t) {
-  const LatencyConfig& lat = cfg_.latency;
-  int adapterRouter =
-      lat.ring.adapterRouter[std::size_t(RingLayout::adapterIndex(dim, sign))];
+  const HopDelays& d = delays_;
+  const int adapterIdx = RingLayout::adapterIndex(dim, sign);
+  int adapterRouter = cfg_.latency.ring.adapterRouter[std::size_t(adapterIdx)];
 
   // On-chip path to the exit adapter: through-traffic continuing in the same
   // dimension uses the calibrated transit cost; everything else crosses the
   // ring from its current position.
-  sim::Time pathCost = straightViaDim == dim
-                           ? lat.transit(dim)
-                           : lat.ringPath(entryRouter, adapterRouter);
-  sim::Time atAdapter = t + pathCost + lat.adapter();
+  sim::Time pathCost =
+      straightViaDim == dim
+          ? d.transit[std::size_t(dim)]
+          : d.ringPath[std::size_t(entryRouter)][std::size_t(adapterRouter)];
+  sim::Time atAdapter = t + pathCost + d.adapter;
 
   Link& l = link(nodeIdx, dim, sign);
   sim::Time depart = std::max(atAdapter, l.busyUntil);
-  sim::Time ser = lat.linkSerialization(p->wireBytes());
-  const int adapterIdx = RingLayout::adapterIndex(dim, sign);
+  sim::Time ser = d.linkSerialization[p->wire];
   bool linkFailed = false;
   if (fault_ != nullptr) {
     LinkFaultOutcome out =
-        fault_->onLinkTraversal(nodeIdx, dim, sign, p->wireBytes(), depart);
+        fault_->onLinkTraversal(nodeIdx, dim, sign, p->wire, depart);
     if (out.stall > 0) {
       // Outage: the adapter holds the packet until the link comes back.
       ++stats_.outageStalls;
@@ -237,7 +301,7 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
       // Link-level retransmission: each CRC-detected corrupt copy occupies
       // the link for its serialization plus the calibrated replay turnaround.
       sim::Time penalty =
-          sim::Time(out.retransmits) * (ser + lat.retransmitPenalty());
+          sim::Time(out.retransmits) * (ser + cfg_.latency.retransmitPenalty());
       stats_.crcRetransmits += std::uint64_t(out.retransmits);
       stats_.retransmitDelay += penalty;
       if (trace::ActivityTrace* tr = trace_)
@@ -250,7 +314,7 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
   l.busyUntil = depart + ser;
   ++l.traversals;
   ++stats_.linkTraversals;
-  stats_.wireBytes += p->wireBytes();
+  stats_.wireBytes += p->wire;
   if (trace::ActivityTrace* tr = trace_) {
     tr->record(traceLinkUnits_[std::size_t(adapterIdx)],
                linkFailed ? traceLinkFailKind_ : traceKind_, depart,
@@ -265,25 +329,20 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
     // The link keeps a sticky failed mark so recovery replays route around it.
     ++stats_.linkFailures;
     failedLinks_[std::size_t(nodeIdx) * 6 + std::size_t(adapterIdx)] = 1;
-    if (dropHandler_) {
-      util::TorusCoord nc =
-          torusNeighbor(util::torusCoordOf(nodeIdx, shape_), dim, sign, shape_);
-      dropHandler_(p, downstreamReceivers(p, util::torusIndex(nc, shape_)));
-    }
+    if (dropHandler_)
+      dropHandler_(p, downstreamReceivers(p, neighbor(nodeIdx, adapterIdx)));
     return;
   }
 
   // Wormhole switching: the head proceeds after the wire delay; the tail
   // lags by the payload serialization of the slowest (inter-node) link,
   // charged once.
-  if (p->tailLag == 0 && p->wireBytes() > kHeaderBytes)
-    p->tailLag = lat.linkSerialization(p->wireBytes() - kHeaderBytes);
+  if (p->tailLag == 0 && p->wire > kHeaderBytes)
+    p->tailLag = d.linkSerialization[p->wire - kHeaderBytes];
 
-  sim::Time headArrive = depart + lat.wire(dim);
-  util::TorusCoord next =
-      torusNeighbor(util::torusCoordOf(nodeIdx, shape_), dim, sign, shape_);
-  int nextIdx = util::torusIndex(next, shape_);
-  sim::Time atRing = headArrive + lat.adapter();
+  sim::Time headArrive = depart + d.wire[std::size_t(dim)];
+  int nextIdx = neighbor(nodeIdx, adapterIdx);
+  sim::Time atRing = headArrive + d.adapter;
   // Reserve the arrival's event sequence number here, at the traversal, not
   // when a drain is armed for it: the reserved seq fixes the arrival's place
   // in the kernel's (time, seq) order, so the schedule is the same however
@@ -314,12 +373,9 @@ void Machine::drainLink(std::size_t li) {
   const int a = int(li % 6);
   const int dim = a / 2;
   const int sign = (a % 2 == 0) ? +1 : -1;
-  const LatencyConfig& lat = cfg_.latency;
-  const int entryAdapterRouter =
-      lat.ring.adapterRouter[std::size_t(RingLayout::adapterIndex(dim, -sign))];
-  util::TorusCoord nc =
-      torusNeighbor(util::torusCoordOf(nodeIdx, shape_), dim, sign, shape_);
-  const int nextIdx = util::torusIndex(nc, shape_);
+  const int entryAdapterRouter = cfg_.latency.ring.adapterRouter[std::size_t(
+      RingLayout::adapterIndex(dim, -sign))];
+  const int nextIdx = neighbor(nodeIdx, a);
 
   // Route exactly the head arrival, then re-arm for the next one at its own
   // reserved (time, seq) slot. Per-link head-arrival times are strictly
@@ -356,31 +412,25 @@ std::vector<ClientAddr> Machine::downstreamReceivers(const PacketPtr& p,
     const MulticastEntry& e = node(idx).multicast(p->multicastPattern);
     for (int c = 0; c < kClientsPerNode; ++c)
       if (e.clientMask & (1u << c)) out.push_back({idx, c});
-    for (int a = 0; a < 6; ++a) {
-      if (e.linkMask & (1u << a)) {
-        int dim = a / 2;
-        int sign = (a % 2 == 0) ? +1 : -1;
-        util::TorusCoord nc =
-            torusNeighbor(util::torusCoordOf(idx, shape_), dim, sign, shape_);
-        stack.push_back(util::torusIndex(nc, shape_));
-      }
-    }
+    for (int a = 0; a < 6; ++a)
+      if (e.linkMask & (1u << a)) stack.push_back(neighbor(idx, a));
   }
   return out;
 }
 
 void Machine::deliverLocal(const PacketPtr& p, int nodeIdx, int entryRouter,
                            int clientId, sim::Time t) {
-  const LatencyConfig& lat = cfg_.latency;
-  int clientRouter = lat.ring.clientRouter[std::size_t(clientId)];
-  sim::Time tPath = t + lat.ringPath(entryRouter, clientRouter);
-  sim::Time start = node(nodeIdx).reserveRing(tPath, p->wireBytes());
+  int clientRouter = cfg_.latency.ring.clientRouter[std::size_t(clientId)];
+  sim::Time tPath =
+      t + delays_.ringPath[std::size_t(entryRouter)][std::size_t(clientRouter)];
+  Node& node = *nodes_[std::size_t(nodeIdx)];
+  sim::Time start = node.reserveRing(tPath, p->wire);
   sim::Time commit = start + p->tailLag;
   // Same-node schedule point: attribute the commit to this node (not a link
   // crossing) so the causal log's inheritance chain stays on the node.
   sim::ScopedCausalNodeHint hint(nodeIdx, /*link=*/false);
-  sim_.at(commit, [this, p, nodeIdx, clientId] {
-    node(nodeIdx).client(clientId).deliver(p);
+  sim_.at(commit, [this, p, dst = &node.client(clientId)] {
+    dst->deliver(p);
     ++stats_.packetsDelivered;
   });
 }

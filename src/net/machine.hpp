@@ -5,6 +5,7 @@
 // DESIGN.md §4 for the calibration against SC10 Figs. 5/6.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -37,6 +38,28 @@ struct MachineConfig {
                               ///< a non-preferred dimension order
 };
 
+/// Integer-picosecond delays of the hop path, tabulated once per Machine
+/// by calling the very LatencyConfig functions the hop path used to call
+/// per packet, so every entry is bit-identical to them: forwarding and
+/// delivery never round a double.
+struct HopDelays {
+  static constexpr std::size_t kMaxWireBytes = kHeaderBytes + kMaxPayloadBytes;
+  sim::Time assembly = 0;
+  sim::Time adapter = 0;
+  sim::Time pollSuccess = 0;
+  sim::Time accumPoll = 0;
+  sim::Time injectOccupancy = 0;
+  std::array<sim::Time, 3> transit{};  ///< per dimension
+  std::array<sim::Time, 3> wire{};     ///< per dimension
+  /// ringPath[from][to] between router slots.
+  std::array<std::array<sim::Time, kNumRouters>, kNumRouters> ringPath{};
+  /// Indexed by byte count, 0 .. kMaxWireBytes.
+  std::array<sim::Time, kMaxWireBytes + 1> linkSerialization{};
+  std::array<sim::Time, kMaxWireBytes + 1> ringOccupancy{};
+
+  explicit HopDelays(const LatencyConfig& lat);
+};
+
 /// Aggregate traffic statistics. The reliability counters stay exactly zero
 /// on a fault-free run (including under an installed zero-fault plan).
 struct MachineStats {
@@ -60,6 +83,7 @@ struct MachineStats {
 class Machine {
  public:
   /// Throws std::invalid_argument, before any memory is mapped, for a
+  /// ring layout that places a client or adapter off the six routers, a
   /// non-positive extent, more nodes than an int indexes, a negative
   /// counter count, a clientMemBytes beyond the 32-bit packet address
   /// range, or a total client memory that overflows size_t.
@@ -68,6 +92,8 @@ class Machine {
   sim::Simulator& sim() { return sim_; }
   const util::TorusShape& shape() const { return shape_; }
   const LatencyConfig& latency() const { return cfg_.latency; }
+  /// latency(), tabulated in integer picoseconds.
+  const HopDelays& delays() const { return delays_; }
   const MachineConfig& config() const { return cfg_; }
   int numNodes() const { return shape_.size(); }
 
@@ -88,6 +114,8 @@ class Machine {
   /// Inject a packet from p->src at the current simulated time. The pipeline
   /// (assembly, on-chip ring, adapters, links) is scheduled as events; the
   /// payload commits and the destination counter bumps at delivery time.
+  /// Throws std::out_of_range, before any machine state changes, when the
+  /// source — or a unicast destination — is not a client of this machine.
   void inject(const PacketPtr& p);
 
   const MachineStats& stats() const { return stats_; }
@@ -162,7 +190,8 @@ class Machine {
     std::uint64_t seq;
   };
 
-  struct Link {
+  /// One cache line per link: a traversal touches every field.
+  struct alignas(64) Link {
     sim::Time busyUntil = 0;
     std::uint64_t traversals = 0;
     // Batched drain state: arrivals are appended in (monotonic) time order
@@ -225,11 +254,21 @@ class Machine {
   static std::size_t clientMemoryBytes(const util::TorusShape& shape,
                                        const MachineConfig& cfg);
 
+  /// Outgoing-link neighbour of `nodeIdx` through adapter `a`.
+  int neighbor(int nodeIdx, int a) const {
+    return neighbors_[std::size_t(nodeIdx) * 6 + std::size_t(a)];
+  }
+
   sim::Simulator& sim_;
   util::TorusShape shape_;
   MachineConfig cfg_;
+  HopDelays delays_;
   ClientMemory clientMem_;  ///< before nodes_: unmapped after the clients die
   std::vector<std::unique_ptr<Node>> nodes_;
+  /// Every node's coordinate and its six link neighbours (node * 6 +
+  /// adapter index), laid out at build without a division.
+  std::vector<util::TorusCoord> coords_;
+  std::vector<int> neighbors_;
   std::vector<Link> links_;
   /// Sticky per-link failed marks (node * 6 + adapter), set when a traversal
   /// exhausts the retransmit cap and drops its packet.

@@ -39,7 +39,7 @@ AccumulationMemory& Node::accum(int which) {
 
 sim::Time Node::reserveRing(sim::Time t, std::size_t bytes) {
   sim::Time start = std::max(t, ringBusyUntil_);
-  ringBusyUntil_ = start + machine_.latency().ringOccupancy(bytes);
+  ringBusyUntil_ = start + machine_.delays().ringOccupancy[bytes];
   return start;
 }
 

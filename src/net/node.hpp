@@ -50,8 +50,9 @@ class Node {
     multicast_.at(std::size_t(pattern)) = e;
   }
 
-  /// Reserve the shared on-chip ring for `bytes` starting no earlier than
-  /// `t`; returns the actual start time (>= t) and advances the busy window.
+  /// Reserve the shared on-chip ring for `bytes` (a wire size, at most
+  /// HopDelays::kMaxWireBytes) starting no earlier than `t`; returns the
+  /// actual start time (>= t) and advances the busy window.
   sim::Time reserveRing(sim::Time t, std::size_t bytes);
 
   sim::Time ringBusyUntil() const { return ringBusyUntil_; }
@@ -60,9 +61,9 @@ class Node {
   Machine& machine_;
   int index_;
   util::TorusCoord coord_;
+  sim::Time ringBusyUntil_ = 0;  ///< beside clients_: deliveries touch both
   std::array<std::unique_ptr<NetworkClient>, kClientsPerNode> clients_;
   std::array<MulticastEntry, kMulticastPatterns> multicast_{};
-  sim::Time ringBusyUntil_ = 0;
 };
 
 }  // namespace anton::net

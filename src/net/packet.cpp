@@ -5,16 +5,12 @@
 
 namespace anton::net {
 
-PacketPtr allocatePacket() {
-  return std::allocate_shared<Packet>(
-      util::PoolAllocator<Packet>(packetPool()));
-}
+PacketPtr allocatePacket() { return PacketPtr::make(packetPool()); }
 
 PayloadPtr makePayload(const void* data, std::size_t size) {
   if (size > kMaxPayloadBytes)
     throw std::length_error("packet payload exceeds 256 bytes");
-  auto buf = std::allocate_shared<PayloadBuf>(
-      util::PoolAllocator<PayloadBuf>(payloadPool()), size);
+  auto buf = util::PoolRef<PayloadBuf>::make(payloadPool(), size);
   if (size != 0) std::memcpy(buf->data(), data, size);
   return buf;
 }
@@ -22,8 +18,7 @@ PayloadPtr makePayload(const void* data, std::size_t size) {
 PayloadPtr makeZeroPayload(std::size_t size) {
   if (size > kMaxPayloadBytes)
     throw std::length_error("packet payload exceeds 256 bytes");
-  return std::allocate_shared<PayloadBuf>(
-      util::PoolAllocator<PayloadBuf>(payloadPool()), size);
+  return util::PoolRef<PayloadBuf>::make(payloadPool(), size);
 }
 
 }  // namespace anton::net

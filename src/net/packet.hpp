@@ -10,7 +10,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "sim/time.hpp"
 #include "util/slab_pool.hpp"
@@ -58,6 +57,12 @@ enum class PacketType : std::uint8_t {
 /// length. Fixed-format like the hardware's packet buffers, so payloads
 /// recycle through the slab pool without per-size heap traffic; multicast
 /// replicas and recovery replays share one slot by refcount.
+///
+/// Packets and payloads are held through util::PoolRef handles: a
+/// single-threaded intrusive count in the object's own pool slot. Every
+/// handle stays on the thread that allocated it (each simulation arena is
+/// single-threaded and owns its pools), which is what makes a plain count
+/// safe.
 class PayloadBuf {
  public:
   explicit PayloadBuf(std::size_t size) : size_(size) {}
@@ -70,7 +75,7 @@ class PayloadBuf {
   std::array<std::byte, kMaxPayloadBytes> data_{};  // zeroed on (re)construction
 };
 
-using PayloadPtr = std::shared_ptr<const PayloadBuf>;
+using PayloadPtr = util::PoolRef<const PayloadBuf>;
 
 /// Slab pools behind packet and payload slots on this thread. post()/
 /// makePayload() draw refcounted slots from these; the slot returns to its
@@ -105,6 +110,9 @@ struct Packet {
   sim::Time injectedAt = 0;    ///< simulated injection time
   sim::Time tailLag = 0;       ///< serialization lag of the packet tail
   std::uint64_t routeSalt = 0; ///< per-packet salt for adaptive dim ordering
+  /// wireBytes() as of injection: the hop path reads it here instead of
+  /// reaching into the payload's slot on every link and delivery.
+  std::uint32_t wire = 0;
 
   std::size_t payloadBytes() const { return payload ? payload->size() : 0; }
 
@@ -116,10 +124,10 @@ struct Packet {
   }
 };
 
-using PacketPtr = std::shared_ptr<Packet>;
+using PacketPtr = util::PoolRef<Packet>;
 
 /// A fresh default-constructed packet slot from this thread's packet pool
-/// (refcount and object in one recycled slot; bookkeeping fields are
+/// (count and object in one recycled slot; bookkeeping fields are
 /// re-initialized on every reuse).
 PacketPtr allocatePacket();
 

@@ -1,23 +1,24 @@
 // Discrete-event simulation kernel.
 //
-// A single min-heap of (time, sequence, callback) events; sequence numbers
-// make same-time ordering FIFO and the whole simulation deterministic.
-// Coroutine tasks (sim::Task) are spawned as detached roots and driven by
-// events that resume their handles.
+// One exact (time, sequence) event order; sequence numbers make same-time
+// ordering FIFO and the whole simulation deterministic. Coroutine tasks
+// (sim::Task) are spawned as detached roots and driven by events that
+// resume their handles.
 //
-// The hot path is allocation-free in steady state: heap entries are 24
+// The hot path is allocation-free in steady state: queue entries are 24
 // trivially-copyable bytes (callbacks park in a recycled slot arena as
 // inline-capture sim::EventFn), cancellable-event flags come from a slab
 // pool, and every backing vector keeps its capacity across reset(). Callers
 // that batch same-source events (net::Machine's link drains) reserve
 // sequence numbers up front via reserveSeq()/atReserved() so batching
-// cannot perturb the (time, seq) schedule.
+// cannot perturb the (time, seq) schedule. The queue itself is a bucketed
+// calendar (DESIGN.md §10, "Event queue"): only the current ~1 ns bucket
+// is kept heap-ordered, so a 60k-deep queue costs a small heap per pop.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -30,8 +31,8 @@
 
 namespace anton::sim {
 
-/// Slab pool behind cancellable-event flags (one recycled slot per
-/// EventHandle control block + flag).
+/// Slab pool behind cancellable-event flags (one recycled slot per flag
+/// and its handle count).
 inline util::SlabPool& eventHandlePool() {
   thread_local util::SlabPool pool("event-handle");
   return pool;
@@ -45,7 +46,8 @@ class Simulator {
   /// retract it. A cancelled event is discarded without executing and —
   /// crucially — without advancing simulated time, so retracting a pending
   /// deadline leaves the timeline bit-identical to never scheduling it.
-  using EventHandle = std::shared_ptr<bool>;
+  /// Like packets, handles are single-threaded (util::PoolRef).
+  using EventHandle = util::PoolRef<bool>;
   static void cancel(const EventHandle& h) {
     if (h) *h = true;
   }
@@ -57,6 +59,8 @@ class Simulator {
   Time now() const { return now_; }
   std::uint64_t eventsProcessed() const { return processed_; }
   bool empty() const { return queue_.empty(); }
+  /// Events in the queue (cancelled ones not yet purged included).
+  std::size_t pending() const { return queue_.size(); }
   /// Root tasks not yet reaped (live coroutine frames held by the kernel).
   std::size_t liveRoots() const { return roots_.size(); }
 
@@ -137,11 +141,11 @@ class Simulator {
   DelayAwaiter delay(Time duration) { return DelayAwaiter{*this, duration}; }
 
  private:
-  /// Heap entries are deliberately trivial: the callback (and cancel flag)
-  /// live in a slot arena off to the side, so every sift during push/pop
-  /// moves 24 plain bytes instead of a type-erased capture. The heap order
-  /// is exactly (t, seq) — the slot index is payload, never a key — so the
-  /// indirection cannot perturb the schedule.
+  /// Queue entries are deliberately trivial: the callback (and cancel flag)
+  /// live in a slot arena off to the side, so queue operations move 24
+  /// plain bytes instead of a type-erased capture. The order is exactly
+  /// (t, seq) — the slot index is payload, never a key — so the indirection
+  /// cannot perturb the schedule.
   struct Event {
     Time t;
     std::uint64_t seq;
@@ -153,12 +157,77 @@ class Simulator {
       return a.t != b.t ? a.t > b.t : a.seq > b.seq;
     }
   };
-  /// priority_queue with access to the backing vector: reset() sweeps the
-  /// whole container (clearing keeps capacity for arena reuse), which a
-  /// plain priority_queue cannot do.
-  struct EventQueue : std::priority_queue<Event, std::vector<Event>, Later> {
-    std::vector<Event>& container() { return c; }
-    const std::vector<Event>& container() const { return c; }
+
+  /// Exact monotone bucketed queue. Time is cut into fixed buckets of
+  /// 2^kBucketShift ps. Every pending event sits in exactly one of:
+  ///   * cur_  — a (t, seq) min-heap holding every event whose bucket is at
+  ///             or before curBucket_ (normally just the current bucket);
+  ///   * the ring — unsorted buckets curBucket_+1 ..
+  ///             curBucket_+kRingBuckets-1;
+  ///   * far_  — a (t, seq) min-heap for events beyond that horizon.
+  /// Buckets are ordered by time, so the least event of cur_ is the least
+  /// event overall; when cur_ empties, the next occupied bucket (or the far
+  /// heap's first bucket) becomes current and is heapified. Ties and the
+  /// seq order are resolved only inside cur_, by the same comparator the
+  /// single heap used, so the pop order is bit-identical to it.
+  class EventQueue {
+   public:
+    static constexpr unsigned kBucketShift = 10;        ///< 1.024 ns buckets
+    static constexpr std::uint64_t kRingBuckets = 4096;  ///< ~4.2 us horizon
+
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    void push(const Event& e);
+    /// The least pending event (queue must be non-empty). May make a later
+    /// bucket current; pushes behind it still land in cur_, so peeking
+    /// never costs exactness.
+    const Event& top() {
+      if (cur_.empty()) advance();
+      return cur_.front();
+    }
+    /// Remove top(); returns the new least event of the current bucket
+    /// (nullptr when that bucket is used up), for prefetching its slot.
+    const Event* pop();
+    /// Call `visit` on every pending event, then empty the queue. Touches
+    /// only occupied buckets; all storage is kept for reuse.
+    template <typename F>
+    void drain(F&& visit);
+
+   private:
+    /// A ring bucket is a singly linked list of fixed blocks drawn from one
+    /// shared pool (newest block first), so ring memory follows the peak
+    /// pending count rather than the number of buckets ever touched, and a
+    /// warmed-up queue allocates nothing.
+    static constexpr std::uint32_t kBlockEvents = 10;
+    static constexpr std::uint32_t kNoBlock = ~std::uint32_t(0);
+    struct Block {
+      Event ev[kBlockEvents];
+      std::uint32_t n;     ///< events in use
+      std::uint32_t next;  ///< older block of the bucket, or next free block
+    };
+
+    void advance();
+    void pushRing(std::uint64_t bucket, const Event& e);
+    /// Unlink ring bucket `i`, calling `visit` on each event and freeing
+    /// its blocks.
+    template <typename F>
+    void takeBucket(std::size_t i, F&& visit);
+    static std::uint64_t bucketOf(Time t) {
+      return std::uint64_t(t) >> kBucketShift;
+    }
+
+    std::size_t size_ = 0;
+    std::uint64_t curBucket_ = 0;
+    std::vector<Event> cur_;
+    /// Per ring bucket, its newest block (kNoBlock when empty); sized on the
+    /// first event scheduled past the current bucket, so a kernel that
+    /// never gets that far pays nothing for the ring.
+    std::vector<std::uint32_t> head_;
+    std::vector<std::uint64_t> occupied_;  ///< bit i: ring bucket i non-empty
+    std::size_t ringCount_ = 0;            ///< events in the ring
+    std::vector<Block> blocks_;
+    std::uint32_t freeBlock_ = kNoBlock;
+    std::vector<Event> far_;
   };
 
   /// One parked callback; recycled through freeSlots_ (LIFO), so the slot
@@ -168,7 +237,7 @@ class Simulator {
     EventHandle cancelled;  ///< null for ordinary (non-cancellable) events
   };
 
-  std::uint32_t park(Callback fn, EventHandle cancelled);
+  std::uint32_t park(Callback&& fn, EventHandle&& cancelled);
   void release(std::uint32_t idx);
   bool slotCancelled(std::uint32_t idx) const {
     const EventHandle& c = slots_[idx].cancelled;

@@ -14,6 +14,11 @@
 // serving pool), so free() knows where a block goes and release() can find
 // its pool from the pointer alone.
 //
+// PoolRef is the single-threaded refcounted handle to a pooled object (the
+// simulated packets, payload buffers and cancellable-event flags): the
+// count lives in the object's own slot, so copying a handle is a plain
+// increment — no atomics, no separate control block.
+//
 // SlabPools are single-owner: each simulation arena (and its serve worker
 // thread) owns its own pools, and only the thread that constructed a pool
 // may alloc() from it or free() into it. A free from any other thread is a
@@ -29,6 +34,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace anton::util {
@@ -71,6 +78,8 @@ class SlabPool {
     std::size_t bucket = (bytes + kGranule - 1) / kGranule;  // >= 1
     if (FreeNode* n = freelists_[bucket]) {
       freelists_[bucket] = n->next;
+      // The next pop reads the new head's link: start loading it now.
+      __builtin_prefetch(n->next);
       ++stats_.poolAllocs;
       bump();
       return tag(n, std::uint32_t(bucket));
@@ -184,28 +193,88 @@ class SlabPool {
   const std::thread::id owner_ = std::this_thread::get_id();
 };
 
-/// Minimal std allocator over a SlabPool, for std::allocate_shared — the
-/// control block and the object land in one recycled slot, so a pooled
-/// shared_ptr is a refcounted slot with zero heap traffic.
+/// One pooled object and its handle count, sharing a slot (the count
+/// first, on the object's leading cache line).
+template <typename V>
+struct PoolBox {
+  std::uint32_t refs;
+  V value;
+};
+
+/// Intrusive refcounted handle to a T in a SlabPool slot. Single-threaded
+/// by construction: every handle to one object lives on the thread that
+/// owns the pool, so the count is a plain integer. The last handle to let
+/// go destroys the object and returns the slot through SlabPool::release —
+/// a handle dropped on any other thread therefore aborts naming the pool,
+/// like every foreign free. T may be const (a read-only share of an object
+/// its creator filled in through the mutable handle make() returned).
 template <typename T>
-struct PoolAllocator {
-  using value_type = T;
+class PoolRef {
+  using V = std::remove_const_t<T>;
+  using Box = PoolBox<V>;
 
-  explicit PoolAllocator(SlabPool& slabs) noexcept : pool(&slabs) {}
-  template <typename U>
-  PoolAllocator(const PoolAllocator<U>& o) noexcept : pool(o.pool) {}
+ public:
+  PoolRef() noexcept = default;
+  PoolRef(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(pool->alloc(n * sizeof(T)));
+  /// A fresh object constructed from `args` in a slot of `pool`.
+  template <typename... A>
+  static PoolRef make(SlabPool& pool, A&&... args) {
+    PoolRef r;
+    r.box_ = ::new (pool.alloc(sizeof(Box)))
+        Box{1, V(std::forward<A>(args)...)};
+    return r;
   }
-  void deallocate(T* p, std::size_t) noexcept { pool->free(p); }
 
+  PoolRef(const PoolRef& o) noexcept : box_(o.box_) { retain(); }
+  PoolRef(PoolRef&& o) noexcept : box_(std::exchange(o.box_, nullptr)) {}
+  /// Hand a freshly filled mutable handle over as a const one.
   template <typename U>
-  bool operator==(const PoolAllocator<U>& o) const noexcept {
-    return pool == o.pool;
+    requires std::is_same_v<const U, T> && (!std::is_same_v<U, T>)
+  PoolRef(PoolRef<U>&& o) noexcept  // NOLINT(google-explicit-constructor)
+      : box_(std::exchange(o.box_, nullptr)) {}
+
+  /// Copy and move assignment alike (by-value swap: self-assignment safe).
+  PoolRef& operator=(PoolRef o) noexcept {
+    std::swap(box_, o.box_);
+    return *this;
+  }
+  ~PoolRef() { reset(); }
+
+  /// Drop this handle (the slot goes back to its pool with the last one).
+  void reset() noexcept {
+    Box* b = std::exchange(box_, nullptr);
+    if (b != nullptr && --b->refs == 0) {
+      b->~Box();
+      SlabPool::release(b);
+    }
   }
 
-  SlabPool* pool;
+  T* get() const noexcept { return box_ != nullptr ? &box_->value : nullptr; }
+  T& operator*() const noexcept { return box_->value; }
+  T* operator->() const noexcept { return &box_->value; }
+  explicit operator bool() const noexcept { return box_ != nullptr; }
+  /// Handles sharing this object (0 for a null handle).
+  std::uint32_t useCount() const noexcept {
+    return box_ != nullptr ? box_->refs : 0;
+  }
+
+  friend bool operator==(const PoolRef& a, const PoolRef& b) noexcept {
+    return a.box_ == b.box_;
+  }
+  friend bool operator==(const PoolRef& a, std::nullptr_t) noexcept {
+    return a.box_ == nullptr;
+  }
+
+ private:
+  template <typename U>
+  friend class PoolRef;
+
+  void retain() const noexcept {
+    if (box_ != nullptr) ++box_->refs;
+  }
+
+  Box* box_ = nullptr;
 };
 
 }  // namespace anton::util

@@ -8,7 +8,10 @@
 // trace and a short MD run are also pinned to recorded schedule digests.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <span>
+#include <string_view>
 
 #include "fault/plan.hpp"
 #include "md/anton_app.hpp"
@@ -154,6 +157,107 @@ TEST(Determinism, AttachedOracleLeavesTheScheduleUntouched) {
   EXPECT_EQ(bare.digest, traced.digest);
   EXPECT_EQ(bare.finalTime, traced.finalTime);
   EXPECT_FALSE(log.records().empty());
+}
+
+// --- deep-queue schedule pin ------------------------------------------------
+// The pins above run at 4x4x4 with a shallow queue. This storm runs at the
+// Table 3 shape (8x8x8) and keeps more events pending at once than a
+// 512-node MD step does (~61k on average): 60,000 seeded injections are
+// scheduled up front — same-time bursts of thousands, a dense 50 us
+// window, and a tail out to 5 ms, far beyond any near-term horizon of the
+// kernel's queue. Digest recorded from the binary-heap kernel before the
+// bucketed queue replaced it.
+constexpr int kDeepInjections = 60000;
+constexpr std::uint64_t kDeepStormDigest = 0x85c0f6f3d308fc80ULL;
+constexpr std::uint64_t kDeepStormCausalDigest = 0xffb53f504c5a0ff3ULL;
+
+struct DeepStorm {
+  std::uint64_t digest = 0;
+  std::size_t pendingAtStart = 0;
+};
+
+DeepStorm deepStorm(std::uint64_t seed) {
+  sim::Simulator sim;
+  net::MachineConfig mc;
+  mc.clientMemBytes = 4096;  // 256 16-byte slots per client: writes collide
+  mc.countersPerClient = 4;
+  net::Machine m(sim, {8, 8, 8}, mc);
+  sim::Rng rng(seed);
+  std::array<sim::Time, 16> bursts{};
+  for (sim::Time& b : bursts) b = sim::Time(rng.below(20'000'000));
+  for (int i = 0; i < kDeepInjections; ++i) {
+    sim::Time t;
+    std::uint64_t mode = rng.below(10);
+    if (mode < 4)
+      t = bursts[rng.below(bursts.size())];  // ~1,500 injections per instant
+    else if (mode < 8)
+      t = sim::Time(rng.below(50'000'000));  // dense: 50 us at ps resolution
+    else
+      t = 100'000'000 + sim::Time(rng.below(4'900'000'000));  // far tail
+    struct Post {
+      net::Machine* m;
+      int srcNode, srcClient, dstNode, dstClient, counter, bytes;
+      std::uint32_t address;
+      bool accum, inOrder;
+      void operator()() const {
+        net::NetworkClient::SendArgs args;
+        args.type = accum ? net::PacketType::kAccum : net::PacketType::kWrite;
+        args.dst = {dstNode, dstClient};
+        args.counterId = counter;
+        args.address = address;
+        args.inOrder = inOrder;
+        if (bytes != 0) args.payload = net::makeZeroPayload(std::size_t(bytes));
+        m->client({srcNode, srcClient}).post(args);
+      }
+    };
+    Post p{&m, 0, 0, 0, 0, 0, 0, 0, false, false};
+    p.srcNode = int(rng.below(std::uint64_t(m.numNodes())));
+    p.srcClient = int(rng.below(5));  // slices and the HTIS can send
+    p.dstNode = int(rng.below(std::uint64_t(m.numNodes())));
+    p.accum = rng.below(5) == 0;
+    p.dstClient =
+        p.accum ? net::kAccum0 + int(rng.below(2)) : int(rng.below(5));
+    p.counter = int(rng.below(4));
+    p.bytes = int(rng.below(65)) * 4;  // 0..256, 4-byte multiples
+    p.address = std::uint32_t(rng.below(256)) * 16 % (4096 - 256);
+    p.inOrder = rng.below(10) == 0;
+    sim.at(t, p);
+  }
+  DeepStorm out;
+  out.pendingAtStart = sim.pending();
+  sim.run();
+
+  PinnedDigest d;
+  d.add(m.stats()).add(sim.now()).add(sim.eventsProcessed());
+  for (int n = 0; n < m.numNodes(); ++n) {
+    for (int c = 0; c < net::kClientsPerNode; ++c) {
+      net::NetworkClient& cl = m.client({n, c});
+      std::span<const std::byte> mem = cl.memory();
+      d.add(std::string_view(reinterpret_cast<const char*>(mem.data()),
+                             mem.size()));
+      for (int k = 0; k < cl.numCounters(); ++k) d.add(cl.counterValue(k));
+    }
+  }
+  out.digest = d.value();
+  return out;
+}
+
+TEST(Determinism, DeepQueueStormMatchesItsPinnedScheduleDigest) {
+  DeepStorm r = deepStorm(29);
+  EXPECT_GE(r.pendingAtStart, 50000u) << "the storm no longer runs deep";
+  EXPECT_EQ(r.digest, kDeepStormDigest) << "got " << util::hex64(r.digest);
+}
+
+TEST(Determinism, DeepQueueCausalTraceMatchesItsPinnedDigest) {
+  // Every executed (t, seq) of the deep storm, with its causal parent.
+  sim::CausalLog log;
+  {
+    sim::ScopedCausalOracle oracle(log);
+    deepStorm(29);
+  }
+  EXPECT_GE(log.records().size(), std::size_t(kDeepInjections));
+  EXPECT_EQ(log.digest(), kDeepStormCausalDigest)
+      << "got " << util::hex64(log.digest());
 }
 
 TEST(Determinism, MdTrajectoryMatchesItsPinnedDigest) {

@@ -1,8 +1,10 @@
 // Pool-layer coverage for the zero-allocation hot path: slab exhaustion is
 // a loud error (never UB), recycled slots come back with fresh bookkeeping,
-// multicast replicas share one refcounted payload slot, oversized requests
-// fall back to the heap, and a free from a thread that does not own the
-// pool aborts.
+// the intrusive packet/payload handles count exactly (copy, move,
+// self-assignment, reset) and hand the slot back with the last handle,
+// multicast replicas and recovery replays share one payload slot,
+// oversized requests fall back to the heap, and a free from a thread that
+// does not own the pool aborts.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/recovery.hpp"
+#include "core/watchdog.hpp"
 #include "net/machine.hpp"
 #include "net/packet.hpp"
 #include "sim/event_fn.hpp"
@@ -117,6 +121,7 @@ TEST(PacketPool, RecycledPacketSlotComesBackWithFreshBookkeeping) {
   p->injectedAt = sim::ns(123);
   p->tailLag = sim::ns(9);
   p->routeSalt = 42;
+  p->wire = 96;
   p->payload = net::makeZeroPayload(64);
   const void* slot = p.get();
   p.reset();  // back to the freelist
@@ -130,6 +135,7 @@ TEST(PacketPool, RecycledPacketSlotComesBackWithFreshBookkeeping) {
   EXPECT_EQ(q->injectedAt, 0);
   EXPECT_EQ(q->tailLag, 0);
   EXPECT_EQ(q->routeSalt, 0u);
+  EXPECT_EQ(q->wire, 0u);
   EXPECT_EQ(q->payload, nullptr);
 }
 
@@ -187,6 +193,138 @@ TEST(PacketPool, MulticastReplicasShareOnePayloadSlot) {
   args.payload = nullptr;  // the send-args copy was the last off-fabric ref
   EXPECT_EQ(net::payloadPool().stats().live, liveBefore)
       << "the shared slot must return once the last replica lets go";
+}
+
+// --- intrusive handles ------------------------------------------------------
+
+TEST(PoolRef, CopyMoveSelfAssignmentAndResetCountExactly) {
+  const std::size_t live0 = net::packetPool().stats().live;
+  net::PacketPtr a = net::allocatePacket();
+  EXPECT_EQ(net::packetPool().stats().live, live0 + 1);
+  EXPECT_EQ(a.useCount(), 1u);
+
+  net::PacketPtr b = a;  // copy
+  EXPECT_EQ(b.get(), a.get());
+  EXPECT_EQ(a.useCount(), 2u);
+  net::PacketPtr c = std::move(b);  // move: no count change
+  EXPECT_EQ(b, nullptr);            // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c, a);
+  EXPECT_EQ(a.useCount(), 2u);
+
+  net::PacketPtr& alias = a;
+  a = alias;  // self copy-assignment
+  EXPECT_EQ(a.useCount(), 2u);
+  a = std::move(alias);  // self move-assignment
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a.useCount(), 2u);
+
+  net::PacketPtr d;
+  d = c;  // copy-assign into an empty handle
+  EXPECT_EQ(a.useCount(), 3u);
+  d = net::allocatePacket();  // re-seat: drops its share of the first slot
+  EXPECT_EQ(a.useCount(), 2u);
+  EXPECT_EQ(net::packetPool().stats().live, live0 + 2);
+  d.reset();
+  EXPECT_EQ(d, nullptr);
+  EXPECT_EQ(net::packetPool().stats().live, live0 + 1);
+
+  a.reset();
+  EXPECT_EQ(c.useCount(), 1u);
+  EXPECT_EQ(net::packetPool().stats().live, live0 + 1)
+      << "the slot must stay while a handle remains";
+  c = nullptr;  // the last handle: the slot goes back to the pool
+  EXPECT_EQ(net::packetPool().stats().live, live0);
+  c.reset();  // resetting an empty handle is a no-op
+  EXPECT_EQ(net::packetPool().stats().live, live0);
+}
+
+TEST(PoolRef, PacketHoldsItsPayloadUntilTheLastPacketHandleGoes) {
+  const std::size_t payloads0 = net::payloadPool().stats().live;
+  net::PacketPtr p = net::allocatePacket();
+  p->payload = net::makeZeroPayload(64);  // mutable handle -> const share
+  EXPECT_EQ(p->payload.useCount(), 1u);
+  net::PayloadPtr extra = p->payload;
+  EXPECT_EQ(extra.useCount(), 2u);
+  EXPECT_EQ(net::payloadPool().stats().live, payloads0 + 1);
+  net::PacketPtr q = p;
+  p.reset();
+  EXPECT_EQ(extra.useCount(), 2u) << "q still holds the packet and payload";
+  q.reset();  // destroys the packet, which drops its payload share
+  EXPECT_EQ(extra.useCount(), 1u);
+  extra.reset();
+  EXPECT_EQ(net::payloadPool().stats().live, payloads0);
+}
+
+TEST(PoolRef, DropRegistryReplaysShareTheDroppedPayloadSlot) {
+  // The first link traversal fails: a multicast packet loses both
+  // receivers beyond it. The registry holds the dropped packet; each replay
+  // is a fresh packet sharing the original payload slot.
+  struct DropFirstTraversal final : net::FaultModel {
+    int seen = 0;
+    net::LinkFaultOutcome onLinkTraversal(int, int, int, std::size_t,
+                                          sim::Time) override {
+      return {.linkFailed = seen++ == 0};
+    }
+    bool linkDown(int, int, int, sim::Time) const override { return false; }
+    sim::Time routerStallUntil(int, sim::Time t) const override { return t; }
+  } fault;
+  sim::Simulator sim;
+  net::Machine m(sim, {2, 1, 1});
+  m.setFaultModel(&fault);
+  core::DropRegistry registry(m);
+  net::MulticastEntry root;
+  root.clientMask = 1u << net::kSlice0;
+  root.linkMask = 1u << 0;  // +x
+  m.setMulticastPattern(0, 0, root);
+  net::MulticastEntry leaf;
+  leaf.clientMask = (1u << net::kSlice0) | (1u << net::kSlice1);
+  m.setMulticastPattern(1, 0, leaf);
+
+  const std::size_t payloads0 = net::payloadPool().stats().live;
+  const std::size_t packets0 = net::packetPool().stats().live;
+  std::uint64_t value = 0x0123456789abcdefull;
+  net::NetworkClient::SendArgs args;
+  args.multicastPattern = 0;
+  args.counterId = 2;
+  args.address = 64;
+  args.payload = net::makePayload(&value, sizeof value);
+  m.client({0, net::kSlice3}).post(args);
+  args.payload = nullptr;
+  sim.run();
+  ASSERT_EQ(registry.pending(), 2u) << "both receivers past the failed link";
+  EXPECT_EQ(net::packetPool().stats().live, packets0 + 1)
+      << "two registry entries, one dropped packet";
+  EXPECT_EQ(net::payloadPool().stats().live, payloads0 + 1);
+
+  core::WatchdogReport report;
+  report.counterId = 2;
+  report.missing = {{0, 1, 0}};
+  for (int s : {net::kSlice0, net::kSlice1}) {
+    report.dst = {1, s};
+    EXPECT_EQ(core::resendFromRegistry(m, registry, report), 1u);
+  }
+  EXPECT_EQ(registry.pending(), 0u);
+  EXPECT_EQ(net::packetPool().stats().live, packets0 + 2)
+      << "the dropped packet is gone; two replays are in flight";
+  EXPECT_EQ(net::payloadPool().stats().live, payloads0 + 1)
+      << "the replays must share the dropped packet's payload slot";
+  sim.run();
+  for (int s : {net::kSlice0, net::kSlice1}) {
+    EXPECT_EQ(m.client({1, s}).counterValue(2), 1u);
+    EXPECT_EQ(m.client({1, s}).read<std::uint64_t>(64), value);
+  }
+  EXPECT_EQ(net::packetPool().stats().live, packets0);
+  EXPECT_EQ(net::payloadPool().stats().live, payloads0);
+}
+
+TEST(PoolRefDeathTest, LastHandleDroppedOnAForeignThreadAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        net::PacketPtr p = net::allocatePacket();
+        std::thread([q = std::move(p)]() mutable { q.reset(); }).join();
+      },
+      "SlabPool 'packet'.*does not own");
 }
 
 TEST(EventFn, LargeCapturesStayInlineThroughMovesAndCalls) {

@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "net/machine.hpp"
@@ -153,6 +154,58 @@ TEST(Delivery, OutOfRangeWriteThrows) {
   args.payload = makePayload(&v, 8);
   f.machine.client({0, kSlice0}).post(args);
   EXPECT_THROW(f.sim.run(), std::out_of_range);
+}
+
+TEST(Delivery, InjectRejectsAddressesOutsideTheMachine) {
+  // Every bad address is refused before the machine touches any per-node
+  // state: no salt drawn, no ring reserved, nothing scheduled or counted.
+  Fixture f({8, 8, 8});
+  auto packet = [](ClientAddr src, ClientAddr dst) {
+    PacketPtr p = allocatePacket();
+    p->src = src;
+    p->dst = dst;
+    p->counterId = 0;
+    return p;
+  };
+  const std::vector<std::pair<ClientAddr, ClientAddr>> bad = {
+      {{0, kSlice0}, {600, kSlice0}},  // once wrapped onto node 88
+      {{0, kSlice0}, {512, kSlice0}},
+      {{0, kSlice0}, {-1, kSlice0}},
+      {{0, kSlice0}, {1, kClientsPerNode}},
+      {{0, kSlice0}, {1, -1}},
+      {{0, 9}, {1, kSlice0}},  // once read clientRouter[9]
+      {{0, -1}, {1, kSlice0}},
+      {{512, kSlice0}, {1, kSlice0}},  // once wrote saltByNode_[512]
+      {{-3, kSlice0}, {1, kSlice0}},
+  };
+  for (const auto& [src, dst] : bad) {
+    EXPECT_THROW(f.machine.inject(packet(src, dst)), std::out_of_range)
+        << "src {" << src.node << "," << src.client << "} dst {" << dst.node
+        << "," << dst.client << "}";
+  }
+  EXPECT_TRUE(f.sim.empty());
+  EXPECT_EQ(f.machine.stats().packetsInjected, 0u);
+  EXPECT_EQ(f.machine.node(0).ringBusyUntil(), 0);
+
+  // The machine is untouched: node 0's first good packet draws salt 0, and
+  // node 88 (where node 600 used to alias) never sees a counted write.
+  PacketPtr good = packet({0, kSlice0}, {1, kSlice0});
+  f.machine.inject(good);
+  EXPECT_EQ(good->routeSalt, 0u);
+  f.sim.run();
+  EXPECT_EQ(f.machine.client({1, kSlice0}).counterValue(0), 1u);
+  EXPECT_EQ(f.machine.client({88, kSlice0}).counterValue(0), 0u);
+  EXPECT_EQ(f.machine.stats().packetsDelivered, 1u);
+
+  // A multicast packet's dst is ignored, so it is not validated.
+  MulticastEntry e;
+  e.clientMask = 1u << kSlice1;
+  f.machine.setMulticastPattern(0, 3, e);
+  PacketPtr mc = packet({0, kSlice0}, {600, 9});
+  mc->multicastPattern = 3;
+  EXPECT_NO_THROW(f.machine.inject(mc));
+  f.sim.run();
+  EXPECT_EQ(f.machine.client({0, kSlice1}).counterValue(0), 1u);
 }
 
 Task fifoReader(Machine& m, ClientAddr a, int n, std::vector<std::uint32_t>& out) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <memory>
+#include <queue>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/causal_log.hpp"
@@ -363,6 +368,243 @@ TEST(Simulator, RootsAreReapedIncrementally) {
   // intervals of events) most frames must already be gone.
   EXPECT_LT(liveAtEnd, std::size_t(kTasks));
   EXPECT_EQ(sim.liveRoots(), 0u);
+}
+
+// --- differential queue check ---------------------------------------------
+// The kernel's queue is a bucketed calendar; its contract is the plain
+// (t, seq) min-heap below. One seeded program drives both and must observe
+// the same thing at every step: which event fires, the clock when it fires,
+// the clock after each runUntil(), the count each run returns and every
+// reset() verdict. The program mixes plain, reserved-seq and cancellable
+// events; same-time bursts of thousands; delays from zero through one
+// bucket, across the ring, and far beyond its horizon; deadlines that fall
+// between buckets; and resets with work still pending. Callbacks schedule
+// and cancel further events, so the queue is also fed while it pops.
+class ReferenceKernel {
+ public:
+  using EventHandle = std::shared_ptr<bool>;
+
+  Time now() const { return now_; }
+  std::uint64_t reserveSeq() { return nextSeq_++; }
+  void at(Time t, std::function<void()> fn) {
+    push(t, nextSeq_++, std::move(fn), nullptr);
+  }
+  void atReserved(Time t, std::uint64_t seq, std::function<void()> fn) {
+    push(t, seq, std::move(fn), nullptr);
+  }
+  EventHandle atCancellable(Time t, std::function<void()> fn) {
+    EventHandle h = std::make_shared<bool>(false);
+    push(t, nextSeq_++, std::move(fn), h);
+    return h;
+  }
+  std::uint64_t runUntil(Time deadline) {
+    std::uint64_t n = drain(deadline);
+    if (now_ < deadline) now_ = deadline;
+    return n;
+  }
+  std::uint64_t run() { return drain(std::numeric_limits<Time>::max()); }
+  std::size_t reset() {
+    std::size_t live = 0;
+    for (; !q_.empty(); q_.pop()) live += *cancelled_[q_.top().idx] ? 0 : 1;
+    fns_.clear();
+    cancelled_.clear();
+    now_ = 0;
+    nextSeq_ = 0;
+    return live;
+  }
+
+ private:
+  struct Entry {
+    Time t;
+    std::uint64_t seq;
+    std::size_t idx;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
+    }
+  };
+  std::uint64_t drain(Time deadline) {
+    std::uint64_t n = 0;
+    for (;;) {
+      while (!q_.empty() && *cancelled_[q_.top().idx]) q_.pop();
+      if (q_.empty() || q_.top().t > deadline) break;
+      Entry e = q_.top();
+      q_.pop();
+      now_ = e.t;
+      ++n;
+      std::function<void()> fn = std::move(fns_[e.idx]);
+      fn();
+    }
+    return n;
+  }
+  void push(Time t, std::uint64_t seq, std::function<void()> fn,
+            EventHandle h) {
+    if (t < now_) throw std::logic_error("reference: scheduled in the past");
+    fns_.push_back(std::move(fn));
+    cancelled_.push_back(h ? h : std::make_shared<bool>(false));
+    q_.push({t, seq, fns_.size() - 1});
+  }
+
+  Time now_ = 0;
+  std::uint64_t nextSeq_ = 0;
+  std::priority_queue<Entry, std::vector<Entry>, Later> q_;
+  std::vector<std::function<void()>> fns_;
+  std::vector<EventHandle> cancelled_;
+};
+
+/// The seeded program. Every decision comes from its own Rng, so two
+/// correct kernels consume identical draw sequences and emit identical
+/// observation logs.
+template <typename Kernel>
+class QueueProgram {
+ public:
+  QueueProgram(Kernel& k, std::uint64_t seed) : k_(k), rng_(seed) {}
+
+  std::vector<std::int64_t> run(int ops) {
+    for (int op = 0; op < ops; ++op) {
+      std::uint64_t pick = rng_.below(1000);
+      if (pick < 420) {
+        schedule(0);
+      } else if (pick < 421) {
+        burst();
+      } else if (pick < 540) {
+        reserved_.push_back(k_.reserveSeq());
+      } else if (pick < 660) {
+        scheduleReserved(0);
+      } else if (pick < 760) {
+        cancelOne();
+      } else if (pick < 998) {
+        Time d = rng_.below(2) == 0
+                     ? delay()
+                     // just before, on, or just after a bucket edge
+                     : Time(rng_.below(64) + 1) * 1024 + rng_.range(-1, 1);
+        Time deadline = k_.now() + std::max<Time>(d, 0);
+        note(kRunUntil, std::int64_t(k_.runUntil(deadline)));
+        note(kClock, k_.now());
+      } else {
+        note(kReset, std::int64_t(k_.reset()));
+        reserved_.clear();
+        handles_.clear();
+      }
+    }
+    note(kRunUntil, std::int64_t(k_.run()));
+    note(kClock, k_.now());
+    note(kReset, std::int64_t(k_.reset()));
+    return log_;
+  }
+
+ private:
+  enum Tag : std::int64_t {
+    kFire = -1,
+    kRunUntil = -2,
+    kClock = -3,
+    kReset = -4,
+  };
+  void note(Tag tag, std::int64_t v) {
+    log_.push_back(tag);
+    log_.push_back(v);
+  }
+
+  Time delay() {
+    switch (rng_.below(8)) {
+      case 0: return 0;                              // same instant
+      case 1: return Time(rng_.below(1024));         // within one bucket
+      case 2:
+      case 3: return Time(rng_.below(64'000));       // a few buckets on
+      case 4:
+      case 5: return Time(rng_.below(4'000'000));    // across the ring
+      case 6: return Time(rng_.below(40'000'000));   // past its horizon
+      default:                                       // milliseconds away
+        return Time(1'000'000'000) + Time(rng_.below(1'000'000'000));
+    }
+  }
+
+  std::function<void()> fire(int depth) {
+    const std::int64_t id = nextId_++;
+    return [this, id, depth] {
+      note(kFire, id);
+      note(kClock, k_.now());
+      if (depth >= 3) return;
+      switch (rng_.below(6)) {
+        case 0: schedule(depth + 1); break;
+        case 1: schedule(depth + 1); schedule(depth + 1); break;
+        case 2: scheduleReserved(depth + 1); break;
+        case 3: cancelOne(); break;
+        default: break;
+      }
+    };
+  }
+
+  void schedule(int depth) {
+    const Time t = k_.now() + delay();
+    if (rng_.below(4) == 0)
+      handles_.push_back(k_.atCancellable(t, fire(depth)));
+    else
+      k_.at(t, fire(depth));
+  }
+
+  void scheduleReserved(int depth) {
+    if (reserved_.empty()) {
+      // Reserve now, schedule after a few other events have taken seqs.
+      reserved_.push_back(k_.reserveSeq());
+      return;
+    }
+    std::size_t i = std::size_t(rng_.below(reserved_.size()));
+    std::uint64_t seq = reserved_[i];
+    reserved_[i] = reserved_.back();
+    reserved_.pop_back();
+    k_.atReserved(k_.now() + delay(), seq, fire(depth));
+  }
+
+  void burst() {
+    // Thousands of events at one instant: their order is seq order alone.
+    const Time t = k_.now() + delay();
+    const int n = 1000 + int(rng_.below(3000));
+    for (int i = 0; i < n; ++i) {
+      if (i % 7 == 0)
+        handles_.push_back(k_.atCancellable(t, fire(3)));
+      else
+        k_.at(t, fire(3));
+    }
+  }
+
+  void cancelOne() {
+    if (handles_.empty()) return;
+    std::size_t i = std::size_t(rng_.below(handles_.size()));
+    *handles_[i] = true;
+    handles_[i] = handles_.back();
+    handles_.pop_back();
+  }
+
+  Kernel& k_;
+  Rng rng_;
+  std::int64_t nextId_ = 0;
+  std::vector<std::uint64_t> reserved_;
+  std::vector<typename Kernel::EventHandle> handles_;
+  std::vector<std::int64_t> log_;
+};
+
+TEST(Simulator, BucketedQueueMatchesAReferenceHeapOperationForOperation) {
+  constexpr int kOps = 35000;  // per seed: ~100k operations in all
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    Simulator sim;
+    ReferenceKernel ref;
+    std::vector<std::int64_t> got =
+        QueueProgram<Simulator>(sim, seed).run(kOps);
+    std::vector<std::int64_t> want =
+        QueueProgram<ReferenceKernel>(ref, seed).run(kOps);
+    std::size_t fires = 0;
+    for (std::size_t i = 0; i < want.size(); i += 2)
+      fires += want[i] == -1;  // a kFire observation
+    EXPECT_GT(fires, 100000u) << "seed " << seed << ": the program ran shallow";
+    std::size_t i = 0;
+    while (i < got.size() && i < want.size() && got[i] == want[i]) ++i;
+    ASSERT_EQ(i, want.size())
+        << "seed " << seed << ": observation " << i / 2 << " of "
+        << want.size() / 2 << " differs";
+    EXPECT_EQ(got.size(), want.size());
+  }
 }
 
 TEST(CausalLog, ResetOpensANewEpochSoGenerationsDoNotAlias) {
