@@ -115,8 +115,9 @@ int main() {
             << " -> " << util::TablePrinter::num(tailYes, 1) << " us ("
             << util::TablePrinter::num(improvement, 1) << "% improvement).\n"
             << "NOTE: the timing effect is muted relative to the paper "
-               "because this model\'s critical path is dominated by the "
-               "half-shell range-limited traffic (see EXPERIMENTS.md); the "
+               "because this model\'s critical path is dominated by "
+               "range-limited import and the long-range phase (see "
+               "EXPERIMENTS.md); the "
                "aging mechanism itself - hop growth and its reset - "
                "reproduces cleanly.\n"
             << "(initial step time " << util::TablePrinter::num(head, 1)

@@ -26,21 +26,16 @@ struct PosRecord {
 };
 static_assert(sizeof(PosRecord) == 32);
 
-/// Migration record: full dynamic atom state.
+/// Migration record: full dynamic atom state, including the force the next
+/// step's first half-kick needs, as the fixed-point words the accumulation
+/// memory produced it in (so it arrives bit-exact).
 struct MigRecord {
   std::int32_t gid = 0;
-  std::int32_t pad = 0;
+  std::int32_t force[3] = {0, 0, 0};
   double px, py, pz;
   double vx, vy, vz;
 };
-static_assert(sizeof(MigRecord) == 56);
-
-/// Half-shell offsets: the 13 lexicographically positive neighbors.
-bool lexPositive(int dx, int dy, int dz) {
-  if (dz != 0) return dz > 0;
-  if (dy != 0) return dy > 0;
-  return dx > 0;
-}
+static_assert(sizeof(MigRecord) == 64);
 
 }  // namespace
 
@@ -55,12 +50,7 @@ AntonMdApp::AntonMdApp(net::Machine& machine, MDSystem system, AntonMdConfig cfg
     if (cfg_.force.cutoff + 2.0 * md > bd)
       throw std::invalid_argument(
           "cutoff + relaxed-box margins must fit within one home box "
-          "(half-shell import would miss pairs)");
-    int extent = shape_.extent(d);
-    if (extent == 2)
-      throw std::invalid_argument(
-          "torus extents of exactly 2 break the half-shell import rule; "
-          "use 1 or >= 3");
+          "(the import regions would miss pairs)");
   }
 
   charges_ = system.charges;
@@ -193,44 +183,8 @@ void AntonMdApp::partitionAtoms(const MDSystem& sys) {
 }
 
 void AntonMdApp::buildImportGroups() {
-  const int n = machine_.numNodes();
-  upperShell_.assign(std::size_t(n), {});
-  lowerShell_.assign(std::size_t(n), {});
-  for (int i = 0; i < n; ++i) {
-    util::TorusCoord c = util::torusCoordOf(i, shape_);
-    std::set<int> up, down;
-    for (int dx = -1; dx <= 1; ++dx)
-      for (int dy = -1; dy <= 1; ++dy)
-        for (int dz = -1; dz <= 1; ++dz) {
-          if (dx == 0 && dy == 0 && dz == 0) continue;
-          // On an extent-1 dimension every offset wraps back onto the same
-          // coordinate: reduce it to 0 before classifying. Classifying the
-          // RAW offset breaks antisymmetry on such tori — e.g. on 4x4x1
-          // every (dx, dy, +1) is "upper" from BOTH endpoints, leaving the
-          // lower shells empty and the import counts wrong.
-          const int rx = shape_.nx == 1 ? 0 : dx;
-          const int ry = shape_.ny == 1 ? 0 : dy;
-          const int rz = shape_.nz == 1 ? 0 : dz;
-          if (rx == 0 && ry == 0 && rz == 0) continue;  // wraps onto self
-          util::TorusCoord t{util::wrap(c.x + dx, shape_.nx),
-                             util::wrap(c.y + dy, shape_.ny),
-                             util::wrap(c.z + dz, shape_.nz)};
-          int idx = util::torusIndex(t, shape_);
-          if (idx == i) continue;
-          if (lexPositive(rx, ry, rz)) {
-            up.insert(idx);
-          } else {
-            down.insert(idx);
-          }
-        }
-    // Reduced offsets are antisymmetric and reach distinct nodes (extent 2
-    // is rejected in the constructor), so the shells cannot overlap; the
-    // guard stays as a cheap invariant against future shape changes.
-    for (int d : down) {
-      if (!up.contains(d)) lowerShell_[std::size_t(i)].push_back(d);
-    }
-    upperShell_[std::size_t(i)] = {up.begin(), up.end()};
-  }
+  // Rejects extents of exactly 2, whose +1 and -1 neighbors alias.
+  imports_ = ImportRegions(shape_, cfg_.importMethod);
 }
 
 std::uint32_t AntonMdApp::posSlotAddr(int srcNode, int slot) const {
@@ -278,7 +232,7 @@ void AntonMdApp::installPatterns() {
   for (int i = 0; i < n; ++i) {
     std::vector<net::ClientAddr> posDests;
     posDests.push_back({i, net::kHtis});
-    for (int u : upperShell_[std::size_t(i)]) posDests.push_back({u, net::kHtis});
+    for (int u : imports_.exportTo(i)) posDests.push_back({u, net::kHtis});
     posPattern_[std::size_t(i)] = patterns_->install(i, posDests);
 
     std::vector<net::ClientAddr> potDests;
@@ -528,66 +482,64 @@ sim::Task AntonMdApp::htisPhase(int node) {
   NodeState& ns = nodes_[std::size_t(node)];
   net::Htis& htis = machine_.htis(node);
   sim::Time phaseStart = machine_.sim().now();
+  const std::vector<int>& sources = imports_.sources(node);
 
   // Wait for the fixed position-packet count from every import source.
-  std::uint64_t perRound = std::uint64_t(posFixed_[std::size_t(node)]);
-  for (int s : lowerShell_[std::size_t(node)])
-    perRound += std::uint64_t(posFixed_[std::size_t(s)]);
   ns.posRounds += 1;
   {
     // Per-source cumulative expectation: fixed counts make it a product.
     std::map<int, std::uint64_t> bySource;
-    bySource[node] = ns.posRounds * std::uint64_t(posFixed_[std::size_t(node)]);
-    for (int s : lowerShell_[std::size_t(node)])
+    std::uint64_t perRound = 0;
+    for (int s : sources) {
+      perRound += std::uint64_t(posFixed_[std::size_t(s)]);
       bySource[s] = ns.posRounds * std::uint64_t(posFixed_[std::size_t(s)]);
+    }
     co_await awaitRecoverable(htis, cfg_.ctrPos, ns.posRounds * perRound,
                               bySource);
   }
 
-  // Decode the arrived records per source.
-  std::vector<int> sources;
-  sources.push_back(node);
-  for (int s : lowerShell_[std::size_t(node)]) sources.push_back(s);
-  struct Import {
-    std::vector<PosRecord> recs;  // slot-indexed, padding kept
-  };
-  std::vector<Import> imports(sources.size());
+  // Decode the arrived records per source (slot-indexed, padding kept).
+  std::vector<std::vector<PosRecord>> recs(sources.size());
   for (std::size_t s = 0; s < sources.size(); ++s) {
-    imports[s].recs.resize(std::size_t(posFixed_[std::size_t(sources[s])]));
-    for (int slot = 0; slot < posFixed_[std::size_t(sources[s])]; ++slot) {
-      imports[s].recs[std::size_t(slot)] =
+    recs[s].resize(std::size_t(posFixed_[std::size_t(sources[s])]));
+    for (int slot = 0; slot < int(recs[s].size()); ++slot)
+      recs[s][std::size_t(slot)] =
           htis.read<PosRecord>(posSlotAddr(sources[s], slot));
-    }
   }
 
-  // Pair computation (half-shell rule): home atoms against home (i<j by
-  // gid) and against every imported atom. Forces per (source, slot).
+  // Pair computation over the box pairs the import rule assigns to this
+  // node, in (s1, s2) order with j > i inside one box; same-column NT pairs
+  // keep only the atom pairs whose higher gid is at home. Forces per
+  // (source, slot).
   std::vector<std::vector<Vec3>> forceOut(sources.size());
   for (std::size_t s = 0; s < sources.size(); ++s)
-    forceOut[s].assign(std::size_t(posFixed_[std::size_t(sources[s])]), Vec3{});
+    forceOut[s].assign(recs[s].size(), Vec3{});
   std::uint64_t pairs = 0;
-
-  const std::vector<PosRecord>& home = imports[0].recs;
+  const double cutoff2 = cfg_.force.cutoff * cfg_.force.cutoff;
   MDSystem tmp;
   tmp.box = box_;
-  for (int i = 0; i < int(home.size()); ++i) {
-    const PosRecord& a = home[std::size_t(i)];
-    if (a.gid < 0) continue;
-    Vec3 pa{a.x, a.y, a.z};
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      for (int j = (s == 0 ? i + 1 : 0); j < int(imports[s].recs.size()); ++j) {
-        const PosRecord& b = imports[s].recs[std::size_t(j)];
-        if (b.gid < 0) continue;
+  for (const ImportRegions::BoxPair& bp : imports_.pairs(node)) {
+    const std::vector<PosRecord>& as = recs[std::size_t(bp.s1)];
+    const std::vector<PosRecord>& bs = recs[std::size_t(bp.s2)];
+    std::vector<Vec3>& fa = forceOut[std::size_t(bp.s1)];
+    std::vector<Vec3>& fb = forceOut[std::size_t(bp.s2)];
+    for (int i = 0; i < int(as.size()); ++i) {
+      const PosRecord& a = as[std::size_t(i)];
+      if (a.gid < 0) continue;
+      Vec3 pa{a.x, a.y, a.z};
+      for (int j = (bp.s1 == bp.s2 ? i + 1 : 0); j < int(bs.size()); ++j) {
+        const PosRecord& b = bs[std::size_t(j)];
+        if (b.gid < 0 || (bp.byGid && b.gid > a.gid)) continue;
         Vec3 d = tmp.minImage(pa, Vec3{b.x, b.y, b.z});
-        if (d.norm2() >= cfg_.force.cutoff * cfg_.force.cutoff) continue;
+        if (d.norm2() >= cutoff2) continue;
         PairForce pf = rangeLimitedPair(
             d, charges_[std::size_t(a.gid)], charges_[std::size_t(b.gid)],
             cfg_.force,
             (ljStrength_.empty() ? 1.0
                                  : ljStrength_[std::size_t(a.gid)] *
                                        ljStrength_[std::size_t(b.gid)]));
-        forceOut[0][std::size_t(i)] += pf.onI;
-        forceOut[s][std::size_t(j)] -= pf.onI;
+        fa[std::size_t(i)] += pf.onI;
+        fb[std::size_t(j)] -= pf.onI;
         ++pairs;
       }
     }
@@ -598,24 +550,58 @@ sim::Task AntonMdApp::htisPhase(int node) {
 
   // Stream the fixed-count force returns (zero packets for padding slots)
   // to the home accumulation memories. The HTIS pipelines packet creation,
-  // so packets are posted on a streaming cadence rather than co_awaited.
-  sim::Time spacing = sim::ns(cfg_.htisStreamNs);
-  int k = 0;
-  for (std::size_t s = 0; s < sources.size(); ++s) {
-    for (int slot = 0; slot < posFixed_[std::size_t(sources[s])]; ++slot, ++k) {
-      std::int32_t q[3] = {quantize(forceOut[s][std::size_t(slot)].x),
-                           quantize(forceOut[s][std::size_t(slot)].y),
-                           quantize(forceOut[s][std::size_t(slot)].z)};
+  // so packets are posted on a streaming cadence rather than co_awaited:
+  // one event posts packet k at spacing * k and re-arms itself on the
+  // (k+1)-th of the sequence numbers reserved here, which are the (time,
+  // seq) slots one scheduled event per packet would take. Each is noted in
+  // the causal log at its reservation, so attribution is that of the
+  // per-packet schedule too.
+  struct ForceStream {
+    AntonMdApp& app;
+    net::Htis& htis;
+    const std::vector<int>& sources;
+    const std::vector<std::vector<Vec3>>& forces;
+    sim::Time start;
+    sim::Time spacing;
+    std::uint64_t firstSeq;
+    int total;
+    int k = 0;
+    std::size_t s = 0;
+    int slot = 0;
+
+    void fire() {
+      const Vec3& f = forces[s][std::size_t(slot)];
+      std::int32_t q[3] = {app.quantize(f.x), app.quantize(f.y),
+                           app.quantize(f.z)};
       net::NetworkClient::SendArgs args;
       args.type = net::PacketType::kAccum;
       args.dst = {sources[s], net::kAccum0};
-      args.counterId = cfg_.ctrForce;
-      args.address = forceSlotAddr(slot);
+      args.counterId = app.cfg_.ctrForce;
+      args.address = app.forceSlotAddr(slot);
       args.payload = net::makePayload(q, sizeof q);
-      machine_.sim().after(spacing * k, [&htis, args] { htis.post(args); });
+      htis.post(args);
+      if (++slot == int(forces[s].size())) {
+        slot = 0;
+        ++s;
+      }
+      if (++k < total)
+        app.machine_.sim().atReserved(start + spacing * k,
+                                      firstSeq + std::uint64_t(k),
+                                      [this] { fire(); });
     }
+  };
+  sim::Simulator& simulator = machine_.sim();
+  int total = 0;
+  for (const std::vector<Vec3>& f : forceOut) total += int(f.size());
+  ForceStream stream{*this, htis, sources, forceOut, simulator.now(),
+                     sim::ns(cfg_.htisStreamNs), simulator.nextSeq(), total};
+  for (int k = 0; k < total; ++k) {
+    std::uint64_t seq = simulator.reserveSeq();
+    if (sim::CausalLog* log = sim::causalOracle()) log->noteScheduled(seq);
   }
-  co_await machine_.sim().delay(spacing * k);
+  simulator.atReserved(stream.start, stream.firstSeq,
+                       [&stream] { stream.fire(); });
+  co_await simulator.delay(stream.spacing * total);
   current_.htisUs = std::max(
       current_.htisUs, sim::toUs(machine_.sim().now() - phaseStart));
   if (auto* tr = machine_.trace())
@@ -932,21 +918,20 @@ sim::Task AntonMdApp::migrationPhase(int node) {
 
   // Outbound: atoms that left the relaxed home box go to the FIFO of the
   // new owner (stochastic: no counted writes possible, SC10 §IV-B5).
-  MDSystem tmp;
-  tmp.box = box_;
-  std::vector<AtomRecord> keep;
+  // Atoms travel with their last force: the next step's first half-kick
+  // uses it wherever the atom then lives.
+  std::vector<std::pair<AtomRecord, Vec3>> keep;
   int sent = 0;
-  for (const AtomRecord& a : ns.atoms) {
-    if (insideRelaxedBox(node, a.pos)) {
-      keep.push_back(a);
+  for (std::size_t i = 0; i < ns.atoms.size(); ++i) {
+    const AtomRecord& a = ns.atoms[i];
+    const Vec3& f = ns.forces[i];
+    int owner = insideRelaxedBox(node, a.pos) ? node : ownerOf(a.pos);
+    if (owner == node) {  // still inside, or wrapped back into our own box
+      keep.push_back({a, f});
       continue;
     }
-    int owner = ownerOf(a.pos);
-    if (owner == node) {  // wrapped back into our own box
-      keep.push_back(a);
-      continue;
-    }
-    MigRecord rec{a.gid, 0, a.pos.x, a.pos.y, a.pos.z,
+    MigRecord rec{a.gid,   {quantize(f.x), quantize(f.y), quantize(f.z)},
+                  a.pos.x, a.pos.y, a.pos.z,
                   a.vel.x, a.vel.y, a.vel.z};
     net::NetworkClient::SendArgs args;
     args.type = net::PacketType::kFifo;
@@ -956,7 +941,6 @@ sim::Task AntonMdApp::migrationPhase(int node) {
     co_await slice0.send(args);
     ++sent;
   }
-  ns.atoms = std::move(keep);
   migratedTotal_ += std::uint64_t(sent);
 
   // Flush: in-order counted write to all 26 neighbors, then wait for all
@@ -984,17 +968,25 @@ sim::Task AntonMdApp::migrationPhase(int node) {
   while (net::PacketPtr p = slice0.pollFifo()) {
     MigRecord rec;
     std::memcpy(&rec, p->payload->data(), sizeof rec);
-    ns.atoms.push_back({rec.gid, Vec3{rec.px, rec.py, rec.pz},
-                        Vec3{rec.vx, rec.vy, rec.vz}});
+    keep.push_back({{rec.gid, Vec3{rec.px, rec.py, rec.pz},
+                     Vec3{rec.vx, rec.vy, rec.vz}},
+                    Vec3{dequantize(rec.force[0]), dequantize(rec.force[1]),
+                         dequantize(rec.force[2])}});
     ++received;
   }
-  std::sort(ns.atoms.begin(), ns.atoms.end(),
-            [](const AtomRecord& a, const AtomRecord& b) { return a.gid < b.gid; });
-  if (int(ns.atoms.size()) > posFixed_[std::size_t(node)])
+  std::sort(keep.begin(), keep.end(), [](const auto& a, const auto& b) {
+    return a.first.gid < b.first.gid;
+  });
+  if (int(keep.size()) > posFixed_[std::size_t(node)])
     throw std::runtime_error(
         "home box overflow: atoms exceed the fixed packet provisioning "
         "(raise packetHeadroom)");
-  ns.forces.assign(ns.atoms.size(), Vec3{});
+  ns.atoms.resize(keep.size());
+  ns.forces.resize(keep.size());
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    ns.atoms[i] = keep[i].first;
+    ns.forces[i] = keep[i].second;
+  }
   lrForce_[std::size_t(node)].assign(ns.atoms.size(), Vec3{});
 
   // Bookkeeping: slot tables and counted-write expectations are rebuilt.
@@ -1035,7 +1027,7 @@ sim::Task AntonMdApp::stepTask(int node, int stepNumber) {
 
   // This step's force-packet expectation (counters are cumulative).
   std::uint64_t expect =
-      std::uint64_t(1 + upperShell_[std::size_t(node)].size()) *
+      std::uint64_t(1 + imports_.exportTo(node).size()) *
       std::uint64_t(posFixed_[std::size_t(node)]);
   for (const AtomRecord& a : ns.atoms)
     expect += atomTermNodes_[std::size_t(a.gid)].size();
@@ -1043,12 +1035,12 @@ sim::Task AntonMdApp::stepTask(int node, int stepNumber) {
   ns.forceExpected += expect;
   if (dropRegistry_) {
     // Per-source breakdown of the same expectation: HTIS force returns come
-    // from this node and every upper-shell importer (fixed count each),
+    // from this node and every node importing its box (fixed count each),
     // bonded returns from each term node (one per gathered atom), and the
     // long-range self-accumulation from this node again.
     auto& fbs = ns.forceBySource;
     fbs[node] += std::uint64_t(posFixed_[std::size_t(node)]);
-    for (int u : upperShell_[std::size_t(node)])
+    for (int u : imports_.exportTo(node))
       fbs[u] += std::uint64_t(posFixed_[std::size_t(node)]);
     for (const AtomRecord& a : ns.atoms)
       for (int t : atomTermNodes_[std::size_t(a.gid)]) fbs[t] += 1;
@@ -1237,7 +1229,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       e.client = {n, net::kHtis};
       e.counterId = cfg_.ctrPos;
       e.bySource[n] = posN;
-      for (int s : lowerShell_[un])
+      for (int s : imports_.importFrom(n))
         e.bySource[s] = std::uint64_t(posFixed_[std::size_t(s)]);
       for (const auto& [s, c] : e.bySource) e.perRound += c;
       e.recoveryArmed = armed;
@@ -1251,7 +1243,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       w.counterId = cfg_.ctrForce;
       w.packets = posN;
       plan.writes.push_back(w);
-      for (int s : lowerShell_[un]) {
+      for (int s : imports_.importFrom(n)) {
         w.dst = {s, net::kAccum0};
         w.packets = std::uint64_t(posFixed_[std::size_t(s)]);
         plan.writes.push_back(w);
@@ -1266,7 +1258,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       b.copies = 1;
       b.freePhase = "md.htis";
       b.writers.push_back({n, "md.send"});
-      for (int s : lowerShell_[un]) b.writers.push_back({s, "md.send"});
+      for (int s : imports_.importFrom(n)) b.writers.push_back({s, "md.send"});
       plan.buffers.push_back(std::move(b));
     }
 
@@ -1389,7 +1381,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       e.client = {n, net::kAccum0};
       e.counterId = cfg_.ctrForce;
       e.bySource[n] += posN;  // HTIS self return
-      for (int u : upperShell_[un]) e.bySource[u] += posN;
+      for (int u : imports_.exportTo(n)) e.bySource[u] += posN;
       for (const AtomRecord& a : nodes_[un].atoms)
         for (int t : atomTermNodes_[std::size_t(a.gid)]) e.bySource[t] += 1;
       e.bySource[n] += posN;  // long-range self accumulation

@@ -2,10 +2,16 @@
 //
 // One coroutine per node choreographs a time step exactly as the paper
 // describes:
-//   * atom positions multicast to the HTIS units of the half-shell import
-//     region as fine-grained (one atom per packet) counted remote writes,
-//     with the packet count fixed at the worst-case headroom so counters
-//     can be preloaded (§IV-B1) — short nodes pad with dummy packets;
+//   * atom positions multicast to the HTIS units of the neutral-territory
+//     import region (SC10 §IV-B1, its ref. [28]; md/import_regions.hpp):
+//     every node's box goes to its own HTIS plus the 6 nodes whose tower
+//     (z ± 1) or half plate holds it, as fine-grained (one atom per packet)
+//     counted remote writes. The packet count is fixed at the worst-case
+//     headroom so counters can be preloaded; short nodes pad with dummy
+//     packets. Each pair of atoms is computed on one node — the neutral one
+//     for boxes in different columns — which returns fixed-count force
+//     packets to every box it imported (7 streams per box, against 14
+//     under the half-shell ablation);
 //   * bonded-term positions unicast to the statically assigned compute
 //     nodes of the *bond program* (§IV-B2), forces returned to the home
 //     accumulation memory as fixed-point accumulation packets;
@@ -34,6 +40,7 @@
 #include "core/recovery.hpp"
 #include "fft/distributed.hpp"
 #include "md/engine.hpp"
+#include "md/import_regions.hpp"
 #include "net/machine.hpp"
 #include "trace/activity.hpp"
 #include "verify/plan.hpp"
@@ -51,6 +58,9 @@ struct AntonMdConfig {
   double targetTemperature = 1.0;
 
   // Decomposition.
+  /// Which node computes each range-limited pair (md/import_regions.hpp);
+  /// half shell is kept as the ablation.
+  ImportMethod importMethod = ImportMethod::kNeutralTerritory;
   double homeBoxMarginFrac = 0.15;  ///< relaxed home boxes: margin as a
                                     ///< fraction of the per-node box
   int migrationInterval = 8;        ///< steps between migration phases
@@ -262,9 +272,9 @@ class AntonMdApp {
   /// can preload counter targets).
   std::vector<int> posFixed_;
 
-  // Import groups (half-shell method).
-  std::vector<std::vector<int>> upperShell_;   ///< nodes I send positions to
-  std::vector<std::vector<int>> lowerShell_;   ///< nodes whose atoms I import
+  /// Import and export lists plus each node's box pairs, from the rule of
+  /// cfg_.importMethod.
+  ImportRegions imports_;
   std::vector<int> posPattern_;                ///< multicast pattern per node
   std::vector<int> potPattern_;                ///< potential-halo pattern
 

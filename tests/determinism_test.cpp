@@ -111,7 +111,10 @@ TEST(Determinism, FaultyRunsReproduceUnderTheSameSeed) {
 // test prints.
 constexpr std::uint64_t kStormDigest = 0xf9e9a5923c1f8d83ULL;
 constexpr std::uint64_t kStormCausalDigest = 0xb21de25f2815ac56ULL;
-constexpr std::uint64_t kMdTrajectoryDigest = 0xfb72ac32ce80fd81ULL;
+// The run migrates at step 2, so step 3's first half-kick depends on the
+// forces the migration records carry.
+constexpr std::uint64_t kMdTrajectoryDigest = 0x5325e5691972383eULL;
+constexpr std::uint64_t kMdTrajectoryHalfShellDigest = 0x9c58269dbf786701ULL;
 
 TEST(Determinism, TrafficStormMatchesItsPinnedScheduleDigest) {
   // Stats, memories, counters, the final clock and the full activity trace
@@ -260,7 +263,7 @@ TEST(Determinism, DeepQueueCausalTraceMatchesItsPinnedDigest) {
       << "got " << util::hex64(log.digest());
 }
 
-TEST(Determinism, MdTrajectoryMatchesItsPinnedDigest) {
+std::uint64_t mdTrajectoryDigest(md::ImportMethod method) {
   // End-to-end: three MD supersteps (forces, FFT, migration, all-reduce)
   // land on the pinned final clock and position/velocity bit patterns.
   md::SyntheticSystemParams sp;
@@ -273,6 +276,7 @@ TEST(Determinism, MdTrajectoryMatchesItsPinnedDigest) {
   cfg.homeBoxMarginFrac = 0.10;
   cfg.migrationInterval = 2;
   cfg.longRangeInterval = 2;
+  cfg.importMethod = method;
 
   sim::Simulator sim;
   net::Machine m(sim, {4, 4, 4});
@@ -284,7 +288,17 @@ TEST(Determinism, MdTrajectoryMatchesItsPinnedDigest) {
   d.add(sim.now());
   for (const std::vector<util::Vec3>* vs : {&out.positions, &out.velocities})
     for (const util::Vec3& v : *vs) d.add(v.x).add(v.y).add(v.z);
-  EXPECT_EQ(d.value(), kMdTrajectoryDigest) << "got " << util::hex64(d.value());
+  return d.value();
+}
+
+TEST(Determinism, MdTrajectoryMatchesItsPinnedDigest) {
+  std::uint64_t d = mdTrajectoryDigest(md::ImportMethod::kNeutralTerritory);
+  EXPECT_EQ(d, kMdTrajectoryDigest) << "got " << util::hex64(d);
+}
+
+TEST(Determinism, HalfShellMdTrajectoryMatchesItsPinnedDigest) {
+  std::uint64_t d = mdTrajectoryDigest(md::ImportMethod::kHalfShell);
+  EXPECT_EQ(d, kMdTrajectoryHalfShellDigest) << "got " << util::hex64(d);
 }
 
 TEST(Determinism, MdPositionsBitIdenticalWithZeroFaultPlan) {

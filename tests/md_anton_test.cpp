@@ -5,8 +5,13 @@
 // timings must land in the paper's regime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "md/anton_app.hpp"
 
@@ -199,7 +204,7 @@ TEST(AntonMd, RejectsUnsafeConfigurations) {
     EXPECT_THROW(AntonMdApp(f.machine, sys, cfg), std::invalid_argument);
   }
   {
-    Fixture f({2, 4, 4});  // extent 2 breaks the half-shell rule
+    Fixture f({2, 4, 4});  // extent 2 aliases the import rule's neighbors
     EXPECT_THROW(AntonMdApp(f.machine, sys, testConfig()), std::invalid_argument);
   }
   {
@@ -207,6 +212,111 @@ TEST(AntonMd, RejectsUnsafeConfigurations) {
     AntonMdConfig cfg = testConfig();
     cfg.ewald.grid = 8;  // FFT blocks of 2 < spline halo width
     EXPECT_THROW(AntonMdApp(f.machine, sys, cfg), std::invalid_argument);
+  }
+}
+
+// --- import rule -------------------------------------------------------------
+
+bool imports(const ImportRegions& r, int node, int box) {
+  const std::vector<int>& src = r.sources(node);
+  return std::find(src.begin(), src.end(), box) != src.end();
+}
+
+TEST(ImportRegions, EveryPairIsComputedOnceByANodeImportingBoth) {
+  const util::TorusShape shapes[] = {{3, 3, 3}, {4, 4, 4}, {8, 8, 8},
+                                     {4, 4, 1}, {1, 4, 4}, {4, 1, 4},
+                                     {1, 1, 4}, {3, 4, 5}};
+  for (ImportMethod method :
+       {ImportMethod::kNeutralTerritory, ImportMethod::kHalfShell}) {
+    for (const util::TorusShape& shape : shapes) {
+      SCOPED_TRACE(shape.str() + (method == ImportMethod::kHalfShell
+                                      ? " half shell"
+                                      : " neutral territory"));
+      const ImportRegions r(shape, method);
+      // Box pair -> the nodes holding it in their pair lists.
+      std::map<std::pair<int, int>, std::vector<std::pair<int, bool>>> holders;
+      for (int node = 0; node < shape.size(); ++node) {
+        const std::vector<int>& src = r.sources(node);
+        ASSERT_EQ(src.front(), node);
+        for (const ImportRegions::BoxPair& bp : r.pairs(node)) {
+          ASSERT_LE(bp.s1, bp.s2);
+          if (bp.byGid) {
+            ASSERT_EQ(bp.s1, 0) << "a gid split must involve home";
+          }
+          const int a = src[std::size_t(bp.s1)], b = src[std::size_t(bp.s2)];
+          holders[{std::min(a, b), std::max(a, b)}].push_back(
+              {node, bp.byGid});
+        }
+        for (int s : r.importFrom(node)) {
+          const std::vector<int>& ex = r.exportTo(s);
+          EXPECT_NE(std::find(ex.begin(), ex.end(), node), ex.end());
+        }
+      }
+      // Every box against every box within one hop per dimension (itself
+      // included), with both gid orders: exactly one node computes the
+      // atom pair, it imports both boxes, and the rule is symmetric.
+      for (int a = 0; a < shape.size(); ++a) {
+        const util::TorusCoord c = util::torusCoordOf(a, shape);
+        std::set<int> near;
+        for (int dx = -1; dx <= 1; ++dx)
+          for (int dy = -1; dy <= 1; ++dy)
+            for (int dz = -1; dz <= 1; ++dz)
+              near.insert(util::torusIndex({util::wrap(c.x + dx, shape.nx),
+                                            util::wrap(c.y + dy, shape.ny),
+                                            util::wrap(c.z + dz, shape.nz)},
+                                           shape));
+        for (int b : near) {
+          for (auto [gidA, gidB] : {std::pair{1, 2}, std::pair{2, 1}}) {
+            int count = 0, computedOn = -1;
+            for (auto [node, byGid] :
+                 holders[{std::min(a, b), std::max(a, b)}]) {
+              const int homeGid = node == a ? gidA : gidB;
+              if (!byGid || homeGid == std::max(gidA, gidB)) {
+                ++count;
+                computedOn = node;
+              }
+            }
+            ASSERT_EQ(count, 1) << "boxes " << a << ", " << b;
+            EXPECT_EQ(r.computeNode(a, gidA, b, gidB), computedOn);
+            EXPECT_EQ(r.computeNode(b, gidB, a, gidA), computedOn);
+            EXPECT_TRUE(imports(r, computedOn, a));
+            EXPECT_TRUE(imports(r, computedOn, b));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ImportRegions, NeutralTerritoryHalvesTheFanOut) {
+  // On a full 3D torus NT imports the tower (2) and the half plate (4);
+  // half shell imports 13 neighbors. Both export to as many as they import.
+  const ImportRegions nt({8, 8, 8}, ImportMethod::kNeutralTerritory);
+  const ImportRegions hs({8, 8, 8}, ImportMethod::kHalfShell);
+  for (int node = 0; node < 512; ++node) {
+    EXPECT_EQ(nt.importFrom(node).size(), 6u);
+    EXPECT_EQ(nt.exportTo(node).size(), 6u);
+    EXPECT_EQ(hs.importFrom(node).size(), 13u);
+    EXPECT_EQ(hs.exportTo(node).size(), 13u);
+  }
+  const util::TorusShape shape{8, 8, 8};
+  const int n = util::torusIndex({3, 3, 3}, shape);
+  // Tower (z ± 1), then the half plate (1,0), (1,1), (0,1), (-1,1).
+  const util::TorusCoord region[] = {{3, 3, 2}, {3, 3, 4}, {4, 3, 3},
+                                     {4, 4, 3}, {3, 4, 3}, {2, 4, 3}};
+  std::vector<int> want;
+  for (const util::TorusCoord& t : region)
+    want.push_back(util::torusIndex(t, shape));
+  std::sort(want.begin(), want.end());
+  const std::span<const int> got = nt.importFrom(n);
+  EXPECT_EQ(std::vector<int>(got.begin(), got.end()), want);
+}
+
+TEST(ImportRegions, ExtentTwoIsRejected) {
+  for (ImportMethod method :
+       {ImportMethod::kNeutralTerritory, ImportMethod::kHalfShell}) {
+    EXPECT_THROW(ImportRegions({2, 4, 4}, method), std::invalid_argument);
+    EXPECT_THROW(ImportRegions({4, 4, 2}, method), std::invalid_argument);
   }
 }
 

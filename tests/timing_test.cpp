@@ -62,15 +62,17 @@ TEST(TimingTest, OneHopPingBoundIsSoundAgainstTheMachine) {
 /// One quickstart MD run; 8 steps covers the full knob cycle (long-range
 /// every 2, thermostat every 2, migration every 8), so the last step is the
 /// worst-case template round the extracted plan describes.
-std::vector<md::StepTiming> runQuickstartMd(double* finalNs,
-                                            net::MachineStats* stats) {
+std::vector<md::StepTiming> runQuickstartMd(
+    double* finalNs, net::MachineStats* stats,
+    md::ImportMethod method = md::ImportMethod::kNeutralTerritory) {
   sim::Simulator simulator;
   net::Machine machine(simulator, {4, 4, 4});
   md::SyntheticSystemParams sp;
   sp.targetAtoms = 1536;
   sp.seed = 2010;
-  md::AntonMdApp app(machine, md::buildSyntheticSystem(sp),
-                     tools::quickstartMdConfig());
+  md::AntonMdConfig cfg = tools::quickstartMdConfig();
+  cfg.importMethod = method;
+  md::AntonMdApp app(machine, md::buildSyntheticSystem(sp), cfg);
   app.runSteps(8);
   *finalNs = sim::toNs(simulator.now());
   *stats = machine.stats();
@@ -99,21 +101,37 @@ TEST(TimingTest, MdWorstStepDominatesStaticBound) {
 
 // Recorded like the pins in determinism_test.cpp; re-pin only for an
 // intended schedule change, from the digest the failing test prints.
-constexpr std::uint64_t kQuickstartMdTimingDigest = 0x3605bc228bbc4c97ULL;
+constexpr std::uint64_t kQuickstartMdTimingDigest = 0xa83e0bb360b127ebULL;
+// The half-shell ablation keeps the digest recorded before neutral-territory
+// import became the default.
+constexpr std::uint64_t kQuickstartMdHalfShellTimingDigest =
+    0x3605bc228bbc4c97ULL;
 
-TEST(TimingTest, MdStepTimingsMatchTheirPinnedDigest) {
+std::uint64_t quickstartMdTimingDigest(md::ImportMethod method) {
   // The measured step times the oracle compares against the static bound
   // come from a bit-stable simulated schedule: final clock, machine stats
   // and every step's total, FFT and force-wait times are pinned.
   double finalNs = 0.0;
   net::MachineStats stats;
-  std::vector<md::StepTiming> steps = runQuickstartMd(&finalNs, &stats);
+  std::vector<md::StepTiming> steps =
+      runQuickstartMd(&finalNs, &stats, method);
   PinnedDigest d;
   d.add(finalNs).add(stats);
   for (const md::StepTiming& st : steps)
     d.add(st.totalUs).add(st.fftUs).add(st.forceWaitUs);
-  EXPECT_EQ(d.value(), kQuickstartMdTimingDigest)
-      << "got " << util::hex64(d.value());
+  return d.value();
+}
+
+TEST(TimingTest, MdStepTimingsMatchTheirPinnedDigest) {
+  std::uint64_t d =
+      quickstartMdTimingDigest(md::ImportMethod::kNeutralTerritory);
+  EXPECT_EQ(d, kQuickstartMdTimingDigest) << "got " << util::hex64(d);
+}
+
+TEST(TimingTest, HalfShellMdStepTimingsMatchTheirPinnedDigest) {
+  std::uint64_t d = quickstartMdTimingDigest(md::ImportMethod::kHalfShell);
+  EXPECT_EQ(d, kQuickstartMdHalfShellTimingDigest)
+      << "got " << util::hex64(d);
 }
 
 TEST(TimingTest, DegradedRerouteStaysWithinBlowupFactor) {
