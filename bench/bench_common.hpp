@@ -102,16 +102,6 @@ class JsonReporter {
   std::ofstream out_;
 };
 
-struct PingResult {
-  double oneWayNs = 0.0;
-};
-
-// The latency probes (SC10 §III-D methodology) moved to net/probe.hpp so
-// the simulation service's fig5-ping jobs and the benches measure through
-// one implementation; the bench-local names remain for existing callers.
-using net::bidirLatencyNs;
-using net::oneWayLatencyNs;
-
 inline void banner(const std::string& title) {
   std::cout << "\n=== " << title << " ===\n";
 }

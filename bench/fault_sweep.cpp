@@ -7,9 +7,11 @@
 // dimension-ordered all-reduce) and on full MD steps: every operation must
 // complete via resend (zero aborts), bit-identically, and the sweep prices
 // the recovery in us. Emits BENCH_fault.json, BENCH_fault_collectives.json
-// and BENCH_fault_md.json; the zero-BER rows must land exactly on the
-// calibrated fault-free anchors (162 ns ping, Table 2 all-reduce, the
-// recovery-free pair/step times).
+// and BENCH_fault_md.json. The zero-BER ping must land exactly on the
+// calibrated 162 ns anchor; the zero-BER all-reduce, FFT-pair and MD-step
+// times are the references the lossy rows' recovery cost is priced
+// against, and are not recorded themselves (a value measured against
+// itself cannot drift).
 #include "bench_common.hpp"
 
 #include <vector>
@@ -50,7 +52,7 @@ void pingSeries(double ber, int trials, SweepRow& row) {
   net::ClientAddr dst{util::torusIndex({1, 0, 0}, m.shape()), net::kSlice0};
   double sum = 0.0, worst = 0.0;
   for (int i = 0; i < trials; ++i) {
-    double ns = bench::oneWayLatencyNs(m, src, dst, 0, /*inOrder=*/true);
+    double ns = net::oneWayLatencyNs(m, src, dst, 0, /*inOrder=*/true);
     sum += ns;
     worst = std::max(worst, ns);
   }
@@ -89,7 +91,7 @@ double outagePingNs(bool reroute, std::uint64_t& reroutes) {
   fault::FaultPlan plan;
   plan.addLinkOutage(0, /*dim=*/0, /*sign=*/+1, 0, sim::us(50));
   m.setFaultModel(&plan);
-  double ns = bench::oneWayLatencyNs(
+  double ns = net::oneWayLatencyNs(
       m, {0, net::kSlice0},
       {util::torusIndex({1, 1, 0}, m.shape()), net::kSlice0}, 0,
       /*inOrder=*/true);
@@ -315,9 +317,12 @@ int main() {
             row.allreduceUs, row.allreduceRetries);
     // The paper's fabric is fault-free: the zero-BER model values are the
     // reference, so nonzero-BER deviation is the measured fault overhead.
+    // The zero-BER all-reduce row would be its own reference, so it is not
+    // recorded (the Table 2 bench pins that time against the paper).
     json.record("ping_mean_ns_ber" + b.str(), 162.0, row.pingMeanNs, "ns");
-    json.record("allreduce_us_ber" + b.str(), rows.front().allreduceUs,
-                row.allreduceUs, "us");
+    if (ber != 0.0)
+      json.record("allreduce_us_ber" + b.str(), rows.front().allreduceUs,
+                  row.allreduceUs, "us");
   }
   table.print(std::cout);
 
@@ -332,7 +337,7 @@ int main() {
   {
     sim::Simulator sim;
     net::Machine m(sim, {8, 8, 8});
-    cleanNs = bench::oneWayLatencyNs(
+    cleanNs = net::oneWayLatencyNs(
         m, {0, net::kSlice0},
         {util::torusIndex({1, 1, 0}, m.shape()), net::kSlice0}, 0,
         /*inOrder=*/true);
@@ -403,10 +408,12 @@ int main() {
                row.linkFailures, row.hardFailures);
       // As in the MD sweep, the fault-free time is the reference: a lossy
       // row's deviation is the recovery (timeout + replay) cost at that BER.
-      cJson.record("fft_pair_us_ber" + b.str(), baseFftUs, row.fftPairUs,
-                   "us");
-      cJson.record("allreduce_armed_us_ber" + b.str(), baseRedUs,
-                   row.allreduceUs, "us");
+      if (ber != 0.0) {
+        cJson.record("fft_pair_us_ber" + b.str(), baseFftUs, row.fftPairUs,
+                     "us");
+        cJson.record("allreduce_armed_us_ber" + b.str(), baseRedUs,
+                     row.allreduceUs, "us");
+      }
 
       // Recovery must never abort, and never change a single bit of the
       // results. Drops at the top BER prove the cap actually exhausts.
@@ -452,7 +459,9 @@ int main() {
                 row.resends, row.linkFailures, row.hardFailures);
       // The recovery-free step time is the reference: the deviation of a
       // lossy row IS the relative recovery cost of that BER.
-      mdJson.record("md_step_us_ber" + b.str(), baseStepUs, row.stepUs, "us");
+      if (ber != 0.0)
+        mdJson.record("md_step_us_ber" + b.str(), baseStepUs, row.stepUs,
+                      "us");
 
       // Every step must complete exactly — recovery, not abort, is the
       // contract. Drops at the top BER prove the cap actually exhausts.

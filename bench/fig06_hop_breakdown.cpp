@@ -47,7 +47,7 @@ int main() {
                 util::TablePrinter::num(modelSum, 0)});
   table.print(std::cout);
 
-  double measured = bench::oneWayLatencyNs(
+  double measured = net::oneWayLatencyNs(
       m, {0, net::kSlice0},
       {util::torusIndex({1, 0, 0}, m.shape()), net::kSlice0}, 0);
   std::cout << "\nend-to-end simulated transfer: "

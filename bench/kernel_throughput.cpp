@@ -16,14 +16,17 @@
 // destroying the process's first 8x8x8 Machine must stay lazy — fewer than
 // kLazyBuildMaxFaults minor page faults.
 //
-// Gated metrics (tools/check_perf_trajectory.py):
+// Gated metrics (tools/check_perf_trajectory.py), each against a pinned
+// constant, so every one of them can fail on any host:
 //   ping_zero_alloc_steady     1.0 = no allocation in the measured window
 //   schedule_match             1.0 = ping and allreduce schedule digests
 //                              equal their pinned values
 //   machine_build_lazy         1.0 = first 8x8x8 build + teardown took
 //                              fewer than kLazyBuildMaxFaults minor faults
-// Raw events/sec, packets/sec and allocs/event are host-dependent and
-// recorded informationally (measured against themselves).
+//   allreduce_allocs_per_event heap allocations per kernel event in the
+//                              all-reduce window, against kArAllocsPerEvent
+// The printed events/s and packets/s columns are host speed: they are
+// shown for reading, never recorded.
 #include "bench_common.hpp"
 
 #include <sys/resource.h>
@@ -235,6 +238,10 @@ int main() {
   // carried an unpooled reference mode that reproduced them bit for bit.
   constexpr std::uint64_t kPingDigest = 0xcaa404cf86fe898cULL;
   constexpr std::uint64_t kArDigest = 0xc001edce764d6e63ULL;
+  // Allocations per event of the all-reduce window, pinned like the
+  // digests: it depends only on the schedule, so one more heap allocation
+  // per all-reduce round moves it on every host.
+  constexpr double kArAllocsPerEvent = 4.0 / 57.0;
   // 32 MiB of 4 KiB pages: room for the nodes, clients and links, and far
   // below the ~229k pages of 3,584 eagerly zeroed 256 KiB client memories.
   constexpr std::uint64_t kLazyBuildMaxFaults = 8192;
@@ -264,19 +271,13 @@ int main() {
             << " minor faults (limit " << kLazyBuildMaxFaults << ")\n";
 
   bench::JsonReporter json("kernel");
-  // Gates: the boolean invariants gate on exact 1.0.
+  // The boolean invariants gate on exact 1.0, the allocation rate on its
+  // pinned constant.
   json.record("ping_zero_alloc_steady", 1.0, pingZeroAlloc ? 1.0 : 0.0,
               "bool");
   json.record("schedule_match", 1.0, schedulesMatch ? 1.0 : 0.0, "bool");
   json.record("machine_build_lazy", 1.0, buildLazy ? 1.0 : 0.0, "bool");
-  // Host-dependent raw numbers: informational (deviation pinned 0).
-  json.record("ping_events_per_sec", ping.eventsPerSec(), ping.eventsPerSec(),
-              "events/s");
-  json.record("ping_packets_per_sec", ping.packetsPerSec(),
-              ping.packetsPerSec(), "packets/s");
-  json.record("allreduce_events_per_sec", ar.eventsPerSec(),
-              ar.eventsPerSec(), "events/s");
-  json.record("allreduce_allocs_per_event", arAllocsPerEvent,
+  json.record("allreduce_allocs_per_event", kArAllocsPerEvent,
               arAllocsPerEvent, "allocs/event");
 
   bool ok = schedulesMatch && pingZeroAlloc && buildLazy;

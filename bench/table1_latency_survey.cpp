@@ -13,7 +13,7 @@ int main() {
 
   sim::Simulator sim;
   net::Machine m(sim, {8, 8, 8});
-  double antonUs = bench::oneWayLatencyNs(m, {0, net::kSlice0},
+  double antonUs = net::oneWayLatencyNs(m, {0, net::kSlice0},
                                           {util::torusIndex({1, 0, 0}, m.shape()),
                                            net::kSlice0},
                                           0) /

@@ -16,7 +16,6 @@ sim::Task ClusterMachine::send(int src, int dst, int tag, std::size_t bytes,
                                std::shared_ptr<const std::vector<double>> data) {
   if (dst < 0 || dst >= numNodes_) throw std::out_of_range("bad destination");
   ++messagesSent_;
-  bytesSent_ += bytes;
 
   // The CPU is busy for o_s; injection happens at the end of that window.
   co_await sim_.delay(sim::us(params_.sendOverheadUs));

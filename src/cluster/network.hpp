@@ -84,7 +84,6 @@ class ClusterMachine {
   }
 
   std::uint64_t messagesSent() const { return messagesSent_; }
-  std::uint64_t bytesSent() const { return bytesSent_; }
 
  private:
   friend struct RecvAwaiter;
@@ -111,7 +110,6 @@ class ClusterMachine {
   LogGPParams params_;
   std::vector<NodeState> nodes_;
   std::uint64_t messagesSent_ = 0;
-  std::uint64_t bytesSent_ = 0;
 };
 
 }  // namespace anton::cluster

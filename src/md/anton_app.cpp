@@ -74,7 +74,7 @@ AntonMdApp::AntonMdApp(net::Machine& machine, MDSystem system, AntonMdConfig cfg
   patterns_ = std::make_unique<core::PatternAllocator>(machine_, 0, 207);
   installPatterns();
   migrationSync_ = std::make_unique<core::NeighborhoodSync>(
-      machine_, *patterns_, cfg_.ctrFlush, net::kSlice0);
+      machine_, *patterns_, kCtrFlush, net::kSlice0);
   allReduce_ =
       std::make_unique<core::DimOrderedAllReduce>(machine_, cfg_.allReduce);
   cfg_.fftConfig.fftSlice = net::kSlice1;
@@ -450,7 +450,7 @@ sim::Task AntonMdApp::sendPositions(int node) {
     }
     net::NetworkClient::SendArgs args;
     args.multicastPattern = posPattern_[std::size_t(node)];
-    args.counterId = cfg_.ctrPos;
+    args.counterId = kCtrPos;
     args.address = posSlotAddr(node, slot);
     args.payload = net::makePayload(&rec, sizeof rec);
     co_await slice0.send(args);
@@ -468,7 +468,7 @@ sim::Task AntonMdApp::sendPositions(int node) {
       rec.z = a.pos.z;
       net::NetworkClient::SendArgs args;
       args.dst = {t, net::kSlice0};
-      args.counterId = cfg_.ctrBondPos;
+      args.counterId = kCtrBondPos;
       args.address = 0x8000u + std::uint32_t(bondAtomSlot_[std::size_t(t)]
                                                  .at(a.gid)) *
                                    32u;
@@ -494,7 +494,7 @@ sim::Task AntonMdApp::htisPhase(int node) {
       perRound += std::uint64_t(posFixed_[std::size_t(s)]);
       bySource[s] = ns.posRounds * std::uint64_t(posFixed_[std::size_t(s)]);
     }
-    co_await awaitRecoverable(htis, cfg_.ctrPos, ns.posRounds * perRound,
+    co_await awaitRecoverable(htis, kCtrPos, ns.posRounds * perRound,
                               bySource);
   }
 
@@ -576,7 +576,7 @@ sim::Task AntonMdApp::htisPhase(int node) {
       net::NetworkClient::SendArgs args;
       args.type = net::PacketType::kAccum;
       args.dst = {sources[s], net::kAccum0};
-      args.counterId = app.cfg_.ctrForce;
+      args.counterId = kCtrForce;
       args.address = app.forceSlotAddr(slot);
       args.payload = net::makePayload(q, sizeof q);
       htis.post(args);
@@ -623,7 +623,7 @@ sim::Task AntonMdApp::bondedPhase(int node) {
         ++ns.bondPosBySource[homeOfGid_[std::size_t(gid)]];
       bySource = ns.bondPosBySource;
     }
-    co_await awaitRecoverable(slice0, cfg_.ctrBondPos, ns.bondPosExpected,
+    co_await awaitRecoverable(slice0, kCtrBondPos, ns.bondPosExpected,
                               bySource);
   }
 
@@ -681,7 +681,7 @@ sim::Task AntonMdApp::bondedPhase(int node) {
     net::NetworkClient::SendArgs args;
     args.type = net::PacketType::kAccum;
     args.dst = {r.homeNode(), net::kAccum0};
-    args.counterId = cfg_.ctrForce;
+    args.counterId = kCtrForce;
     args.address = forceSlotAddr(r.slot());
     args.payload = net::makePayload(q, sizeof q);
     co_await slice0.send(args);
@@ -756,7 +756,7 @@ sim::Task AntonMdApp::longRangePhase(int node) {
       net::NetworkClient::SendArgs args;
       args.type = net::PacketType::kAccum;
       args.dst = {t, net::kAccum1};
-      args.counterId = cfg_.ctrGrid;
+      args.counterId = kCtrGrid;
       args.address = gridBase + std::uint32_t(off);
       args.payload = net::makePayload(
           reinterpret_cast<const std::byte*>(block.data()) + off, nbytes);
@@ -780,7 +780,7 @@ sim::Task AntonMdApp::longRangePhase(int node) {
       for (int t : targets)
         gridBySource[t] = ns.gridRounds * gridPacketsPerBlock;
     }
-    co_await awaitRecoverable(gridMem, cfg_.ctrGrid,
+    co_await awaitRecoverable(gridMem, kCtrGrid,
                               gridExpected_ * ns.gridRounds, gridBySource);
   }
 
@@ -820,7 +820,7 @@ sim::Task AntonMdApp::longRangePhase(int node) {
     std::size_t nbytes = std::min(chunk, potBlockBytes - off);
     net::NetworkClient::SendArgs args;
     args.multicastPattern = potPattern_[std::size_t(node)];
-    args.counterId = cfg_.ctrPot;
+    args.counterId = kCtrPot;
     args.address = potBase +
                    std::uint32_t(node % posRegionMod_) *
                        std::uint32_t(potBlockBytes) +
@@ -841,7 +841,7 @@ sim::Task AntonMdApp::longRangePhase(int node) {
         potBySource[t] = ns.potRounds * potPacketsPerBlock;
     }
     co_await awaitRecoverable(
-        slice1, cfg_.ctrPot,
+        slice1, kCtrPot,
         ns.potRounds * std::uint64_t(targets.size()) * potPacketsPerBlock,
         potBySource);
   }
@@ -900,7 +900,7 @@ sim::Task AntonMdApp::longRangePhase(int node) {
     net::NetworkClient::SendArgs args;
     args.type = net::PacketType::kAccum;
     args.dst = {node, net::kAccum0};
-    args.counterId = cfg_.ctrForce;
+    args.counterId = kCtrForce;
     args.address = forceSlotAddr(slot);
     args.payload = net::makePayload(q, sizeof q);
     co_await slice1.send(args);
@@ -1059,7 +1059,7 @@ sim::Task AntonMdApp::stepTask(int node, int stepNumber) {
   sim::Time waitStart = machine_.sim().now();
   static const std::map<int, std::uint64_t> kNoSources;
   co_await awaitRecoverable(
-      acc, cfg_.ctrForce, ns.forceExpected,
+      acc, kCtrForce, ns.forceExpected,
       dropRegistry_ ? ns.forceBySource : kNoSources);
   current_.forceWaitUs = std::max(
       current_.forceWaitUs, sim::toUs(machine_.sim().now() - waitStart));
@@ -1127,7 +1127,6 @@ void AntonMdApp::runSteps(int k) {
     current_.thermostat = cfg_.thermostatTau > 0.0 &&
                           stepNumber % cfg_.thermostatInterval == 0;
     current_.migration = stepNumber % cfg_.migrationInterval == 0;
-    lastMigrated_ = migratedTotal_;
 
     if (dropRegistry_) {
       // Refresh the gid -> home map (bonded receivers diagnose short senders
@@ -1149,7 +1148,6 @@ void AntonMdApp::runSteps(int k) {
     machine_.sim().run();
 
     current_.totalUs = sim::toUs(machine_.sim().now() - start);
-    lastMigrated_ = migratedTotal_ - lastMigrated_;
     timings_.push_back(current_);
     ++stepsDone_;
   }
@@ -1204,7 +1202,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       w.phase = "md.send";
       w.srcNode = n;
       w.pattern = posPattern_[un];
-      w.counterId = cfg_.ctrPos;
+      w.counterId = kCtrPos;
       w.packets = posN;
       plan.writes.push_back(std::move(w));
     }
@@ -1216,7 +1214,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       w.phase = "md.send";
       w.srcNode = n;
       w.dst = {t, net::kSlice0};
-      w.counterId = cfg_.ctrBondPos;
+      w.counterId = kCtrBondPos;
       w.packets = packets;
       plan.writes.push_back(std::move(w));
     }
@@ -1227,7 +1225,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       e.site = "md.htis.pos";
       e.phase = "md.htis";
       e.client = {n, net::kHtis};
-      e.counterId = cfg_.ctrPos;
+      e.counterId = kCtrPos;
       e.bySource[n] = posN;
       for (int s : imports_.importFrom(n))
         e.bySource[s] = std::uint64_t(posFixed_[std::size_t(s)]);
@@ -1240,7 +1238,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       w.phase = "md.htis";
       w.srcNode = n;
       w.dst = {n, net::kAccum0};
-      w.counterId = cfg_.ctrForce;
+      w.counterId = kCtrForce;
       w.packets = posN;
       plan.writes.push_back(w);
       for (int s : imports_.importFrom(n)) {
@@ -1269,7 +1267,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       e.site = "md.bonded.pos";
       e.phase = "md.bonded";
       e.client = {n, net::kSlice0};
-      e.counterId = cfg_.ctrBondPos;
+      e.counterId = kCtrBondPos;
       e.perRound = slots.size();
       for (const auto& [gid, slot] : slots) ++e.bySource[home[std::size_t(gid)]];
       e.recoveryArmed = armed;
@@ -1282,7 +1280,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
         w.phase = "md.bonded";
         w.srcNode = n;
         w.dst = {h, net::kAccum0};
-        w.counterId = cfg_.ctrForce;
+        w.counterId = kCtrForce;
         w.packets = packets;
         plan.writes.push_back(std::move(w));
       }
@@ -1309,7 +1307,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       w.phase = "md.spread";
       w.srcNode = n;
       w.dst = {t, net::kAccum1};
-      w.counterId = cfg_.ctrGrid;
+      w.counterId = kCtrGrid;
       w.packets = gridPackets;
       plan.writes.push_back(std::move(w));
     }
@@ -1318,7 +1316,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       e.site = "md.grid";
       e.phase = "md.grid";
       e.client = {n, net::kAccum1};
-      e.counterId = cfg_.ctrGrid;
+      e.counterId = kCtrGrid;
       e.perRound = std::uint64_t(targets.size()) * gridPackets;
       for (int t : targets) e.bySource[t] = gridPackets;
       e.recoveryArmed = armed;
@@ -1339,7 +1337,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       w.phase = "md.pot";
       w.srcNode = n;
       w.pattern = potPattern_[un];
-      w.counterId = cfg_.ctrPot;
+      w.counterId = kCtrPot;
       w.packets = potPackets;
       plan.writes.push_back(std::move(w));
 
@@ -1347,7 +1345,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       e.site = "md.potential";
       e.phase = "md.interp";
       e.client = {n, cfg_.fftConfig.fftSlice};
-      e.counterId = cfg_.ctrPot;
+      e.counterId = kCtrPot;
       e.perRound = std::uint64_t(targets.size()) * potPackets;
       for (int t : targets) e.bySource[t] = potPackets;
       e.recoveryArmed = armed;
@@ -1368,7 +1366,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       w.phase = "md.interp";
       w.srcNode = n;
       w.dst = {n, net::kAccum0};
-      w.counterId = cfg_.ctrForce;
+      w.counterId = kCtrForce;
       w.packets = posN;
       plan.writes.push_back(std::move(w));
     }
@@ -1379,7 +1377,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
       e.site = "md.forces";
       e.phase = "md.forcewait";
       e.client = {n, net::kAccum0};
-      e.counterId = cfg_.ctrForce;
+      e.counterId = kCtrForce;
       e.bySource[n] += posN;  // HTIS self return
       for (int u : imports_.exportTo(n)) e.bySource[u] += posN;
       for (const AtomRecord& a : nodes_[un].atoms)

@@ -92,13 +92,8 @@ struct AntonMdConfig {
   int recoveryMaxResends = 4;      ///< resend rounds before hard failure
   double recoveryBackoffUs = 0.5;  ///< linear backoff between rounds
 
-  // Resource layout (counter ids on the respective clients).
-  int ctrPos = 10;       ///< HTIS: position packets
-  int ctrForce = 11;     ///< accum 0: force packets
-  int ctrGrid = 12;      ///< accum 1: spread-charge packets
-  int ctrPot = 13;       ///< FFT slice: potential-halo packets
-  int ctrBondPos = 14;   ///< slice 0: bonded-term positions
-  int ctrFlush = 15;     ///< slice 0: migration flush
+  // Resource layout (counter ids on the respective clients); the MD
+  // phases' own counters are AntonMdApp::kCtr*.
   core::AllReduceConfig allReduce;  // counter 200, patterns 208+
   /// Distributed FFT (counters 220+, slice 1). The MD pipeline batches grid
   /// points into packets (pointsPerPacket = 0 selects the largest
@@ -166,7 +161,6 @@ class AntonMdApp {
   std::uint64_t dropsObserved() const {
     return dropRegistry_ ? dropRegistry_->dropsObserved() : 0;
   }
-  bool recoveryEnabled() const { return dropRegistry_ != nullptr; }
 
   /// Static communication plan of one template superstep (the worst-case
   /// step: long-range + thermostat + migration all active), in the
@@ -181,8 +175,6 @@ class AntonMdApp {
   /// recovery is on; FIFO migration payloads remain the unrecoverable lane).
   verify::CommPlan extractCommPlan() const;
 
-  /// Number of atoms migrated during the last migration phase.
-  std::uint64_t lastMigrationCount() const { return lastMigrated_; }
   /// Total atoms migrated since construction.
   std::uint64_t totalMigrated() const { return migratedTotal_; }
   int homeAtoms(int node) const { return int(nodes_[std::size_t(node)].atoms.size()); }
@@ -190,6 +182,14 @@ class AntonMdApp {
   net::Machine& machine() { return machine_; }
 
  private:
+  // Resource layout: counter ids of the MD phases on the respective clients.
+  static constexpr int kCtrPos = 10;      ///< HTIS: position packets
+  static constexpr int kCtrForce = 11;    ///< accum 0: force packets
+  static constexpr int kCtrGrid = 12;     ///< accum 1: spread-charge packets
+  static constexpr int kCtrPot = 13;      ///< FFT slice: potential-halo packets
+  static constexpr int kCtrBondPos = 14;  ///< slice 0: bonded-term positions
+  static constexpr int kCtrFlush = 15;    ///< slice 0: migration flush
+
   struct AtomRecord {
     int gid = -1;
     Vec3 pos;
@@ -312,7 +312,6 @@ class AntonMdApp {
 
   int stepsDone_ = 0;
   std::vector<StepTiming> timings_;
-  std::uint64_t lastMigrated_ = 0;
   std::uint64_t migratedTotal_ = 0;
 
   /// Receive-region modulus: smallest R such that srcNode % R is

@@ -51,8 +51,6 @@ class CellList {
   void forEachPair(const MDSystem& sys,
                    const std::function<void(int, int, const Vec3&)>& fn) const;
 
-  int cellCount() const { return nx_ * ny_ * nz_; }
-
  private:
   bool bruteForce_ = false;
   double cutoff_;

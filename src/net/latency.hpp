@@ -104,9 +104,6 @@ struct LatencyConfig {
   sim::Time linkSerialization(std::size_t bytes) const {
     return sim::ns(double(bytes) / linkBytesPerNs);
   }
-  sim::Time ringSerialization(std::size_t bytes) const {
-    return sim::ns(double(bytes) / ringBytesPerNs);
-  }
   /// Ring busy window charged per packet at a node (occupancy, with
   /// spatial-reuse concurrency folded in).
   sim::Time ringOccupancy(std::size_t bytes) const {
@@ -159,12 +156,6 @@ struct LatencyConfig {
   /// ring path to the destination client plus the counter update and one
   /// successful poll.
   double minDeliveryNs() const { return minRingPathNs() + pollSuccessNs; }
-
-  /// Bytes one link direction can serialize in a window, the capacity side
-  /// of the timing.contention check.
-  double linkCapacityBytes(double windowNs) const {
-    return windowNs * linkBytesPerNs;
-  }
 };
 
 }  // namespace anton::net

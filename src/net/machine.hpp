@@ -143,7 +143,6 @@ class Machine {
   /// detach. A model that reports no faults leaves all timing bit-identical
   /// to the fault-free machine.
   void setFaultModel(FaultModel* f) { fault_ = f; }
-  FaultModel* faultModel() const { return fault_; }
 
   /// Toggle degraded-mode routing at runtime (initially
   /// MachineConfig::faultReroute). Only affects packets routed afterwards.
@@ -158,11 +157,6 @@ class Machine {
   bool linkMarkedFailed(int nodeIdx, int dim, int sign) const {
     return failedLinks_[std::size_t(nodeIdx) * 6 +
                         std::size_t(RingLayout::adapterIndex(dim, sign))] != 0;
-  }
-
-  /// Clear every sticky failed-link mark (e.g. after a repaired outage).
-  void clearFailedLinkMarks() {
-    failedLinks_.assign(failedLinks_.size(), 0);
   }
 
   /// Observer of link-failed packet drops: called once per dropped replica

@@ -102,7 +102,6 @@ class CausalLog {
   }
 
   const std::vector<CausalRecord>& records() const { return records_; }
-  std::uint64_t executingSeq() const { return executingSeq_; }
 
   void clear() {
     records_.clear();

@@ -2,10 +2,8 @@
 #pragma once
 
 #include <fstream>
-#include <initializer_list>
 #include <sstream>
 #include <string>
-#include <vector>
 
 namespace anton::util {
 
@@ -21,15 +19,6 @@ class CsvWriter {
   void row(const Ts&... values) {
     bool first = true;
     ((writeCell(values, first), first = false), ...);
-    out_ << '\n';
-  }
-
-  void rowStrings(const std::vector<std::string>& cells) {
-    bool first = true;
-    for (const auto& c : cells) {
-      writeCell(c, first);
-      first = false;
-    }
     out_ << '\n';
   }
 

@@ -1,9 +1,8 @@
-// Primitives not covered elsewhere: Gate joins, CountedChannel rounds,
+// Primitives not covered elsewhere: Gate joins, cumulative counter waits,
 // arenas, and property sweeps of routing invariants across torus shapes.
 #include <gtest/gtest.h>
 
 #include "core/arena.hpp"
-#include "core/counted.hpp"
 #include "net/machine.hpp"
 #include "sim/gate.hpp"
 
@@ -47,15 +46,18 @@ TEST(Gate, EmptyGateDoesNotBlock) {
   EXPECT_TRUE(passed);
 }
 
-TEST(CountedChannel, RoundsAccumulate) {
+// Synchronization counters are cumulative: firmware never resets them and
+// waits on absolute thresholds, so round r of a K-packet phase completes at
+// counter value K * r.
+TEST(CounterWait, CumulativeThresholdsAcrossRounds) {
   sim::Simulator sim;
   net::Machine m(sim, {3, 1, 1});
-  core::CountedChannel chan(m.slice(1, 0), 4, 3);
+  net::NetworkClient& rx = m.slice(1, 0);
 
   std::vector<double> roundDone;
   auto receiver = [&]() -> Task {
-    for (int r = 0; r < 3; ++r) {
-      co_await chan.nextRound();
+    for (std::uint64_t r = 1; r <= 3; ++r) {
+      co_await rx.waitCounter(4, 3 * r);
       roundDone.push_back(sim::toNs(sim.now()));
     }
   };
@@ -76,18 +78,20 @@ TEST(CountedChannel, RoundsAccumulate) {
   ASSERT_EQ(roundDone.size(), 3u);
   EXPECT_LT(roundDone[0], roundDone[1]);
   EXPECT_LT(roundDone[1], roundDone[2]);
-  EXPECT_EQ(chan.roundsCompleted(), 3u);
+  EXPECT_EQ(rx.counterValue(4), 9u);
 }
 
-TEST(CountedChannel, PartialProgressWithAtLeast) {
+// A partial threshold resumes the receiver on the first packets of a round
+// (overlap: start computing on partial data) well before the full one.
+TEST(CounterWait, PartialThresholdResumesBeforeFull) {
   sim::Simulator sim;
   net::Machine m(sim, {3, 1, 1});
-  core::CountedChannel chan(m.slice(1, 0), 4, 8);
+  net::NetworkClient& rx = m.slice(1, 0);
   double partialAt = -1, fullAt = -1;
   auto receiver = [&]() -> Task {
-    co_await chan.atLeast(2);  // start work on the first two packets
+    co_await rx.waitCounter(4, 2);  // start work on the first two packets
     partialAt = sim::toNs(sim.now());
-    co_await chan.nextRound();
+    co_await rx.waitCounter(4, 8);
     fullAt = sim::toNs(sim.now());
   };
   sim.spawn(receiver());

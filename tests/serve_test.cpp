@@ -28,18 +28,22 @@ namespace {
 
 namespace json = util::json;
 
-/// The mixed-family workload the acceptance criteria name: 8 jobs covering
-/// every family, small enough to run in test time.
+/// The mixed-family workload the acceptance criteria name: 11 distinct jobs
+/// covering every family, small enough to run in test time.
 std::vector<JobSpec> mixedWorkload() {
   std::vector<JobSpec> specs;
   specs.push_back(quickstartMdSpec(/*steps=*/1));
   specs.push_back(quickstartMdSpec(/*steps=*/2));
+  specs.push_back(fig5PingSpec(/*maxHops=*/4, /*payloadBytes=*/256));
   specs.push_back(fig5PingSpec(/*maxHops=*/2, /*payloadBytes=*/64));
   specs.push_back(fig5PingSpec(/*maxHops=*/1, /*payloadBytes=*/0));
+  specs.push_back(table2AllReduceSpec({4, 4, 4}, /*words=*/4));
   specs.push_back(table2AllReduceSpec({2, 2, 2}, /*words=*/4));
   specs.push_back(table2AllReduceSpec({4, 4, 1}, /*words=*/0));
   specs.push_back(faultSweepSpec({2, 2, 2}, /*bitErrorRate=*/1e-5));
   specs.push_back(faultSweepSpec({2, 2, 2}, /*bitErrorRate=*/0.0,
+                                 /*maxRetransmits=*/4));
+  specs.push_back(faultSweepSpec({4, 4, 1}, /*bitErrorRate=*/0.0,
                                  /*maxRetransmits=*/4));
   return specs;
 }
@@ -150,8 +154,10 @@ TEST(JobSpec, ShardingIsAnUnknownKeyInSpecsAndOverTheProtocol) {
   server.shutdown();
 }
 
-// The acceptance-criteria core: 8 mixed-family jobs on a 4-worker server
-// complete bit-identical to serial execution on a single arena.
+// The acceptance-criteria core: the mixed-family jobs on a 4-worker server
+// complete bit-identical to serial execution on a single arena, every plan
+// verifies clean, and resubmitting the whole workload is served entirely
+// from the snapshot-keyed cache with the same results.
 TEST(JobServer, ParallelResultsMatchSerialExecutionBitForBit) {
   std::vector<JobSpec> specs = mixedWorkload();
 
@@ -177,6 +183,16 @@ TEST(JobServer, ParallelResultsMatchSerialExecutionBitForBit) {
     EXPECT_FALSE(rec.cacheHit);
     EXPECT_EQ(rec.resultJson, serial[i].resultJson);
     EXPECT_EQ(rec.digest, serial[i].digest);
+  }
+
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(specToJson(specs[i]));
+    SubmitOutcome out = server.submit(specs[i]);
+    ASSERT_TRUE(out.accepted) << out.reason;
+    JobRecord rec = server.wait(out.id);
+    EXPECT_EQ(rec.state, JobState::kDone) << rec.error;
+    EXPECT_TRUE(rec.cacheHit);
+    EXPECT_EQ(rec.resultJson, serial[i].resultJson);
   }
 
   // The arena-reuse audit: no worker ever found leftover events.

@@ -14,8 +14,10 @@ Usage:
 
 Boolean invariants (e.g. the kernel bench's schedule_match) record 1.0
 against a paper value of 1.0, so any failure reads as deviation growth.
-Host-throughput records (events/sec and the like) are pinned to
-themselves (deviation 0) and are informational only.
+A record's paper value never comes from the run that measures it: it is
+a paper figure, a pinned constant, or (for a lossy fault-sweep row) the
+same sweep's fault-free row, so every committed record can fail.  A
+quantity with no such reference (host speed, wall time) is not recorded.
 
 With no FILE arguments, every BENCH_*.json in the current directory is
 checked.  Metrics present in the baseline but missing from the fresh run
