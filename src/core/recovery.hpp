@@ -21,9 +21,11 @@
 // with bit-identical timing — the zero-fault path is untouched.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -166,14 +168,36 @@ struct RecoveryHooks {
   bool armed() const { return registry != nullptr; }
 };
 
+/// What awaitCounted returns: the client's own counter poll when disarmed
+/// (no coroutine frame between the waiting program and the counter), the
+/// recovery loop's task when armed.
+class [[nodiscard]] CountedWait {
+ public:
+  explicit CountedWait(net::NetworkClient::CounterWait plain) : plain_(plain) {}
+  explicit CountedWait(sim::Task armed)
+      : plain_(std::nullopt), armed_(std::move(armed)) {}
+
+  bool await_ready() const noexcept { return false; }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+    if (!plain_) return armed_.await_suspend(h);
+    plain_->await_suspend(h);
+    return std::noop_coroutine();
+  }
+  void await_resume() { armed_.await_resume(); }
+
+ private:
+  std::optional<net::NetworkClient::CounterWait> plain_;
+  sim::Task armed_;
+};
+
 /// THE counted wait of the collectives: a plain counter poll when `hooks`
 /// is disarmed (schedule-identical to recovery-free code), a full
 /// RecoverableCountedWrite against the hooks' registry when armed.
 /// `bySource` (cumulative per-source expectations; ignored when disarmed)
 /// is taken by reference and must outlive the co_await.
-sim::Task awaitCounted(net::NetworkClient& client, int counterId,
-                       std::uint64_t target,
-                       const std::map<int, std::uint64_t>& bySource,
-                       const RecoveryHooks& hooks);
+CountedWait awaitCounted(net::NetworkClient& client, int counterId,
+                         std::uint64_t target,
+                         const std::map<int, std::uint64_t>& bySource,
+                         const RecoveryHooks& hooks);
 
 }  // namespace anton::core
