@@ -12,6 +12,10 @@
 //
 // Pass --small to run a 64-node, ~2,900-atom scaled configuration (same
 // shape, ~8x faster); the full 512-node run takes a few minutes.
+//
+// BENCH_table3.json records each phase's Anton communication time against
+// the paper's and the Anton/Desmond communication ratio against 1/27;
+// metric names carry the node count, and CI gates the --small run.
 #include <cstring>
 
 #include "bench_common.hpp"
@@ -108,23 +112,26 @@ int main(int argc, char** argv) {
 
   struct Row {
     const char* phase;
+    const char* metric;
     double paperAntonComm, paperAntonTotal;
     double antonComm, antonTotal;
     double paperDesComm, paperDesTotal;
     double desComm, desTotal;
   };
   Row rows[] = {
-      {"average step", 9.8, 15.6, commOnly.avgTotal, total.avgTotal, 262, 565,
-       desmond.averageUs,
+      {"average step", "average_step", 9.8, 15.6, commOnly.avgTotal,
+       total.avgTotal, 262, 565, desmond.averageUs,
        desmond.averageUs + 0.5 * (desmondRlCompute + desmondLrCompute)},
-      {"range-limited step", 5.0, 9.0, commOnly.rlTotal, total.rlTotal, 108,
-       351, desmond.rangeLimitedUs, desmond.rangeLimitedUs + desmondRlCompute},
-      {"long-range step", 14.6, 22.2, commOnly.lrTotal, total.lrTotal, 416,
-       779, desmond.longRangeUs, desmond.longRangeUs + desmondLrCompute},
-      {"FFT-based convolution", 7.5, 8.5, commOnly.fft, total.fft, 230, 290,
-       desmond.fftUs, desmondFftTotal},
-      {"thermostat", 2.6, 3.0, commOnly.thermo, total.thermo, 78, 99,
-       desmond.thermostatUs, desmondThermoTotal},
+      {"range-limited step", "range_limited_step", 5.0, 9.0,
+       commOnly.rlTotal, total.rlTotal, 108, 351, desmond.rangeLimitedUs,
+       desmond.rangeLimitedUs + desmondRlCompute},
+      {"long-range step", "long_range_step", 14.6, 22.2, commOnly.lrTotal,
+       total.lrTotal, 416, 779, desmond.longRangeUs,
+       desmond.longRangeUs + desmondLrCompute},
+      {"FFT-based convolution", "fft", 7.5, 8.5, commOnly.fft, total.fft, 230,
+       290, desmond.fftUs, desmondFftTotal},
+      {"thermostat", "thermostat", 2.6, 3.0, commOnly.thermo, total.thermo,
+       78, 99, desmond.thermostatUs, desmondThermoTotal},
   };
 
   util::TablePrinter table({"phase", "Anton comm (paper/model)",
@@ -132,6 +139,8 @@ int main(int argc, char** argv) {
                             "Desmond comm (paper/model)",
                             "Desmond total (paper/model)"});
   util::CsvWriter csv("table3_comm_time.csv");
+  bench::JsonReporter json("table3");
+  const std::string nodes = small ? "_64n" : "_512n";
   csv.row("phase", "anton_comm_us", "anton_total_us", "desmond_comm_us",
           "desmond_total_us");
   for (const Row& r : rows) {
@@ -143,10 +152,14 @@ int main(int argc, char** argv) {
                   pair(r.paperDesComm, r.desComm),
                   pair(r.paperDesTotal, r.desTotal)});
     csv.row(r.phase, r.antonComm, r.antonTotal, r.desComm, r.desTotal);
+    json.record(std::string("anton_comm_") + r.metric + nodes,
+                r.paperAntonComm, r.antonComm, "us");
   }
   table.print(std::cout);
 
   double ratio = desmond.averageUs / commOnly.avgTotal;
+  json.record("anton_over_desmond_comm" + nodes, 1.0 / 27.0, 1.0 / ratio,
+              "ratio");
   std::cout << "\nheadline: Anton critical-path communication is 1/"
             << util::TablePrinter::num(ratio, 0)
             << " of the Desmond/InfiniBand cluster (paper: 1/27)\n"

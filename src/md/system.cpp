@@ -8,14 +8,6 @@
 
 namespace anton::md {
 
-Vec3 MDSystem::minImage(const Vec3& a, const Vec3& b) const {
-  Vec3 d = b - a;
-  d.x -= box.x * std::round(d.x / box.x);
-  d.y -= box.y * std::round(d.y / box.y);
-  d.z -= box.z * std::round(d.z / box.z);
-  return d;
-}
-
 Vec3 MDSystem::wrap(Vec3 p) const {
   p.x -= box.x * std::floor(p.x / box.x);
   p.y -= box.y * std::floor(p.y / box.y);

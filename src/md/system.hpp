@@ -10,6 +10,7 @@
 // Units are reduced (LJ): sigma = epsilon = mass = 1, k_B = 1.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +19,15 @@
 namespace anton::md {
 
 using util::Vec3;
+
+/// std::round(q), bit for bit, without the library call when |q| < 1.5,
+/// which every separation of two wrapped positions satisfies.
+inline double roundHalfAway(double q) {
+  const double a = std::abs(q);
+  if (a < 0.5) return std::copysign(0.0, q);
+  if (a < 1.5) return std::copysign(1.0, q);
+  return std::round(q);
+}
 
 struct Bond {
   int i, j;
@@ -59,7 +69,14 @@ struct MDSystem {
   }
 
   /// Minimum-image displacement from a to b.
-  Vec3 minImage(const Vec3& a, const Vec3& b) const;
+  Vec3 minImage(const Vec3& a, const Vec3& b) const {
+    return {minImage1(b.x - a.x, box.x), minImage1(b.y - a.y, box.y),
+            minImage1(b.z - a.z, box.z)};
+  }
+  /// One component of minImage: `d` less its nearest multiple of `period`.
+  static double minImage1(double d, double period) {
+    return d - period * roundHalfAway(d / period);
+  }
   /// Wrap a position into [0, box) per dimension.
   Vec3 wrap(Vec3 p) const;
 

@@ -112,9 +112,13 @@ TEST(Determinism, FaultyRunsReproduceUnderTheSameSeed) {
 constexpr std::uint64_t kStormDigest = 0xf9e9a5923c1f8d83ULL;
 constexpr std::uint64_t kStormCausalDigest = 0xb21de25f2815ac56ULL;
 // The run migrates at step 2, so step 3's first half-kick depends on the
-// forces the migration records carry.
-constexpr std::uint64_t kMdTrajectoryDigest = 0x5325e5691972383eULL;
-constexpr std::uint64_t kMdTrajectoryHalfShellDigest = 0x9c58269dbf786701ULL;
+// forces the migration records carry. The trajectory digests fold in the
+// final clock, so they move with the schedule; the physics digests cover
+// positions and velocities alone and move only if the trajectory does.
+constexpr std::uint64_t kMdTrajectoryDigest = 0x6de9268637241553ULL;
+constexpr std::uint64_t kMdTrajectoryHalfShellDigest = 0x06ca0ef4b07dbaa4ULL;
+constexpr std::uint64_t kMdPhysicsDigest = 0x55f54c5180eb9095ULL;
+constexpr std::uint64_t kMdPhysicsHalfShellDigest = 0xf4fff2821e0ce3f0ULL;
 
 TEST(Determinism, TrafficStormMatchesItsPinnedScheduleDigest) {
   // Stats, memories, counters, the final clock and the full activity trace
@@ -263,7 +267,12 @@ TEST(Determinism, DeepQueueCausalTraceMatchesItsPinnedDigest) {
       << "got " << util::hex64(log.digest());
 }
 
-std::uint64_t mdTrajectoryDigest(md::ImportMethod method) {
+struct MdDigests {
+  std::uint64_t trajectory;  ///< final clock + positions + velocities
+  std::uint64_t physics;     ///< positions + velocities
+};
+
+MdDigests mdTrajectoryDigests(md::ImportMethod method) {
   // End-to-end: three MD supersteps (forces, FFT, migration, all-reduce)
   // land on the pinned final clock and position/velocity bit patterns.
   md::SyntheticSystemParams sp;
@@ -284,21 +293,29 @@ std::uint64_t mdTrajectoryDigest(md::ImportMethod method) {
   app.runSteps(3);
   md::MDSystem out = app.gatherSystem();
 
-  PinnedDigest d;
+  PinnedDigest d, physics;
   d.add(sim.now());
   for (const std::vector<util::Vec3>* vs : {&out.positions, &out.velocities})
-    for (const util::Vec3& v : *vs) d.add(v.x).add(v.y).add(v.z);
-  return d.value();
+    for (const util::Vec3& v : *vs) {
+      d.add(v.x).add(v.y).add(v.z);
+      physics.add(v.x).add(v.y).add(v.z);
+    }
+  return {d.value(), physics.value()};
 }
 
 TEST(Determinism, MdTrajectoryMatchesItsPinnedDigest) {
-  std::uint64_t d = mdTrajectoryDigest(md::ImportMethod::kNeutralTerritory);
-  EXPECT_EQ(d, kMdTrajectoryDigest) << "got " << util::hex64(d);
+  MdDigests d = mdTrajectoryDigests(md::ImportMethod::kNeutralTerritory);
+  EXPECT_EQ(d.trajectory, kMdTrajectoryDigest)
+      << "got " << util::hex64(d.trajectory);
+  EXPECT_EQ(d.physics, kMdPhysicsDigest) << "got " << util::hex64(d.physics);
 }
 
 TEST(Determinism, HalfShellMdTrajectoryMatchesItsPinnedDigest) {
-  std::uint64_t d = mdTrajectoryDigest(md::ImportMethod::kHalfShell);
-  EXPECT_EQ(d, kMdTrajectoryHalfShellDigest) << "got " << util::hex64(d);
+  MdDigests d = mdTrajectoryDigests(md::ImportMethod::kHalfShell);
+  EXPECT_EQ(d.trajectory, kMdTrajectoryHalfShellDigest)
+      << "got " << util::hex64(d.trajectory);
+  EXPECT_EQ(d.physics, kMdPhysicsHalfShellDigest)
+      << "got " << util::hex64(d.physics);
 }
 
 TEST(Determinism, MdPositionsBitIdenticalWithZeroFaultPlan) {

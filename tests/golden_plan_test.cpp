@@ -63,8 +63,8 @@ TEST(GoldenPlans, PlanKeysArePinned) {
       {"table2-allreduce-2x2x2", "0x619e4b59a2583b5b"},
       {"cluster-allreduce-16", "0xfa4e16a976b945bb"},
       {"fft-pair-2x2x2", "0xc15a6eea61224b87"},
-      {"quickstart-md", "0x537e4442b4102c70"},
-      {"md-4x4x1", "0xec324102ddf593e7"},
+      {"quickstart-md", "0x3944bcf94feb55ec"},
+      {"md-4x4x1", "0x50d98e90ae36a640"},
   };
   std::set<std::string> names;
   for (const std::string& name : tools::goldenPlanNames()) {
@@ -79,17 +79,16 @@ TEST(GoldenPlans, PlanKeysArePinned) {
   EXPECT_EQ(names.size(), pinned.size()) << "stale pinned key entry";
 }
 
-// The half-shell ablation still extracts the plans pinned before
-// neutral-territory import became the default: the import and export lists
-// of both rules feed the same extractor unchanged in shape.
+// The half-shell ablation's plans: the import and export lists of both
+// rules feed the same extractor unchanged in shape.
 TEST(GoldenPlans, HalfShellMdPlanKeysArePinned) {
   md::AntonMdConfig cfg = tools::quickstartMdConfig();
   cfg.importMethod = md::ImportMethod::kHalfShell;
   EXPECT_EQ(
       planKeyHex(tools::buildMdPlan("quickstart-md", {4, 4, 4}, 1536, cfg)),
-      "0x505f77b1cce62614");
+      "0x1d670b1ba0f20dd9");
   EXPECT_EQ(planKeyHex(tools::buildMdPlan("md-4x4x1", {4, 4, 1}, 1536, cfg)),
-            "0x131f4353d10448bf");
+            "0xcff0e4273b154d3b");
 }
 
 // planKey must be a pure function of the canonical bytes: rebuilding the

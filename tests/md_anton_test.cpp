@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -116,6 +117,109 @@ TEST(AntonMd, FixedCommunicationPatterns) {
   std::uint64_t after3 = f.machine.stats().packetsInjected;
   EXPECT_EQ(after2 - after1, after3 - after2);
   EXPECT_GT(after2 - after1, 0u);
+}
+
+// Distinct (atom, compute node) pairs of the bond program: each term runs on
+// the node owning its anchor atom (bonds: i; angles and dihedrals: j), which
+// receives one position and returns one force per distinct atom.
+std::uint64_t bondProgramPairs(const MDSystem& sys,
+                               const util::TorusShape& shape) {
+  auto owner = [&](int gid) {
+    const Vec3 p = sys.wrap(sys.positions[std::size_t(gid)]);
+    return util::torusIndex(
+        {std::min(shape.nx - 1, int(p.x / (sys.box.x / shape.nx))),
+         std::min(shape.ny - 1, int(p.y / (sys.box.y / shape.ny))),
+         std::min(shape.nz - 1, int(p.z / (sys.box.z / shape.nz)))},
+        shape);
+  };
+  std::set<std::pair<int, int>> pairs;
+  auto add = [&](int anchor, std::initializer_list<int> atoms) {
+    const int node = owner(anchor);
+    for (int a : atoms) pairs.insert({a, node});
+  };
+  for (const Bond& b : sys.bonds) add(b.i, {b.i, b.j});
+  for (const Angle& a : sys.angles) add(a.j, {a.i, a.j, a.k});
+  for (const Dihedral& d : sys.dihedrals) add(d.j, {d.i, d.j, d.k, d.l});
+  return pairs.size();
+}
+
+TEST(AntonMd, HtisPacketsAreExactPerAtom) {
+  // A range-limited step sends one position packet per home atom and one
+  // HTIS force return per imported atom, with no padding: the injected
+  // packets and multicast forks equal their closed forms.
+  MDSystem sys = testSystem();
+  AntonMdConfig cfg = testConfig();
+  cfg.migrationInterval = 100;
+  cfg.longRangeInterval = 100;
+  Fixture f;
+  AntonMdApp app(f.machine, sys, cfg);
+  const ImportRegions regions(f.machine.shape(), cfg.importMethod);
+
+  std::uint64_t positions = 0, returns = 0, forks = 0;
+  for (int node = 0; node < f.machine.numNodes(); ++node) {
+    const std::uint64_t atoms = std::uint64_t(app.homeAtoms(node));
+    positions += atoms;
+    forks += atoms * regions.exportTo(node).size();
+    for (int src : regions.sources(node))
+      returns += std::uint64_t(app.homeAtoms(src));
+  }
+  const std::uint64_t bonded = 2 * bondProgramPairs(sys, f.machine.shape());
+
+  app.runSteps(1);
+  EXPECT_EQ(f.machine.stats().packetsInjected, positions + returns + bonded);
+  EXPECT_EQ(f.machine.stats().multicastForks, forks);
+}
+
+double maxDeviation(const MDSystem& got, const MDSystem& expect) {
+  double maxErr = 0.0;
+  for (int i = 0; i < got.numAtoms(); ++i)
+    maxErr = std::max(maxErr, expect.minImage(got.positions[std::size_t(i)],
+                                              expect.positions[std::size_t(i)])
+                                  .norm());
+  return maxErr;
+}
+
+TEST(AntonMd, CountsFollowMigration) {
+  // Exact home boxes and a long time step make atoms migrate every step,
+  // so the HTIS count tables change under the run: each import must track
+  // the multicast counts, and the trajectory still matches the reference.
+  MDSystem sys = testSystem();
+  AntonMdConfig cfg = testConfig();
+  cfg.homeBoxMarginFrac = 0.0;
+  cfg.dt = 0.005;
+  cfg.migrationInterval = 1;
+  const int steps = 6;
+  {
+    Fixture f;
+    AntonMdApp app(f.machine, sys, cfg);
+    std::vector<int> before;
+    for (int n = 0; n < f.machine.numNodes(); ++n)
+      before.push_back(app.homeAtoms(n));
+    app.runSteps(steps);
+    int changed = 0;
+    for (int n = 0; n < f.machine.numNodes(); ++n)
+      changed += app.homeAtoms(n) != before[std::size_t(n)] ? 1 : 0;
+    EXPECT_GT(app.totalMigrated(), 0u);
+    EXPECT_GT(changed, 0) << "no population changed";
+
+    ReferenceEngine ref(sys, matchingEngineParams(cfg));
+    ref.run(steps);
+    EXPECT_LT(maxDeviation(app.gatherSystem(), ref.system()), 2e-3);
+  }
+  {
+    // Capacity still bounds what migration may bring in, loudly.
+    cfg.packetHeadroom = 1.0;
+    Fixture f;
+    AntonMdApp app(f.machine, sys, cfg);
+    try {
+      app.runSteps(steps);
+      ADD_FAILURE() << "no home box overflowed its receive capacity";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("home box overflow"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(AntonMd, MigrationConservesAtomsAndKeepsRunning) {

@@ -3,7 +3,11 @@
 // the direct k-space reference.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "md/ewald.hpp"
 #include "md/forces.hpp"
@@ -50,6 +54,25 @@ void checkForcesAgainstGradient(MDSystem& sys, EnergyFn energy,
       EXPECT_NEAR(analytic, numeric, tol) << "atom " << i << " dim " << d;
     }
   }
+}
+
+TEST(MinImage, RoundHalfAwayIsStdRoundBitForBit) {
+  // minImage's rounding skips the library call for |q| < 1.5; every value
+  // must still equal std::round's, signed zeros and ties included.
+  std::vector<double> qs = {0.0, 0.5, 1.5, 2.5, 0.25, 1.0, 7.5, 1e300,
+                            std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+  for (double edge : {0.5, 1.5}) {
+    qs.push_back(std::nextafter(edge, 0.0));
+    qs.push_back(std::nextafter(edge, 2.0));
+  }
+  sim::Rng rng(5);
+  for (int i = 0; i < 1000; ++i) qs.push_back(rng.uniform(-2.0, 2.0));
+  for (double q : qs)
+    for (double v : {q, -q})
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(roundHalfAway(v)),
+                std::bit_cast<std::uint64_t>(std::round(v)))
+          << v;
 }
 
 TEST(Bonded, BondForceMatchesGradient) {

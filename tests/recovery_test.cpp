@@ -88,20 +88,20 @@ struct DropOnDim final : net::FaultModel {
   sim::Time routerStallUntil(int, sim::Time t) const override { return t; }
 };
 
-/// Drops the first traversal whose wire size matches `wireBytes` — e.g. the
-/// migration-flush packets are the only header-only (32-byte-wire) traffic
-/// in an MD superstep.
-struct DropFirstOfWireSize final : net::FaultModel {
+/// Drops the `index`-th traversal (0-based) whose wire size matches
+/// `wireBytes`, and counts them all — e.g. the migration-flush and
+/// population-count packets are the only header-only (32-byte-wire)
+/// traffic in an MD superstep.
+struct DropNthOfWireSize final : net::FaultModel {
   std::size_t wireBytes;
-  bool dropped = false;
-  explicit DropFirstOfWireSize(std::size_t wb) : wireBytes(wb) {}
+  std::uint64_t index;
+  std::uint64_t seen = 0;
+  DropNthOfWireSize(std::size_t wb, std::uint64_t n)
+      : wireBytes(wb), index(n) {}
   net::LinkFaultOutcome onLinkTraversal(int, int, int, std::size_t wb,
                                         sim::Time) override {
     net::LinkFaultOutcome out;
-    if (!dropped && wb == wireBytes) {
-      out.linkFailed = true;
-      dropped = true;
-    }
+    if (wb == wireBytes) out.linkFailed = seen++ == index;
     return out;
   }
   bool linkDown(int, int, int, sim::Time) const override { return false; }
@@ -656,17 +656,15 @@ TEST(Recovery, AllReduceResultFanoutDropIsResentAndCompletes) {
   runAllReduceWithDrop(2, "result-fanout drop");
 }
 
-TEST(Recovery, MigrationFlushDropIsResentAndCompletes) {
-  // The flush packets are the only header-only (32-byte-wire) traffic in a
-  // superstep, so dropping the first such traversal hits exactly one
-  // migration-flush replica. Armed, the shorted neighbor's flush wait
-  // replays it; the trajectory must match a fault-free run bit for bit
-  // (recovery re-delivers the identical payload-free signal).
+md::MDSystem migratingSystem() {
   md::SyntheticSystemParams sp;
   sp.targetAtoms = 1536;
   sp.temperature = 0.8;
   sp.seed = 11;
-  md::MDSystem sys = md::buildSyntheticSystem(sp);
+  return md::buildSyntheticSystem(sp);
+}
+
+md::AntonMdConfig migratingConfig() {
   md::AntonMdConfig cfg;
   cfg.force.cutoff = 2.2;
   cfg.ewald.grid = 16;
@@ -675,11 +673,33 @@ TEST(Recovery, MigrationFlushDropIsResentAndCompletes) {
   cfg.longRangeInterval = 3;  // keep the 2-step run short-range only
   cfg.migrationInterval = 1;  // migrate (and flush) every step
   cfg.recoveryTimeoutUs = 5000.0;
+  return cfg;
+}
+
+void expectSamePositions(const md::MDSystem& clean,
+                         const md::MDSystem& recovered) {
+  ASSERT_EQ(clean.positions.size(), recovered.positions.size());
+  for (std::size_t i = 0; i < clean.positions.size(); ++i) {
+    EXPECT_EQ(clean.positions[i].x, recovered.positions[i].x) << "atom " << i;
+    EXPECT_EQ(clean.positions[i].y, recovered.positions[i].y) << "atom " << i;
+    EXPECT_EQ(clean.positions[i].z, recovered.positions[i].z) << "atom " << i;
+  }
+}
+
+TEST(Recovery, MigrationFlushDropIsResentAndCompletes) {
+  // The flush packets go out before any population count (the only other
+  // header-only, 32-byte-wire traffic in a superstep), so dropping the
+  // first such traversal hits exactly one migration-flush replica. Armed,
+  // the shorted neighbor's flush wait replays it; the trajectory must match
+  // a fault-free run bit for bit (recovery re-delivers the identical
+  // payload-free signal).
+  const md::MDSystem sys = migratingSystem();
+  const md::AntonMdConfig cfg = migratingConfig();
 
   auto run = [&](bool faulted) {
     sim::Simulator sim;
     Machine machine(sim, {4, 4, 4});
-    DropFirstOfWireSize fm(32);
+    DropNthOfWireSize fm(32, 0);
     if (faulted) machine.setFaultModel(&fm);
     md::AntonMdApp app(machine, sys, cfg);
     app.runSteps(2);
@@ -693,12 +713,47 @@ TEST(Recovery, MigrationFlushDropIsResentAndCompletes) {
   };
   md::MDSystem clean = run(false);
   md::MDSystem recovered = run(true);
-  ASSERT_EQ(clean.positions.size(), recovered.positions.size());
-  for (std::size_t i = 0; i < clean.positions.size(); ++i) {
-    EXPECT_EQ(clean.positions[i].x, recovered.positions[i].x) << "atom " << i;
-    EXPECT_EQ(clean.positions[i].y, recovered.positions[i].y) << "atom " << i;
-    EXPECT_EQ(clean.positions[i].z, recovered.positions[i].z) << "atom " << i;
-  }
+  expectSamePositions(clean, recovered);
+}
+
+TEST(Recovery, PopulationCountDropIsResentInTheNextStep) {
+  // Each node multicasts its new population to the HTIS units importing
+  // its box at the end of migration, after every flush it waits on, so the
+  // last header-only traversal of a migrating step is a count packet. Lost,
+  // nothing in that step waits for it (so nothing is replayed yet); the
+  // next step's count wait diagnoses and replays it from the registry, and
+  // the trajectory matches a fault-free run bit for bit.
+  const md::MDSystem sys = migratingSystem();
+  const md::AntonMdConfig cfg = migratingConfig();
+
+  std::uint64_t headerOnly = 0;
+  auto run = [&](DropNthOfWireSize& fm, bool faulted) {
+    sim::Simulator sim;
+    Machine machine(sim, {4, 4, 4});
+    machine.setFaultModel(&fm);
+    md::AntonMdApp app(machine, sys, cfg);
+    app.runSteps(1);
+    if (faulted) {
+      EXPECT_EQ(app.dropsObserved(), 1u);
+      EXPECT_EQ(app.recoveryStats().resends, 0u)
+          << "the lost packet was awaited in its own step: not a count";
+    } else {
+      headerOnly = fm.seen;
+    }
+    app.runSteps(1);
+    if (faulted) {
+      EXPECT_EQ(machine.stats().linkFailures, 1u);
+      EXPECT_GE(app.recoveryStats().resends, 1u);
+      EXPECT_EQ(app.recoveryStats().hardFailures, 0u);
+    }
+    return app.gatherSystem();
+  };
+  DropNthOfWireSize none(32, ~std::uint64_t{0});
+  md::MDSystem clean = run(none, false);
+  ASSERT_GT(headerOnly, 0u);
+  DropNthOfWireSize last(32, headerOnly - 1);
+  md::MDSystem recovered = run(last, true);
+  expectSamePositions(clean, recovered);
 }
 
 }  // namespace
