@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
+#include <tuple>
 
 #include "core/allreduce.hpp"
 #include "sim/simulator.hpp"
@@ -138,6 +141,58 @@ TEST(DimOrderedAllReduce, OversizedPayloadThrows) {
         f.sim.run();
       },
       std::length_error);
+}
+
+TEST(DimOrderedAllReduce, PlanEqualsTraffic) {
+  // The plan of one reduction describes the packets the live run really
+  // sends: the per-source arrivals on every (node, client, counter) equal the
+  // summed per-source expectations of the plan's waits there, including a
+  // shape whose y dimension takes no part.
+  for (util::TorusShape shape :
+       {util::TorusShape{4, 4, 4}, util::TorusShape{4, 1, 2}}) {
+    for (bool armed : {false, true}) {
+      SCOPED_TRACE(std::to_string(shape.nx) + "x" + std::to_string(shape.ny) +
+                   "x" + std::to_string(shape.nz) +
+                   (armed ? " armed" : " disarmed"));
+      Fixture f(shape);
+      DimOrderedAllReduce red(f.machine);
+      DropRegistry reg(f.machine);
+      RecoveryStats stats;
+      if (armed) {
+        RecoveryHooks hooks;
+        hooks.registry = &reg;
+        hooks.config.timeout = sim::us(100);
+        hooks.stats = &stats;
+        red.setRecovery(hooks);
+      }
+      verify::CommPlan plan;
+      red.appendPlan(plan, "start");
+
+      using Key = std::tuple<int, int, int>;  // node, client, counter
+      std::map<Key, std::map<int, std::uint64_t>> want, before;
+      for (const verify::CounterExpectation& e : plan.expectations) {
+        EXPECT_EQ(e.recoveryArmed, armed) << e.site;
+        auto& w = want[{e.client.node, e.client.client, e.counterId}];
+        for (const auto& [src, packets] : e.bySource)
+          if (packets > 0) w[src] += packets;
+      }
+      auto sources = [&](const Key& k) {
+        const auto [node, client, counter] = k;
+        return f.machine.client({node, client}).counterSources(counter);
+      };
+      for (const auto& [k, w] : want) before[k] = sources(k);
+      collect(f, red, 4, [](int node, std::size_t w) { return node + 0.5 * w; });
+      for (const auto& [k, w] : want) {
+        std::map<int, std::uint64_t> delta;
+        for (const auto& [src, total] : sources(k))
+          if (total > before[k][src]) delta[src] = total - before[k][src];
+        const auto [node, client, counter] = k;
+        EXPECT_EQ(delta, w) << "node " << node << " client " << client
+                            << " counter " << counter;
+      }
+      EXPECT_EQ(stats.timeouts, 0u);
+    }
+  }
 }
 
 TEST(ButterflyAllReduce, MatchesDimOrderedSum) {
