@@ -68,8 +68,7 @@ verify::CommPlan fftPairPlan() {
   verify::CommPlan p;
   p.name = "fft-pair-2x2x2";
   p.shape = {2, 2, 2};
-  std::string tail = fft3d.appendPlan(p, "", false, 0);
-  fft3d.appendPlan(p, tail, true, 1);
+  fft3d.appendPlan(p, "");
   return p;
 }
 
