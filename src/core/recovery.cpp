@@ -108,8 +108,6 @@ sim::Task RecoverableCountedWrite::await(std::uint64_t target,
   }
 }
 
-namespace {
-
 sim::Task recoverCounted(net::NetworkClient& client, int counterId,
                          std::uint64_t target,
                          const std::map<int, std::uint64_t>& bySource,
@@ -128,17 +126,6 @@ sim::Task recoverCounted(net::NetworkClient& client, int counterId,
     throw;
   }
   if (hooks.stats != nullptr) hooks.stats->accumulate(rcw.stats());
-}
-
-}  // namespace
-
-CountedWait awaitCounted(net::NetworkClient& client, int counterId,
-                         std::uint64_t target,
-                         const std::map<int, std::uint64_t>& bySource,
-                         const RecoveryHooks& hooks) {
-  if (!hooks.armed()) return CountedWait(client.waitCounter(counterId, target));
-  return CountedWait(
-      recoverCounted(client, counterId, target, bySource, hooks));
 }
 
 }  // namespace anton::core

@@ -11,14 +11,15 @@
 //     receivers before it got their copy and must not be re-bumped).
 //   - CountedWriteWatchdog (core/watchdog.hpp): diagnoses which sources a
 //     timed-out counted wait is still owed packets from.
-//   - RecoverableCountedWrite / awaitCounted: the retry loop — wait with a
+//   - RecoverableCountedWrite / recoverCounted: the retry loop — wait with a
 //     deadline, diagnose, replay exactly the lost payloads from the
 //     registry (degraded-routed, so replays avoid the link that ate the
 //     original), and hard-fail with a full report when the bounded resend
 //     budget is exhausted.
 //
 // Disarmed (no registry), every wait degenerates to a plain counter poll
-// with bit-identical timing — the zero-fault path is untouched.
+// with bit-identical timing — the zero-fault path is untouched. The counted
+// waits themselves are CountedSchedule::awaitRound (core/schedule.hpp).
 #pragma once
 
 #include <coroutine>
@@ -168,7 +169,7 @@ struct RecoveryHooks {
   bool armed() const { return registry != nullptr; }
 };
 
-/// What awaitCounted returns: the client's own counter poll when disarmed
+/// What a counted wait returns: the client's own counter poll when disarmed
 /// (no coroutine frame between the waiting program and the counter), the
 /// recovery loop's task when armed.
 class [[nodiscard]] CountedWait {
@@ -190,12 +191,11 @@ class [[nodiscard]] CountedWait {
   sim::Task armed_;
 };
 
-/// THE counted wait of the collectives: a plain counter poll when `hooks`
-/// is disarmed (schedule-identical to recovery-free code), a full
-/// RecoverableCountedWrite against the hooks' registry when armed.
-/// `bySource` (cumulative per-source expectations; ignored when disarmed)
-/// is taken by reference and must outlive the co_await.
-CountedWait awaitCounted(net::NetworkClient& client, int counterId,
+/// The armed form of a counted wait: a RecoverableCountedWrite against the
+/// hooks' registry, its stats accumulated into the hooks' sink. `bySource`
+/// (cumulative per-source expectations) is taken by reference and must
+/// outlive the co_await.
+sim::Task recoverCounted(net::NetworkClient& client, int counterId,
                          std::uint64_t target,
                          const std::map<int, std::uint64_t>& bySource,
                          const RecoveryHooks& hooks);
