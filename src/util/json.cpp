@@ -1,12 +1,14 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <locale>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace anton::util::json {
 namespace {
@@ -213,9 +215,10 @@ class Parser {
     }
     Value v;
     v.type = Value::kNumber;
+    v.s = text_.substr(start, pos_ - start);
     // std::stod honors the global locale; parse through a classic-locale
     // stream so a comma-decimal locale cannot corrupt round-trips.
-    std::istringstream is(text_.substr(start, pos_ - start));
+    std::istringstream is(v.s);
     is.imbue(std::locale::classic());
     is >> v.n;
     if (is.fail()) fail("unparseable number");
@@ -289,16 +292,33 @@ const Value* optField(const Value& obj, const std::string& key) {
   return it == obj.obj.end() ? nullptr : &it->second;
 }
 
-int asInt(const Value& v, const std::string& what) {
+namespace {
+
+/// The integer a number literal spells, parsed from its text.
+template <typename T>
+T exactInteger(const Value& v, const std::string& what) {
   if (v.type != Value::kNumber)
     throw std::runtime_error(what + " is not a number");
-  return int(v.n);
+  T out{};
+  const char* last = v.s.data() + v.s.size();
+  const auto [ptr, ec] = std::from_chars(v.s.data(), last, out);
+  if (ec == std::errc::result_out_of_range)
+    throw std::runtime_error(what + " is out of range: " + v.s);
+  if (ec != std::errc() || ptr != last)
+    throw std::runtime_error(what + " is not " +
+                             (std::is_signed_v<T> ? "an" : "a non-negative") +
+                             " integer: " + v.s);
+  return out;
+}
+
+}  // namespace
+
+int asInt(const Value& v, const std::string& what) {
+  return exactInteger<int>(v, what);
 }
 
 std::uint64_t asU64(const Value& v, const std::string& what) {
-  if (v.type != Value::kNumber || v.n < 0)
-    throw std::runtime_error(what + " is not a non-negative number");
-  return std::uint64_t(v.n);
+  return exactInteger<std::uint64_t>(v, what);
 }
 
 double asDouble(const Value& v, const std::string& what) {

@@ -22,7 +22,7 @@ struct Value {
   Type type = kNull;
   bool b = false;
   double n = 0;
-  std::string s;
+  std::string s;  ///< a string, or a number literal's text (asInt, asU64)
   std::vector<Value> arr;
   std::map<std::string, Value> obj;
 };
@@ -39,7 +39,9 @@ std::string quoted(const std::string& s);
 std::string number(double v);
 
 // Typed field access. All throw std::runtime_error naming `what` when the
-// field is missing or has the wrong type.
+// field is missing or has the wrong type. asInt and asU64 read the number's
+// literal text exactly: a fraction, an exponent or a value outside the
+// type's range is an error, never a rounded or wrapped integer.
 const Value& field(const Value& obj, const std::string& key,
                    const std::string& what);
 const Value* optField(const Value& obj, const std::string& key);

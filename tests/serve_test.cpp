@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,9 +21,11 @@
 #include "serve/protocol.hpp"
 #include "serve/runner.hpp"
 #include "serve/server.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "util/json.hpp"
 #include "verify/checks.hpp"
+#include "verify/snapshot.hpp"
 
 namespace anton::serve {
 namespace {
@@ -67,6 +71,29 @@ TEST(JobSpec, RejectsUnknownKeysAndWrongTypes) {
                std::runtime_error);
   EXPECT_THROW(specFromJson("{\"family\":\"quickstart-md\",\"shape\":\"4x4\"}"),
                std::runtime_error);
+}
+
+TEST(JobSpec, IntegerFieldsRoundTripExactlyOrAreRejected) {
+  // Seeds above 2^53 survive the round trip bit for bit.
+  for (std::uint64_t seed : {(1ull << 53) + 1, ~0ull}) {
+    JobSpec spec = quickstartMdSpec();
+    spec.seed = seed;
+    EXPECT_EQ(specFromJson(specToJson(spec)).seed, seed);
+  }
+  // A fraction, an exponent or a negative seed is an error naming the field.
+  for (const char* field : {"\"steps\":2.5", "\"steps\":1e30", "\"seed\":-1",
+                            "\"seed\":2.5", "\"seed\":1e30"}) {
+    const std::string text =
+        std::string("{\"family\":\"quickstart-md\",") + field + "}";
+    try {
+      specFromJson(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const std::runtime_error& e) {
+      const std::string name = std::string(field).substr(1, 4);
+      EXPECT_NE(std::string(e.what()).find("spec." + name), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(JobSpec, ValidationCatchesOutOfRangeFields) {
@@ -387,6 +414,112 @@ TEST(Protocol, MalformedRequestsKeepTheServerHealthy) {
   ASSERT_TRUE(out.accepted);
   EXPECT_EQ(server.wait(out.id).state, JobState::kDone);
   server.shutdown();
+}
+
+TEST(Protocol, NonIntegerIdsAreRejectedAndTheServerKeepsServing) {
+  JobServer server({.workers = 1, .queueCapacity = 4});
+  for (const char* line :
+       {"{\"op\":\"poll\",\"id\":1e20}", "{\"op\":\"wait\",\"id\":-1}",
+        "{\"op\":\"cancel\",\"id\":2.5}"}) {
+    SCOPED_TRACE(line);
+    ProtocolResult r = handleLine(server, line);
+    EXPECT_FALSE(r.shutdown);
+    json::Value resp = json::parse(r.response, "resp");
+    EXPECT_FALSE(json::asBool(json::field(resp, "ok", "r"), "ok"));
+    EXPECT_NE(json::asString(json::field(resp, "error", "r"), "error")
+                  .find("request.id"),
+              std::string::npos);
+  }
+  SubmitOutcome out = server.submit(table2AllReduceSpec({2, 2, 2}));
+  ASSERT_TRUE(out.accepted);
+  EXPECT_EQ(server.wait(out.id).state, JobState::kDone);
+  server.shutdown();
+}
+
+// --- hostile inputs ----------------------------------------------------------
+
+/// `count` seeded mutants of `text`, each one to three byte flips, deletes,
+/// inserts or truncations.
+std::vector<std::string> mutants(const std::string& text, std::uint64_t seed,
+                                 int count) {
+  sim::Rng rng(seed);
+  std::vector<std::string> out;
+  for (int i = 0; i < count; ++i) {
+    std::string m = text;
+    for (int e = 1 + int(rng.below(3)); e > 0 && !m.empty(); --e) {
+      const std::size_t at = rng.below(m.size());
+      switch (rng.below(4)) {
+        case 0:
+          m[at] = char(m[at] ^ (1 << rng.below(8)));
+          break;
+        case 1:
+          m.erase(at, 1);
+          break;
+        case 2:
+          m.insert(at, 1, char(rng.below(256)));
+          break;
+        default:
+          m.resize(at);
+      }
+    }
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+std::string readGolden(const std::string& name) {
+  std::ifstream in(std::string(GOLDEN_PLANS_DIR) + "/" + name);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(HostileInput, MutatedSpecsRequestsAndPlansParseOrThrow) {
+  // Every mutant either parses or throws a std::exception — no crash, hang
+  // or undefined behaviour (the sanitizer builds run this too) — and the
+  // protocol answers every line with a JSON response.
+  const std::vector<std::string> specs = {
+      specToJson(quickstartMdSpec()), specToJson(fig5PingSpec()),
+      specToJson(table2AllReduceSpec({4, 4, 4})),
+      specToJson(faultSweepSpec({2, 2, 2}, 1e-5))};
+  const std::vector<std::string> lines = {
+      "{\"op\":\"submit\",\"spec\":" + specs[0] +
+          ",\"useCache\":true,\"deadlineMs\":5.5}",
+      "{\"op\":\"poll\",\"id\":12}", "{\"op\":\"wait\",\"id\":3}",
+      "{\"op\":\"cancel\",\"id\":7}", "{\"op\":\"status\"}"};
+  const std::vector<std::string> plans = {
+      readGolden("fig5-ping.json"), readGolden("table2-allreduce-2x2x2.json")};
+  ASSERT_FALSE(plans[0].empty());
+  ASSERT_FALSE(plans[1].empty());
+
+  int parsed = 0, thrown = 0;
+  auto attempt = [&](const auto& read) {
+    try {
+      read();
+      ++parsed;
+    } catch (const std::exception&) {
+      ++thrown;
+    }
+  };
+  std::uint64_t seed = 1;
+  for (const std::string& spec : specs)
+    for (const std::string& m : mutants(spec, seed++, 400))
+      attempt([&] { validateSpec(specFromJson(m)); });
+  // A shut-down server runs nothing: submits are refused, every id is
+  // unknown, so no mutant can start a job or block on one.
+  JobServer server({.workers = 1, .queueCapacity = 4});
+  server.shutdown();
+  for (const std::string& line : lines)
+    for (const std::string& m : mutants(line, seed++, 400)) {
+      ProtocolResult r = handleLine(server, m);
+      json::Value resp = json::parse(r.response, "response");
+      json::asBool(json::field(resp, "ok", "response"), "ok");
+    }
+  for (const std::string& plan : plans)
+    for (const std::string& m : mutants(plan, seed++, 100))
+      attempt([&] { verify::planFromJson(m); });
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(thrown, 0);
 }
 
 }  // namespace

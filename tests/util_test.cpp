@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 
+#include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/torus_coord.hpp"
@@ -122,6 +126,34 @@ TEST(Table, Renders) {
 TEST(Table, NumFormat) {
   EXPECT_EQ(TablePrinter::num(1.234, 2), "1.23");
   EXPECT_EQ(TablePrinter::num(5, 0), "5");
+}
+
+TEST(Json, IntegersAreReadFromTheLiteralExactly) {
+  using json::asInt;
+  using json::asU64;
+  using json::parse;
+  EXPECT_EQ(asU64(parse("9007199254740993"), "x"), (1ull << 53) + 1);
+  EXPECT_EQ(asU64(parse("18446744073709551615"), "x"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(asInt(parse("-2147483648"), "x"),
+            std::numeric_limits<int>::min());
+  EXPECT_EQ(asInt(parse("[7]").arr[0], "x"), 7);
+  // Fractions, exponents and out-of-range values are errors naming the
+  // field, never a truncated, rounded or wrapped integer.
+  for (const char* bad : {"2.5", "1e30", "1E2", "-1.0", "2147483648"}) {
+    try {
+      asInt(parse(bad), "spec.steps");
+      ADD_FAILURE() << bad << " read as an int";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("spec.steps"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* bad : {"-1", "2.5", "1e20", "18446744073709551616"})
+    EXPECT_THROW(asU64(parse(bad), "request.id"), std::runtime_error) << bad;
+  EXPECT_THROW(asInt(parse("\"3\""), "x"), std::runtime_error);
+  // Doubles keep their own reading.
+  EXPECT_EQ(json::asDouble(parse("2.5e-3"), "x"), 2.5e-3);
 }
 
 }  // namespace
