@@ -40,9 +40,10 @@ sim::Task allReduce(ClusterMachine& m, int node, std::vector<double> in,
 /// Static message plan of the recursive-doubling all-reduce in the
 /// verifier's counted-write vocabulary: the cluster is modeled as an
 /// {n, 1, 1} torus, one tag acts as one sync counter, one message as one
-/// packet. Waits are marked recovery-armed because the cluster transport is
-/// reliable (MPI semantics), unlike raw counted writes. Returns the final
-/// phase appended.
+/// packet, built as a counted-traffic schedule (core/schedule.hpp). Waits
+/// are marked recovery-armed because the cluster transport is reliable
+/// (MPI semantics), unlike raw counted writes. Returns the final phase
+/// appended.
 std::string appendAllReducePlan(verify::CommPlan& plan, int numNodes,
                                 const std::string& afterPhase,
                                 int tagBase = 1000);
