@@ -12,9 +12,11 @@
 // A global operator new/delete override counts every heap allocation; the
 // measured windows run after a warmup so pools and vector capacities are
 // hot. Self-checks (exit 1): both schedule digests must equal the pinned
-// ones, the ping steady state must make ZERO allocations, and building and
+// ones, the ping steady state must make ZERO allocations, building and
 // destroying the process's first 8x8x8 Machine must stay lazy — fewer than
-// kLazyBuildMaxFaults minor page faults.
+// kLazyBuildMaxFaults minor page faults — and constructing an 8x8x8
+// all-reduce must stay lean — fewer than kLeanArBuildMaxAllocs heap
+// allocations.
 //
 // Gated metrics (tools/check_perf_trajectory.py), each against a pinned
 // constant, so every one of them can fail on any host:
@@ -23,6 +25,9 @@
 //                              equal their pinned values
 //   machine_build_lazy         1.0 = first 8x8x8 build + teardown took
 //                              fewer than kLazyBuildMaxFaults minor faults
+//   allreduce_build_lean       1.0 = one 8x8x8 DimOrderedAllReduce
+//                              construction made fewer than
+//                              kLeanArBuildMaxAllocs heap allocations
 //   allreduce_allocs_per_event heap allocations per kernel event in the
 //                              all-reduce window, against kArAllocsPerEvent
 // The printed events/s and packets/s columns are host speed: they are
@@ -158,6 +163,16 @@ std::uint64_t buildFaults() {
   return minorFaults() - f0;
 }
 
+/// Heap allocations made by constructing one 8x8x8 DimOrderedAllReduce:
+/// its pattern rows and schedule, not the Machine it runs on.
+std::uint64_t allReduceBuildAllocs() {
+  sim::Simulator sim;
+  net::Machine m(sim, {8, 8, 8});
+  const std::uint64_t a0 = g_allocs;
+  core::DimOrderedAllReduce red(m);
+  return g_allocs - a0;
+}
+
 /// Fig. 5-shaped ping: counted 256 B remote writes to x-neighbors 1-4 hops
 /// out. One probe per iteration; `warmup` iterations heat pools and vector
 /// capacities before the `iters` measured ones.
@@ -245,9 +260,14 @@ int main() {
   // 32 MiB of 4 KiB pages: room for the nodes, clients and links, and far
   // below the ~229k pages of 3,584 eagerly zeroed 256 KiB client memories.
   constexpr std::uint64_t kLazyBuildMaxFaults = 8192;
+  // Half a machine's 512 nodes: a few dozen allocations per schedule table
+  // fit, one per source or per send does not.
+  constexpr std::uint64_t kLeanArBuildMaxAllocs = 256;
 
   const std::uint64_t faults = buildFaults();
   const bool buildLazy = faults < kLazyBuildMaxFaults;
+  const std::uint64_t arBuildAllocs = allReduceBuildAllocs();
+  const bool arBuildLean = arBuildAllocs < kLeanArBuildMaxAllocs;
   RunStats ping = runPing(kPingWarmup, kPingIters);
   RunStats ar = runAllReduce(kArWarmup, kArRounds);
 
@@ -268,7 +288,9 @@ int main() {
   row("allreduce 8x8x8", ar);
   table.print(std::cout);
   std::cout << "\n8x8x8 Machine build + teardown: " << faults
-            << " minor faults (limit " << kLazyBuildMaxFaults << ")\n";
+            << " minor faults (limit " << kLazyBuildMaxFaults << ")\n"
+            << "8x8x8 all-reduce construction: " << arBuildAllocs
+            << " heap allocations (limit " << kLeanArBuildMaxAllocs << ")\n";
 
   bench::JsonReporter json("kernel");
   // The boolean invariants gate on exact 1.0, the allocation rate on its
@@ -277,10 +299,11 @@ int main() {
               "bool");
   json.record("schedule_match", 1.0, schedulesMatch ? 1.0 : 0.0, "bool");
   json.record("machine_build_lazy", 1.0, buildLazy ? 1.0 : 0.0, "bool");
+  json.record("allreduce_build_lean", 1.0, arBuildLean ? 1.0 : 0.0, "bool");
   json.record("allreduce_allocs_per_event", kArAllocsPerEvent,
               arAllocsPerEvent, "allocs/event");
 
-  bool ok = schedulesMatch && pingZeroAlloc && buildLazy;
+  bool ok = schedulesMatch && pingZeroAlloc && buildLazy && arBuildLean;
   if (!schedulesMatch)
     std::cout << "\nSCHEDULE MISMATCH: digests differ from the pinned "
               << util::hex64(kPingDigest) << " (ping) and "
@@ -291,6 +314,9 @@ int main() {
   if (!buildLazy)
     std::cout << "\nEAGER MACHINE BUILD: " << faults
               << " minor faults building and destroying an 8x8x8 Machine\n";
+  if (!arBuildLean)
+    std::cout << "\nHEAVY ALL-REDUCE BUILD: " << arBuildAllocs
+              << " heap allocations constructing an 8x8x8 all-reduce\n";
   if (ok) std::cout << "\nkernel invariants hold\n";
   return ok ? 0 : 1;
 }

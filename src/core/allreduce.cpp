@@ -34,10 +34,14 @@ net::PayloadPtr packDoubles(std::span<const double> xs) {
 
 DimOrderedAllReduce::DimOrderedAllReduce(net::Machine& machine,
                                          AllReduceConfig cfg)
-    : machine_(machine),
-      cfg_(cfg),
-      patterns_(machine, kPatternBase, net::kMulticastPatterns - 1) {
+    : machine_(machine), cfg_(cfg) {
   buildSchedule();
+}
+
+void DimOrderedAllReduce::setRecovery(const RecoveryHooks& hooks) {
+  if (schedule_.started())
+    throw std::logic_error("all-reduce recovery armed after a run");
+  recovery_ = hooks;
 }
 
 int DimOrderedAllReduce::patternId(int dim, int pos) const {
@@ -54,6 +58,12 @@ int DimOrderedAllReduce::lastDim() const {
   return shape.nz > 1 ? 2 : shape.ny > 1 ? 1 : shape.nx > 1 ? 0 : -1;
 }
 
+int DimOrderedAllReduce::lineNode(int node, int dim, int pos) const {
+  util::TorusCoord c = util::torusCoordOf(node, machine_.shape());
+  c[dim] = pos;
+  return util::torusIndex(c, machine_.shape());
+}
+
 void DimOrderedAllReduce::buildSchedule() {
   const util::TorusShape& shape = machine_.shape();
   for (int dim = 0; dim < 3; ++dim) {
@@ -65,6 +75,7 @@ void DimOrderedAllReduce::buildSchedule() {
     schedule_.names.push_back(schedule_.names[std::size_t(dim)] + ".slots");
   schedule_.numNodes = machine_.numNodes();
 
+  std::vector<int> peers;
   for (int dim = 0; dim < 3; ++dim) {
     const int n = shape.extent(dim);
     if (n < 2) continue;
@@ -74,38 +85,36 @@ void DimOrderedAllReduce::buildSchedule() {
     // receive slots need parity double buffering.
     schedule_.sites.push_back({phase, phase, phase, 1, 1});
     // The line broadcast from position `pos` reaches positions ahead of it
-    // (+dim chain, length fwd) and behind it (-dim chain, length bwd).
+    // (+dim chain, length fwd) and behind it (-dim chain, length bwd). One
+    // pattern per (dim, pos) serves every line: a node's row depends only
+    // on its position relative to the source's.
     const int fwd = n / 2;
     const int bwd = n - 1 - fwd;
     auto link = [dim](int sign) {
       return std::uint8_t(1u << RingLayout::adapterIndex(dim, sign));
     };
-    std::vector<int> peers;
-    for (int s = 0; s < machine_.numNodes(); ++s) {
-      const util::TorusCoord c = util::torusCoordOf(s, shape);
-      const int pos = c[dim];
-      MulticastTree tree{.srcNode = s, .entries = {}};
-      tree.entries.reserve(std::size_t(n));
-      peers.clear();
-      for (int k = 0; k < n; ++k) {
-        util::TorusCoord jc = c;
-        jc[dim] = k;
-        const int j = util::torusIndex(jc, shape);
+    for (int j = 0; j < machine_.numNodes(); ++j) {
+      const int k = util::torusCoordOf(j, shape)[dim];
+      for (int pos = 0; pos < n; ++pos) {
         const int kf = util::wrap(k - pos, n);
         const int kb = util::wrap(pos - k, n);
-        MulticastEntry& e = tree.entries.emplace_back(j, MulticastEntry{}).second;
+        MulticastEntry e;
         if (kf == 0) {  // source position: fork both ways, no local delivery
           e.linkMask = std::uint8_t((fwd >= 1 ? link(+1) : 0) |
                                     (bwd >= 1 ? link(-1) : 0));
-          continue;
+        } else {
+          e.clientMask = std::uint8_t(1u << dim);  // slice `dim`
+          if (kf < fwd) e.linkMask = link(+1);
+          else if (kf > fwd && kb < bwd) e.linkMask = link(-1);
         }
-        e.clientMask = std::uint8_t(1u << dim);  // slice `dim`
-        if (kf < fwd) e.linkMask = link(+1);
-        else if (kf > fwd && kb < bwd) e.linkMask = link(-1);
-        peers.push_back(j);
+        machine_.setMulticastPattern(j, patternId(dim, pos), e);
       }
-      // One id per (dim, pos): the sources sharing it sit on disjoint lines.
-      patterns_.installAt(std::move(tree), patternId(dim, pos));
+    }
+    for (int s = 0; s < machine_.numNodes(); ++s) {
+      const int pos = util::torusCoordOf(s, shape)[dim];
+      peers.clear();
+      for (int k = 0; k < n; ++k)
+        if (k != pos) peers.push_back(lineNode(s, dim, k));
       schedule_.sends.push_back({.node = s, .phase = phase, .seq = 0,
                                  .counterId = cfg_.counterId,
                                  .pattern = patternId(dim, pos)});
@@ -124,7 +133,7 @@ void DimOrderedAllReduce::buildSchedule() {
         if (sl != last)
           schedule_.sends.push_back(
               {.node = s, .phase = kShare, .dst = {s, sl}});
-  schedule_.transpose(patterns_.installed());
+  schedule_.transpose(&machine_);
 }
 
 std::string DimOrderedAllReduce::appendPlan(verify::CommPlan& plan,
@@ -138,7 +147,23 @@ std::string DimOrderedAllReduce::appendPlan(verify::CommPlan& plan,
     prev = schedule_.names[std::size_t(phase)];
     schedule_.appendTo(plan, phase, phase, recovery_.armed());
   }
-  appendMulticasts(plan, patterns_.installed());
+  // Each source's tree: the installed rows of its line, the only ones its
+  // broadcast can reach, meant for the line's other nodes.
+  for (int dim = 0; dim < 3; ++dim) {
+    const int n = machine_.shape().extent(dim);
+    if (n < 2) continue;
+    for (int s = 0; s < machine_.numNodes(); ++s) {
+      const int pos = util::torusCoordOf(s, machine_.shape())[dim];
+      verify::MulticastPlanEntry& tree = plan.multicasts.emplace_back();
+      tree.patternId = patternId(dim, pos);
+      tree.srcNode = s;
+      for (int k = 0; k < n; ++k) {
+        const int j = lineNode(s, dim, k);
+        tree.entries.emplace(j, machine_.node(j).multicast(tree.patternId));
+        if (k != pos) tree.declaredDests.push_back({j, dim});
+      }
+    }
+  }
   return prev;
 }
 

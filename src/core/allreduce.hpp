@@ -10,9 +10,11 @@
 // count; the butterfly variant below is the ablation baseline the paper
 // compares against (3*log2(N) rounds, 3(N-1) hops).
 //
-// The line broadcasts, the waits that count them and the slots they fill
-// are one counted-traffic schedule (core/schedule.hpp), built at
-// construction beside the per-source line trees: the live waits and the
+// Each line broadcast uses one multicast pattern per (dimension, line
+// position): construction writes its row into every node's table, and the
+// rows of different lines never meet. The broadcasts, the waits that count
+// them (their arrivals read from those tables) and the slots they fill are
+// one counted-traffic schedule (core/schedule.hpp): the live waits and the
 // static plan both read it.
 #pragma once
 
@@ -20,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/multicast.hpp"
 #include "core/recovery.hpp"
 #include "core/schedule.hpp"
 #include "net/machine.hpp"
@@ -37,7 +38,8 @@ struct AllReduceConfig {
 };
 
 /// Dimension-ordered all-reduce over every node of a machine. Construct
-/// once (installs every source's line-broadcast tree), then spawn `run`
+/// once (writes the line-broadcast patterns into every node's table, ids
+/// 208 up), then spawn `run`
 /// collectively — one task per node — any number of times. The last
 /// participating slice shares the global sum with its three peers.
 class DimOrderedAllReduce {
@@ -58,16 +60,18 @@ class DimOrderedAllReduce {
   /// wait (both the reduction stages and the final dimension's fan-out of
   /// the result): armed waits diagnose dropped replicas per source and
   /// replay them from the hooks' DropRegistry. Disarmed (default) the waits
-  /// are plain counter polls — bit-identical timing. Call before the first
-  /// run(): disarmed rounds keep no per-source totals, so waits armed
-  /// afterwards would find nothing missing and never replay.
-  void setRecovery(const RecoveryHooks& hooks) { recovery_ = hooks; }
+  /// are plain counter polls — bit-identical timing. Throws
+  /// std::logic_error once a run has awaited a round: disarmed rounds keep
+  /// no per-source totals, so waits armed afterwards would find nothing
+  /// missing and never replay.
+  void setRecovery(const RecoveryHooks& hooks);
 
   /// Append this all-reduce's static communication plan (one phase per
   /// participating dimension, then the local share, chained after
   /// `afterPhase`) to `plan`: the phase edges, the schedule's copy — per-line
   /// broadcast writes, counter expectations, the parity-double-buffered slot
-  /// regions, the uncounted share writes — and the installed line trees.
+  /// regions, the uncounted share writes — and each source's line tree,
+  /// copied from the installed rows of its line.
   /// Returns the name of the final phase appended.
   std::string appendPlan(verify::CommPlan& plan,
                          const std::string& afterPhase) const;
@@ -77,12 +81,13 @@ class DimOrderedAllReduce {
   std::uint32_t slotAddr(int pos, int parity) const;
   /// The last participating dimension (-1 on a single node).
   int lastDim() const;
-  /// Install every source's line tree and build the schedule.
+  /// The node at line position `pos` of `node`'s line along `dim`.
+  int lineNode(int node, int dim, int pos) const;
+  /// Write the line-broadcast patterns and build the schedule.
   void buildSchedule();
 
   net::Machine& machine_;
   AllReduceConfig cfg_;
-  PatternAllocator patterns_;
   /// Wait d is the line-broadcast counter on slice d; its rounds drive the
   /// double-buffer parity.
   CountedSchedule schedule_;

@@ -28,13 +28,6 @@ const net::MulticastEntry& MulticastTree::at(int node) const {
   throw std::out_of_range("node not in multicast tree");
 }
 
-std::vector<int> MulticastTree::footprint() const {
-  std::vector<int> nodes;
-  nodes.reserve(entries.size());
-  for (const auto& [node, entry] : entries) nodes.push_back(node);
-  return nodes;
-}
-
 MulticastTree buildMulticastTree(const net::Machine& m, int srcNode,
                                  const std::vector<net::ClientAddr>& dests,
                                  std::array<int, 3> dimOrder) {
@@ -83,13 +76,13 @@ int PatternAllocator::install(int srcNode,
   // broadcasts from neighboring sources spread their legs over all links.
   static constexpr std::array<std::array<int, 3>, 6> kPerms = {{
       {0, 1, 2}, {1, 2, 0}, {2, 0, 1}, {0, 2, 1}, {2, 1, 0}, {1, 0, 2}}};
-  int id = install(
-      buildMulticastTree(machine_, srcNode, dests, kPerms[std::size_t(srcNode) % 6]));
-  installed_.back().dests = dests;  // declared intent, not derived from tree
-  return id;
+  return install(buildMulticastTree(machine_, srcNode, dests,
+                                    kPerms[std::size_t(srcNode) % 6]),
+                 dests);
 }
 
-int PatternAllocator::install(MulticastTree tree) {
+int PatternAllocator::install(MulticastTree tree,
+                              std::vector<net::ClientAddr> dests) {
   for (int id = firstId_; id <= lastId_; ++id) {
     bool free = true;
     for (const auto& [node, entry] : tree.entries) {
@@ -98,26 +91,15 @@ int PatternAllocator::install(MulticastTree tree) {
         break;
       }
     }
-    if (free) {
-      installAt(std::move(tree), id);
-      return id;
+    if (!free) continue;
+    for (const auto& [node, entry] : tree.entries) {
+      machine_.setMulticastPattern(node, id, entry);
+      usedIdsPerNode_[std::size_t(node)].set(std::size_t(id));
     }
+    installed_.push_back({id, std::move(tree), std::move(dests)});
+    return id;
   }
   throw std::runtime_error("multicast pattern tables exhausted");
-}
-
-void PatternAllocator::installAt(MulticastTree tree, int id) {
-  InstalledPattern rec;
-  rec.id = id;
-  rec.dests.reserve(tree.entries.size());
-  for (const auto& [node, entry] : tree.entries) {
-    machine_.setMulticastPattern(node, id, entry);
-    usedIdsPerNode_[std::size_t(node)].set(std::size_t(id));
-    for (int c = 0; c < net::kClientsPerNode; ++c)
-      if (entry.clientMask & (1u << c)) rec.dests.push_back({node, c});
-  }
-  rec.tree = std::move(tree);
-  installed_.push_back(std::move(rec));
 }
 
 }  // namespace anton::core

@@ -29,8 +29,6 @@ struct MulticastTree {
   /// The entry of `node`; throws std::out_of_range when the tree does not
   /// touch it.
   const net::MulticastEntry& at(int node) const;
-  /// All nodes whose tables the tree touches (its interference footprint).
-  std::vector<int> footprint() const;
 };
 
 /// Build the dimension-ordered spanning tree for a fan-out from `srcNode` to
@@ -45,9 +43,9 @@ MulticastTree buildMulticastTree(const net::Machine& m, int srcNode,
                                  std::array<int, 3> dimOrder = {0, 1, 2});
 
 /// One pattern as installed: its id, the tree written into the node tables,
-/// and the destination set the caller declared. For trees installed without
-/// an explicit destination list the dests are derived from the tree's
-/// clientMask bits. Consumed by the static plan verifier (src/verify/).
+/// and the destination set the caller declared, independently of the tree.
+/// Copied into the static plan (src/verify/), which checks the one against
+/// the other.
 struct InstalledPattern {
   int id = -1;
   MulticastTree tree;
@@ -66,14 +64,9 @@ class PatternAllocator {
   /// Install a fan-out; returns the allocated pattern id.
   int install(int srcNode, const std::vector<net::ClientAddr>& dests);
 
-  /// Install a prebuilt tree; returns the allocated pattern id.
-  int install(MulticastTree tree);
-
-  /// Install a prebuilt tree under a caller-chosen id, without conflict
-  /// checks. Used by subsystems with their own id scheme: the all-reduce
-  /// installs each source's line broadcast at the id of its (dimension,
-  /// line position), which the sources of disjoint lines share.
-  void installAt(MulticastTree tree, int id);
+  /// Install a prebuilt tree meant to reach `dests`; returns the allocated
+  /// pattern id.
+  int install(MulticastTree tree, std::vector<net::ClientAddr> dests);
 
   /// Every pattern installed through this allocator, in install order.
   const std::vector<InstalledPattern>& installed() const { return installed_; }

@@ -38,8 +38,8 @@ NeighborhoodSync::NeighborhoodSync(net::Machine& machine,
     for (int nb : neighbors_.back()) dests.push_back({nb, targetClient});
     // The flush must not overtake in-order FIFO migration traffic, so its
     // tree follows the exact deterministic X->Y->Z paths those packets use.
-    patternIds_.push_back(
-        alloc.install(buildMulticastTree(machine, i, dests, {0, 1, 2})));
+    MulticastTree tree = buildMulticastTree(machine, i, dests, {0, 1, 2});
+    patternIds_.push_back(alloc.install(std::move(tree), std::move(dests)));
   }
 }
 

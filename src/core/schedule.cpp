@@ -33,19 +33,13 @@ void CountedSchedule::addBuffer(ScheduledBuffer buffer,
   buffers.push_back(buffer);
 }
 
-void CountedSchedule::transpose(const std::vector<InstalledPattern>& patterns) {
+void CountedSchedule::transpose(const net::Machine* machine) {
   firstSend_ = groupByNode(sends, numNodes,
                            [](const ScheduledSend& s) { return s.node; });
   firstBuffer_ = groupByNode(buffers, numNodes, [](const ScheduledBuffer& b) {
     return b.client.node;
   });
   writers.shrink_to_fit();
-  // Each pattern's destination list by (source node, id), for bisection.
-  std::vector<std::pair<std::pair<int, int>, const InstalledPattern*>> dests;
-  dests.reserve(patterns.size());
-  for (const InstalledPattern& p : patterns)
-    dests.push_back({{p.tree.srcNode, p.id}, &p});
-  std::sort(dests.begin(), dests.end());
   // Visit every arrival as (receiving node * waits + wait, send), by
   // ascending source.
   auto visit = [&](auto&& arrive) {
@@ -64,15 +58,12 @@ void CountedSchedule::transpose(const std::vector<InstalledPattern>& patterns) {
         reach(s.dst);
         continue;
       }
-      const std::pair<int, int> key{s.node, s.pattern};
-      auto it = std::lower_bound(
-          dests.begin(), dests.end(), key,
-          [](const auto& d, const std::pair<int, int>& k) {
-            return d.first < k;
-          });
-      if (it == dests.end() || it->first != key)
-        throw std::logic_error("scheduled multicast is not installed");
-      for (const net::ClientAddr& d : it->second->dests) reach(d);
+      if (machine == nullptr)
+        throw std::logic_error("scheduled multicast without a machine");
+      const auto& receivers = machine->multicastReceivers(s.pattern, s.node);
+      if (receivers.empty())
+        throw std::logic_error("scheduled multicast reaches no client");
+      for (const net::ClientAddr& d : receivers) reach(d);
     }
   };
   // Count, then fill: one array, grouped by (node, wait).
@@ -87,6 +78,11 @@ void CountedSchedule::transpose(const std::vector<InstalledPattern>& patterns) {
     arrivals_[next[at]++] = {s.node, s.kinds, s.packets};
   });
   live.resize(std::size_t(numNodes) * waits.size());
+}
+
+bool CountedSchedule::started() const {
+  return std::any_of(live.begin(), live.end(),
+                     [](const WaitState& w) { return w.rounds > 0; });
 }
 
 void CountedSchedule::addRound(std::span<const Arrival> arrivals,
@@ -152,15 +148,6 @@ void CountedSchedule::appendTo(verify::CommPlan& plan, int firstPhase,
             {writers[b.firstWriter + i], names[b.writePhase]});
     }
   }
-}
-
-void appendMulticasts(verify::CommPlan& plan,
-                      const std::vector<InstalledPattern>& patterns) {
-  for (const InstalledPattern& p : patterns)
-    plan.multicasts.push_back({.patternId = p.id, .srcNode = p.tree.srcNode,
-                               .entries = {p.tree.entries.begin(),
-                                           p.tree.entries.end()},
-                               .declaredDests = p.dests});
 }
 
 }  // namespace anton::core

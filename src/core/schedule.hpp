@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/multicast.hpp"
 #include "core/recovery.hpp"
 #include "net/machine.hpp"
 #include "verify/plan.hpp"
@@ -39,7 +38,7 @@ struct ScheduledSend {
   bool fifo = false;    ///< uncounted FIFO lane (verify::PlannedWrite::fifo)
   std::int8_t seq = 1;  ///< see verify::PlannedWrite::seq
   int counterId = net::kNoCounter;  ///< none: not awaited by any wait
-  /// Multicast pattern (its destinations are the installed table's), or
+  /// Multicast pattern (its receivers are the installed tables'), or
   /// kNoMulticast for a unicast to `dst`.
   int pattern = net::kNoMulticast;
   net::ClientAddr dst{-1, -1};
@@ -115,10 +114,13 @@ struct CountedSchedule {
   /// Declare a buffer written by `bufferWriters`.
   void addBuffer(ScheduledBuffer buffer, std::span<const int> bufferWriters);
   /// Group the sends and buffers by node and fill every wait's arrivals
-  /// from the counted sends: unicasts by their target, multicasts through
-  /// the destination lists of `patterns` (keyed by source node and id).
-  /// Throws when a counted send reaches no wait.
-  void transpose(const std::vector<InstalledPattern>& patterns = {});
+  /// from the counted sends: unicasts by their target, multicasts by the
+  /// receivers of `machine`'s installed tables (null: the schedule has no
+  /// multicasts). Throws std::logic_error when a counted send reaches no
+  /// client or a client without a wait.
+  void transpose(const net::Machine* machine = nullptr);
+  /// Whether any wait has run a round.
+  bool started() const;
 
   std::span<const ScheduledSend> sendsOf(int node) const {
     return range(sends, firstSend_, std::size_t(node));
@@ -165,10 +167,5 @@ struct CountedSchedule {
   std::vector<Arrival> arrivals_;            ///< by node, then wait
   std::vector<std::uint32_t> firstArrival_;  ///< per (node, wait), then end
 };
-
-/// Copy installed multicast patterns into `plan` (their trees and declared
-/// destinations), in install order.
-void appendMulticasts(verify::CommPlan& plan,
-                      const std::vector<InstalledPattern>& patterns);
 
 }  // namespace anton::core

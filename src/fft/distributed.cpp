@@ -192,6 +192,12 @@ void DistributedFft3D::buildSchedule() {
   schedule_.transpose();
 }
 
+void DistributedFft3D::setRecovery(const core::RecoveryHooks& hooks) {
+  if (schedule_.started())
+    throw std::logic_error("FFT recovery armed after a run");
+  recovery_ = hooks;
+}
+
 std::uint64_t DistributedFft3D::packetsPerNodePerTransform(int nodeIdx) const {
   std::uint64_t total = 0;
   for (const core::ScheduledSend& s : schedule_.sendsOf(nodeIdx))

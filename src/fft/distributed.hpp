@@ -76,10 +76,11 @@ class DistributedFft3D {
   /// Arm end-to-end erasure recovery on the per-dimension gather and scatter
   /// waits: armed waits diagnose dropped packets per source and replay them
   /// from the hooks' DropRegistry instead of hanging. Disarmed (the default)
-  /// the waits are plain counter polls — bit-identical timing. Call before
-  /// the first run(): disarmed rounds keep no per-source totals, so waits
-  /// armed afterwards would find nothing missing and never replay.
-  void setRecovery(const core::RecoveryHooks& hooks) { recovery_ = hooks; }
+  /// the waits are plain counter polls — bit-identical timing. Throws
+  /// std::logic_error once a run has awaited a round: disarmed rounds keep
+  /// no per-source totals, so waits armed afterwards would find nothing
+  /// missing and never replay.
+  void setRecovery(const core::RecoveryHooks& hooks);
 
   /// Messages a node sends per full transform (for bench reporting): the sum
   /// of its scheduled forward sends.

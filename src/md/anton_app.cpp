@@ -378,9 +378,8 @@ void AntonMdApp::buildSchedule() {
   }
 
   // Every wait expects what the sends reaching its (client, counter)
-  // deliver, multicasts through the destination lists of the installed
-  // patterns.
-  schedule_.transpose(patterns_->installed());
+  // deliver, multicasts through the installed tables.
+  schedule_.transpose(&machine_);
 }
 
 void AntonMdApp::buildBondProgram() {
@@ -1248,7 +1247,11 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
   // halos, the migration-flush broadcasts).
   schedule_.appendTo(plan, Phase::kSend, Phase::kMigrate,
                      dropRegistry_ != nullptr);
-  core::appendMulticasts(plan, patterns_->installed());
+  for (const core::InstalledPattern& p : patterns_->installed())
+    plan.multicasts.push_back({.patternId = p.id, .srcNode = p.tree.srcNode,
+                               .entries = {p.tree.entries.begin(),
+                                           p.tree.entries.end()},
+                               .declaredDests = p.dests});
   return plan;
 }
 

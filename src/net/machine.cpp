@@ -329,8 +329,13 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
     // The link keeps a sticky failed mark so recovery replays route around it.
     ++stats_.linkFailures;
     failedLinks_[std::size_t(nodeIdx) * 6 + std::size_t(adapterIdx)] = 1;
-    if (dropHandler_)
-      dropHandler_(p, downstreamReceivers(p, neighbor(nodeIdx, adapterIdx)));
+    if (dropHandler_) {
+      if (p->multicastPattern == kNoMulticast)
+        dropHandler_(p, {p->dst});
+      else
+        dropHandler_(p, multicastReceivers(p->multicastPattern,
+                                           neighbor(nodeIdx, adapterIdx)));
+    }
     return;
   }
 
@@ -395,27 +400,26 @@ void Machine::drainLink(std::size_t li) {
     scheduleDrain(li);
 }
 
-std::vector<ClientAddr> Machine::downstreamReceivers(const PacketPtr& p,
-                                                     int nodeIdx) {
-  if (p->multicastPattern == kNoMulticast) return {p->dst};
+const std::vector<ClientAddr>& Machine::multicastReceivers(
+    int pattern, int nodeIdx) const {
   // Walk the static fan-out tree exactly as routeFrom would have: clientMask
   // bits are deliveries at this node, linkMask bits continue the walk. The
   // visited guard makes a (malformed) cyclic pattern terminate.
-  std::vector<ClientAddr> out;
-  std::vector<char> visited(std::size_t(shape_.size()), 0);
-  std::vector<int> stack{nodeIdx};
-  while (!stack.empty()) {
-    int idx = stack.back();
-    stack.pop_back();
-    if (visited[std::size_t(idx)]) continue;
-    visited[std::size_t(idx)] = 1;
-    const MulticastEntry& e = node(idx).multicast(p->multicastPattern);
+  walkReached_.clear();
+  walkVisited_.assign(std::size_t(shape_.size()), 0);
+  walkStack_.assign(1, nodeIdx);
+  while (!walkStack_.empty()) {
+    int idx = walkStack_.back();
+    walkStack_.pop_back();
+    if (walkVisited_[std::size_t(idx)]) continue;
+    walkVisited_[std::size_t(idx)] = 1;
+    const MulticastEntry& e = nodes_[std::size_t(idx)]->multicast(pattern);
     for (int c = 0; c < kClientsPerNode; ++c)
-      if (e.clientMask & (1u << c)) out.push_back({idx, c});
+      if (e.clientMask & (1u << c)) walkReached_.push_back({idx, c});
     for (int a = 0; a < 6; ++a)
-      if (e.linkMask & (1u << a)) stack.push_back(neighbor(idx, a));
+      if (e.linkMask & (1u << a)) walkStack_.push_back(neighbor(idx, a));
   }
-  return out;
+  return walkReached_;
 }
 
 void Machine::deliverLocal(const PacketPtr& p, int nodeIdx, int entryRouter,

@@ -168,9 +168,12 @@ class Machine {
       std::function<void(const PacketPtr&, const std::vector<ClientAddr>&)>;
   void setDropHandler(DropHandler h) { dropHandler_ = std::move(h); }
 
-  /// Destination clients a packet entering `nodeIdx` would reach (multicast:
-  /// the pattern subtree rooted there; unicast: its single destination).
-  std::vector<ClientAddr> downstreamReceivers(const PacketPtr& p, int nodeIdx);
+  /// Destination clients a multicast of `pattern` entering `nodeIdx`
+  /// reaches: the subtree of the installed tables rooted there, walked as
+  /// the router forwards it. The result is a scratch buffer, valid until the
+  /// next call; the walk allocates nothing once it is warm.
+  const std::vector<ClientAddr>& multicastReceivers(int pattern,
+                                                    int nodeIdx) const;
 
  private:
   friend class NetworkClient;
@@ -284,6 +287,10 @@ class Machine {
   FaultModel* fault_ = nullptr;
   bool faultReroute_ = false;
   DropHandler dropHandler_;
+  /// multicastReceivers' scratch: its result, stack and visited marks.
+  mutable std::vector<ClientAddr> walkReached_;
+  mutable std::vector<int> walkStack_;
+  mutable std::vector<char> walkVisited_;
 };
 
 }  // namespace anton::net

@@ -88,12 +88,12 @@ const char* severityName(Severity s) {
 }
 
 RouteTrace traceUnicastRoute(int srcNode, int dstNode, const TorusShape& shape,
-                             const std::vector<DownLink>& downLinks) {
+                             const std::vector<TorusLink>& downLinks) {
   RouteTrace tr;
   tr.nodes.push_back(srcNode);
   auto down = [&](int node, int dim, int sign) {
     return std::find(downLinks.begin(), downLinks.end(),
-                     DownLink{node, dim, sign}) != downLinks.end();
+                     TorusLink{node, dim, sign}) != downLinks.end();
   };
   TorusCoord dest = util::torusCoordOf(dstNode, shape);
   int cur = srcNode;
@@ -138,7 +138,7 @@ RouteTrace traceUnicastRoute(int srcNode, int dstNode, const TorusShape& shape,
 
 TreeRepair repairMulticastTree(const MulticastPlanEntry& entry,
                                const TorusShape& shape,
-                               const std::vector<DownLink>& downLinks) {
+                               const std::vector<TorusLink>& downLinks) {
   TreeRepair rep;
   TreeExpansion degraded = expandTree(entry, shape, downLinks);
   std::set<std::pair<int, int>> degReached;
@@ -215,10 +215,6 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
       opts.routeIssuesAreErrors ? Severity::kError : Severity::kLint;
 
   // ---- check 2: multicast well-formedness -------------------------------
-  // A pattern id may back several trees with disjoint footprints (the
-  // allocator reuses ids exactly as the 256-entry tables allow), so the
-  // index maps an id to every tree declared under it.
-  std::map<int, std::vector<std::size_t>> patternIndex;
   std::vector<TreeExpansion> expansions;
   expansions.reserve(plan.multicasts.size());
   std::map<std::pair<int, int>, int> nodePattern;  // (node, patternId) owner
@@ -232,7 +228,6 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
               " outside the " + std::to_string(net::kMulticastPatterns) +
               "-entry per-node tables",
           m.srcNode, -1, m.patternId);
-    patternIndex[m.patternId].push_back(mi);
     for (const auto& [node, entry] : m.entries) {
       (void)entry;
       auto [it, fresh] = nodePattern.emplace(
@@ -366,32 +361,21 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
   // for the buffer-reuse dependency edges below.
   std::vector<std::vector<net::ClientAddr>> delivered(plan.writes.size());
   std::map<CounterKey, ActualCount> actual;
+  const std::vector<int> trees = writeTrees(plan);
   for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
     const PlannedWrite& w = plan.writes[wi];
-    if (w.pattern == net::kNoMulticast) {
-      if (w.dst.node >= 0) delivered[wi].push_back(w.dst);
-    } else {
-      auto it = patternIndex.find(w.pattern);
-      std::size_t chosen = std::size_t(-1);
-      if (it != patternIndex.end()) {
-        for (std::size_t c : it->second)
-          if (plan.multicasts[c].srcNode == w.srcNode) {
-            chosen = c;
-            break;
-          }
-        if (chosen == std::size_t(-1) && it->second.size() == 1)
-          chosen = it->second.front();
-      }
-      if (chosen == std::size_t(-1)) {
-        add("count.unknown-pattern", Severity::kError, w.phase,
-            "write in phase '" + w.phase + "' from node " +
-                std::to_string(w.srcNode) + " references pattern " +
-                std::to_string(w.pattern) +
-                " but no declared tree has that id and source",
-            w.srcNode, w.counterId, w.pattern);
-        continue;
-      }
-      delivered[wi] = expansions[chosen].reached;
+    if (trees[wi] >= 0) {
+      delivered[wi] = expansions[std::size_t(trees[wi])].reached;
+    } else if (w.pattern != net::kNoMulticast) {
+      add("count.unknown-pattern", Severity::kError, w.phase,
+          "write in phase '" + w.phase + "' from node " +
+              std::to_string(w.srcNode) + " references pattern " +
+              std::to_string(w.pattern) +
+              " but no declared tree has that id and source",
+          w.srcNode, w.counterId, w.pattern);
+      continue;
+    } else if (w.dst.node >= 0) {
+      delivered[wi].push_back(w.dst);
     }
     if (w.counterId == net::kNoCounter) continue;
     for (const net::ClientAddr& d : delivered[wi]) {

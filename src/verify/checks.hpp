@@ -64,8 +64,8 @@ struct Violation {
 struct VerifyOptions {
   /// Links assumed down while tracing unicast routes (check 4) and expanding
   /// multicast trees degraded (check 2). Empty means verify the healthy
-  /// machine. (DownLink itself lives in verify/plan.hpp.)
-  std::vector<DownLink> downLinks;
+  /// machine. (TorusLink itself lives in verify/plan.hpp.)
+  std::vector<TorusLink> downLinks;
   /// Whether route-order problems (non-dimension-ordered degraded routes,
   /// stalled packets) are errors or informational lints.
   bool routeIssuesAreErrors = true;
@@ -103,7 +103,7 @@ struct RouteTrace {
 
 RouteTrace traceUnicastRoute(int srcNode, int dstNode,
                              const util::TorusShape& shape,
-                             const std::vector<DownLink>& downLinks);
+                             const std::vector<TorusLink>& downLinks);
 
 /// Outcome of rebuilding a multicast tree around declared down links: every
 /// declared destination is re-covered by the merged degraded unicast routes
@@ -123,7 +123,7 @@ struct TreeRepair {
 
 TreeRepair repairMulticastTree(const MulticastPlanEntry& entry,
                                const util::TorusShape& shape,
-                               const std::vector<DownLink>& downLinks);
+                               const std::vector<TorusLink>& downLinks);
 
 VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts = {});
 

@@ -29,10 +29,8 @@ int kindRank(EventKind k) {
 
 std::vector<std::vector<net::ClientAddr>> deliveredTargets(
     const CommPlan& plan) {
-  std::map<int, std::vector<std::size_t>> patternIndex;
-  for (std::size_t mi = 0; mi < plan.multicasts.size(); ++mi)
-    patternIndex[plan.multicasts[mi].patternId].push_back(mi);
-  std::map<std::size_t, TreeExpansion> expansions;
+  const std::vector<int> trees = writeTrees(plan);
+  std::map<int, TreeExpansion> expansions;
   std::vector<std::vector<net::ClientAddr>> delivered(plan.writes.size());
   for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
     const PlannedWrite& w = plan.writes[wi];
@@ -40,20 +38,11 @@ std::vector<std::vector<net::ClientAddr>> deliveredTargets(
       if (w.dst.node >= 0) delivered[wi].push_back(w.dst);
       continue;
     }
-    auto it = patternIndex.find(w.pattern);
-    std::size_t chosen = std::size_t(-1);
-    if (it != patternIndex.end()) {
-      for (std::size_t c : it->second)
-        if (plan.multicasts[c].srcNode == w.srcNode) {
-          chosen = c;
-          break;
-        }
-      if (chosen == std::size_t(-1) && it->second.size() == 1)
-        chosen = it->second.front();
-    }
-    if (chosen == std::size_t(-1)) continue;
-    auto [ei, fresh] = expansions.try_emplace(chosen);
-    if (fresh) ei->second = expandTree(plan.multicasts[chosen], plan.shape);
+    if (trees[wi] < 0) continue;
+    auto [ei, fresh] = expansions.try_emplace(trees[wi]);
+    if (fresh)
+      ei->second = expandTree(plan.multicasts[std::size_t(trees[wi])],
+                              plan.shape);
     delivered[wi] = ei->second.reached;
   }
   return delivered;

@@ -28,14 +28,32 @@ void CommPlan::addPhaseEdge(const std::string& from, const std::string& to) {
   phaseEdges.emplace_back(f, t);
 }
 
-TreeExpansion expandTree(const MulticastPlanEntry& entry,
-                         const util::TorusShape& shape) {
-  return expandTree(entry, shape, {});
+std::vector<int> writeTrees(const CommPlan& plan) {
+  // A pattern id may back several trees with disjoint footprints (the
+  // allocator reuses ids exactly as the 256-entry tables allow).
+  std::map<std::pair<int, int>, int> bySource;  // (id, source) -> first tree
+  std::map<int, int> byId;  // id -> its only tree, -1 when shared
+  for (int mi = 0; mi < int(plan.multicasts.size()); ++mi) {
+    const MulticastPlanEntry& m = plan.multicasts[std::size_t(mi)];
+    bySource.try_emplace({m.patternId, m.srcNode}, mi);
+    if (auto [it, fresh] = byId.try_emplace(m.patternId, mi); !fresh)
+      it->second = -1;
+  }
+  std::vector<int> trees(plan.writes.size(), -1);
+  for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
+    const PlannedWrite& w = plan.writes[wi];
+    if (w.pattern == net::kNoMulticast) continue;
+    if (auto it = bySource.find({w.pattern, w.srcNode}); it != bySource.end())
+      trees[wi] = it->second;
+    else if (auto id = byId.find(w.pattern); id != byId.end())
+      trees[wi] = id->second;
+  }
+  return trees;
 }
 
 TreeExpansion expandTree(const MulticastPlanEntry& entry,
                          const util::TorusShape& shape,
-                         const std::vector<DownLink>& downLinks) {
+                         const std::vector<TorusLink>& downLinks) {
   TreeExpansion out;
   std::vector<char> visited(std::size_t(shape.size()), 0);
 
@@ -49,9 +67,10 @@ TreeExpansion expandTree(const MulticastPlanEntry& entry,
     int curDim;      // dimension of the current run, -1 at the source
     int curSign;
     unsigned doneDims;  // bit d: dimension d's run is complete
+    TorusLink in;       // the link the walk entered `node` by
   };
   std::vector<Frame> stack;
-  stack.push_back({entry.srcNode, -1, 0, 0u});
+  stack.push_back({entry.srcNode, -1, 0, 0u, {-1, -1, 0}});
 
   while (!stack.empty()) {
     Frame f = stack.back();
@@ -66,6 +85,7 @@ TreeExpansion expandTree(const MulticastPlanEntry& entry,
     }
     visited[std::size_t(f.node)] = 1;
     out.visited.push_back(f.node);
+    out.enteredBy.push_back(f.in);
 
     auto it = entry.entries.find(f.node);
     if (it == entry.entries.end() || it->second.empty()) {
@@ -83,7 +103,7 @@ TreeExpansion expandTree(const MulticastPlanEntry& entry,
       int dim = a / 2;
       int sign = a % 2 == 0 ? +1 : -1;
       if (std::find(downLinks.begin(), downLinks.end(),
-                    DownLink{f.node, dim, sign}) != downLinks.end()) {
+                    TorusLink{f.node, dim, sign}) != downLinks.end()) {
         // The replica cannot leave on a dead link: the whole subtree behind
         // it is lost (the fan-out has no reroute of its own).
         out.cutLinks.push_back({f.node, dim, sign});
@@ -101,6 +121,7 @@ TreeExpansion expandTree(const MulticastPlanEntry& entry,
       util::TorusCoord c = util::torusCoordOf(f.node, shape);
       next.node = util::torusIndex(util::torusNeighbor(c, dim, sign, shape),
                                    shape);
+      next.in = {f.node, dim, sign};
       stack.push_back(next);
     }
   }

@@ -28,6 +28,7 @@
 //                  contents (the §4 no-barrier reuse argument).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -140,19 +141,29 @@ struct CommPlan {
   void addPhaseEdge(const std::string& from, const std::string& to);
 };
 
-/// A torus link taken out of service for degraded-mode analysis: route
-/// tracing and multicast tree expansion both honor the same declaration.
-struct DownLink {
+/// The index of each write's multicast tree in `plan.multicasts`: the tree
+/// declared under the write's pattern and source, otherwise the only tree
+/// with that id; -1 for a unicast or a pattern no tree resolves.
+std::vector<int> writeTrees(const CommPlan& plan);
+
+/// A directed torus link, named by its exit side. Degraded-mode analysis
+/// declares the links taken out of service as these: route tracing and
+/// multicast tree expansion both honor the same declaration.
+struct TorusLink {
   int node = 0;
   int dim = 0;
   int sign = +1;
-  friend constexpr bool operator==(const DownLink&, const DownLink&) = default;
+  friend constexpr auto operator<=>(const TorusLink&,
+                                    const TorusLink&) = default;
 };
 
 /// Result of statically walking a multicast plan entry from its source.
 struct TreeExpansion {
   std::vector<net::ClientAddr> reached;  ///< delivered destination clients
   std::vector<int> visited;              ///< nodes the packet replicates over
+  /// The tree link each visited node was entered by, parallel to `visited`
+  /// (node -1 for the source).
+  std::vector<TorusLink> enteredBy;
   bool cycle = false;                    ///< a link walk revisited a node
   bool dimOrdered = true;  ///< every root-to-leaf path is dimension-ordered
   /// Nodes reached by a link whose table entry is empty or missing: the
@@ -162,16 +173,14 @@ struct TreeExpansion {
   std::vector<int> unreachedEntries;
   /// Tree links the walk could not take because they are declared down;
   /// the subtree behind each is lost (degraded expansion only).
-  std::vector<DownLink> cutLinks;
+  std::vector<TorusLink> cutLinks;
 };
 
-TreeExpansion expandTree(const MulticastPlanEntry& entry,
-                         const util::TorusShape& shape);
-
-/// Degraded expansion: the walk stops at declared-down links, recording
-/// each cut in `cutLinks`; destinations behind a cut drop out of `reached`.
+/// Walk `entry` from its source as the hardware fans it out. Given down
+/// links (degraded expansion), the walk stops at them, recording each cut
+/// in `cutLinks`; destinations behind a cut drop out of `reached`.
 TreeExpansion expandTree(const MulticastPlanEntry& entry,
                          const util::TorusShape& shape,
-                         const std::vector<DownLink>& downLinks);
+                         const std::vector<TorusLink>& downLinks = {});
 
 }  // namespace anton::verify

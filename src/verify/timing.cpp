@@ -16,18 +16,7 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-/// One directed torus link, named by its exit side.
-struct Link {
-  int node = 0;
-  int dim = 0;
-  int sign = +1;
-  friend bool operator<(const Link& a, const Link& b) {
-    return std::tie(a.node, a.dim, a.sign) < std::tie(b.node, b.dim, b.sign);
-  }
-  friend bool operator==(const Link& a, const Link& b) {
-    return std::tie(a.node, a.dim, a.sign) == std::tie(b.node, b.dim, b.sign);
-  }
-};
+using Link = TorusLink;
 
 std::string linkLabel(const Link& l) {
   return "node " + std::to_string(l.node) + " " +
@@ -58,43 +47,22 @@ struct WriteRoute {
   std::string stallDetail;
 };
 
-void walkTree(const MulticastPlanEntry& entry, const util::TorusShape& shape,
-              const std::vector<DownLink>& downLinks, WriteRoute& out) {
-  auto isDown = [&](const Link& l) {
-    for (const DownLink& d : downLinks)
-      if (d.node == l.node && d.dim == l.dim && d.sign == l.sign) return true;
-    return false;
-  };
-  std::set<int> visited;
-  // DFS from the source; malformed trees (cycles) stop at the revisit — the
-  // multicast checks own that diagnosis.
-  std::deque<std::pair<int, std::vector<Link>>> stack;
-  stack.push_back({entry.srcNode, {}});
-  visited.insert(entry.srcNode);
-  std::set<Link> occupied;
-  while (!stack.empty()) {
-    auto [node, path] = std::move(stack.back());
-    stack.pop_back();
-    out.pathTo.emplace(node, path);
-    auto it = entry.entries.find(node);
-    if (it == entry.entries.end()) continue;
-    for (int dim = 0; dim < 3; ++dim)
-      for (int sign : {+1, -1}) {
-        int bit = net::RingLayout::adapterIndex(dim, sign);
-        if ((it->second.linkMask & (1u << bit)) == 0) continue;
-        Link l{node, dim, sign};
-        if (isDown(l)) continue;
-        util::TorusCoord c = util::torusCoordOf(node, shape);
-        int next = util::torusIndex(util::torusNeighbor(c, dim, sign, shape),
-                                    shape);
-        if (!visited.insert(next).second) continue;
-        occupied.insert(l);
-        std::vector<Link> nextPath = path;
-        nextPath.push_back(l);
-        stack.push_back({next, std::move(nextPath)});
-      }
+/// The route of a multicast tree, read from its walk: each node's path is
+/// its parent's plus the link it was entered by.
+WriteRoute treeRoute(const TreeExpansion& x) {
+  WriteRoute out;
+  for (std::size_t i = 0; i < x.visited.size(); ++i) {
+    const Link& in = x.enteredBy[i];
+    std::vector<Link> path;
+    if (in.node >= 0) {
+      path = out.pathTo.at(in.node);
+      path.push_back(in);
+      out.occupied.push_back(in);
+    }
+    out.pathTo.emplace(x.visited[i], std::move(path));
   }
-  out.occupied.assign(occupied.begin(), occupied.end());
+  std::sort(out.occupied.begin(), out.occupied.end());
+  return out;
 }
 
 /// Route every write of the plan, healthy or under the declared down links
@@ -104,13 +72,10 @@ void walkTree(const MulticastPlanEntry& entry, const util::TorusShape& shape,
 std::vector<WriteRoute> routeWrites(
     const CommPlan& plan,
     const std::vector<std::vector<net::ClientAddr>>& delivered,
-    const std::vector<DownLink>& downLinks) {
-  std::map<int, std::vector<std::size_t>> patternIndex;
-  for (std::size_t mi = 0; mi < plan.multicasts.size(); ++mi)
-    patternIndex[plan.multicasts[mi].patternId].push_back(mi);
-
+    const std::vector<TorusLink>& downLinks) {
+  const std::vector<int> trees = writeTrees(plan);
   std::vector<WriteRoute> routes(plan.writes.size());
-  std::map<std::pair<std::size_t, bool>, WriteRoute> treeCache;
+  std::map<int, WriteRoute> treeCache;
   for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
     const PlannedWrite& w = plan.writes[wi];
     WriteRoute& r = routes[wi];
@@ -145,31 +110,19 @@ std::vector<WriteRoute> routeWrites(
       continue;
     }
 
-    // Multicast: resolve the pattern entry exactly as deliveredTargets does.
-    auto it = patternIndex.find(w.pattern);
-    std::size_t chosen = std::size_t(-1);
-    if (it != patternIndex.end()) {
-      for (std::size_t c : it->second)
-        if (plan.multicasts[c].srcNode == w.srcNode) {
-          chosen = c;
-          break;
-        }
-      if (chosen == std::size_t(-1) && it->second.size() == 1)
-        chosen = it->second.front();
-    }
-    if (chosen == std::size_t(-1)) continue;
-    auto [ci, fresh] = treeCache.try_emplace({chosen, downLinks.empty()});
+    if (trees[wi] < 0) continue;
+    auto [ci, fresh] = treeCache.try_emplace(trees[wi]);
     if (fresh) {
+      const MulticastPlanEntry& tree = plan.multicasts[std::size_t(trees[wi])];
       if (downLinks.empty()) {
-        walkTree(plan.multicasts[chosen], plan.shape, downLinks, ci->second);
+        ci->second = treeRoute(expandTree(tree, plan.shape));
       } else {
-        TreeRepair rep =
-            repairMulticastTree(plan.multicasts[chosen], plan.shape, downLinks);
-        walkTree(rep.repaired, plan.shape, downLinks, ci->second);
+        TreeRepair rep = repairMulticastTree(tree, plan.shape, downLinks);
+        ci->second = treeRoute(expandTree(rep.repaired, plan.shape, downLinks));
         if (!rep.ok()) {
           ci->second.stalled = true;
           ci->second.stallDetail =
-              "pattern " + std::to_string(plan.multicasts[chosen].patternId) +
+              "pattern " + std::to_string(tree.patternId) +
               " fan-out cannot reach " +
               std::to_string(rep.stalledDests.size()) +
               " destination(s) under the declared down links";
@@ -561,9 +514,9 @@ TimingReport analyzeTiming(const CommPlan& plan, const TimingOptions& opts,
           }
         }
         std::string cuts;
-        for (const DownLink& d : opts.downLinks) {
+        for (const TorusLink& d : opts.downLinks) {
           if (!cuts.empty()) cuts += ", ";
-          cuts += linkLabel({d.node, d.dim, d.sign});
+          cuts += linkLabel(d);
         }
         addViolation(
             "timing.degraded-blowup", plan.name,

@@ -61,7 +61,7 @@ struct TimingOptions {
   /// difference between the R-round and (R-1)-round bounds).
   int rounds = 2;
   /// Links assumed down for the degraded re-pricing; empty skips it.
-  std::vector<DownLink> downLinks;
+  std::vector<TorusLink> downLinks;
   /// timing.degraded-blowup fires when degraded/healthy exceeds this.
   double degradedBlowupFactor = 2.0;
   /// Caps on the named bottleneck path and the ranked hotspot table.

@@ -9,6 +9,7 @@
 
 #include "core/allreduce.hpp"
 #include "sim/simulator.hpp"
+#include "verify/checks.hpp"
 
 namespace anton::core {
 namespace {
@@ -146,10 +147,13 @@ TEST(DimOrderedAllReduce, OversizedPayloadThrows) {
 TEST(DimOrderedAllReduce, PlanEqualsTraffic) {
   // The plan of one reduction describes the packets the live run really
   // sends: the per-source arrivals on every (node, client, counter) equal the
-  // summed per-source expectations of the plan's waits there, including a
-  // shape whose y dimension takes no part.
+  // summed per-source expectations of the plan's waits there, and the plan
+  // verifies clean. Shapes include one whose y dimension takes no part and
+  // odd extents, where a line's forward and backward chains differ in
+  // length.
   for (util::TorusShape shape :
-       {util::TorusShape{4, 4, 4}, util::TorusShape{4, 1, 2}}) {
+       {util::TorusShape{4, 4, 4}, util::TorusShape{4, 1, 2},
+        util::TorusShape{3, 5, 2}}) {
     for (bool armed : {false, true}) {
       SCOPED_TRACE(std::to_string(shape.nx) + "x" + std::to_string(shape.ny) +
                    "x" + std::to_string(shape.nz) +
@@ -166,7 +170,11 @@ TEST(DimOrderedAllReduce, PlanEqualsTraffic) {
         red.setRecovery(hooks);
       }
       verify::CommPlan plan;
+      plan.shape = shape;
       red.appendPlan(plan, "start");
+      const verify::VerifyResult verdict = verify::verifyPlan(plan);
+      EXPECT_TRUE(verdict.ok()) << verdict.violations.front().check << ": "
+                                << verdict.violations.front().detail;
 
       using Key = std::tuple<int, int, int>;  // node, client, counter
       std::map<Key, std::map<int, std::uint64_t>> want, before;

@@ -1,8 +1,10 @@
-// Multicast tree construction and pattern-id allocation.
+// Multicast tree construction, pattern-id allocation, and the counted
+// schedule's arrivals read from the installed tables.
 #include <gtest/gtest.h>
 
 #include "core/multicast.hpp"
 #include "core/neighborhood.hpp"
+#include "core/schedule.hpp"
 #include "sim/simulator.hpp"
 
 namespace anton::core {
@@ -157,6 +159,69 @@ TEST(Neighborhood, FlushLatencyIsSubMicrosecond) {
   f.sim.run();
   EXPECT_GT(doneNs, 162.0);
   EXPECT_LT(doneNs, 1000.0);
+}
+
+/// A schedule with one wait, (slice 0, counter 7), on every node of `f`.
+CountedSchedule oneWaitSchedule(const Fixture& f) {
+  CountedSchedule s;
+  s.numNodes = f.machine.numNodes();
+  s.waits.push_back({kSlice0, 7});
+  return s;
+}
+
+TEST(CountedSchedule, MulticastArrivalsAreTheInstalledTablesReceivers) {
+  Fixture f;
+  PatternAllocator alloc(f.machine);
+  const std::vector<ClientAddr> dests = {{f.at(1, 0, 0), kSlice0},
+                                         {f.at(2, 0, 0), kSlice0},
+                                         {f.at(0, 3, 0), kSlice0}};
+  const int id = alloc.install(0, dests);
+  CountedSchedule s = oneWaitSchedule(f);
+  s.sends.push_back({.node = 0, .counterId = 7, .pattern = id, .packets = 3});
+  s.transpose(&f.machine);
+  for (int n = 0; n < f.machine.numNodes(); ++n) {
+    const bool dest = n == f.at(1, 0, 0) || n == f.at(2, 0, 0) ||
+                      n == f.at(0, 3, 0);
+    const auto arrivals = s.arrivals(n, 0);
+    ASSERT_EQ(arrivals.size(), dest ? 1u : 0u) << "node " << n;
+    if (dest) {
+      EXPECT_EQ(arrivals[0].src, 0);
+      EXPECT_EQ(arrivals[0].packets, 3u);
+    }
+  }
+}
+
+TEST(CountedSchedule, CountedUnicastWithoutAWaitThrows) {
+  Fixture f;
+  CountedSchedule s = oneWaitSchedule(f);
+  // Slice 0 waits on counter 7; this write bumps counter 8 there.
+  s.sends.push_back({.node = 0, .counterId = 8, .dst = {1, kSlice0}});
+  EXPECT_THROW(s.transpose(&f.machine), std::logic_error);
+  // And one to the right counter on a client without the wait.
+  CountedSchedule t = oneWaitSchedule(f);
+  t.sends.push_back({.node = 0, .counterId = 7, .dst = {1, kHtis}});
+  EXPECT_THROW(t.transpose(&f.machine), std::logic_error);
+}
+
+TEST(CountedSchedule, CountedMulticastWithoutASourceRowThrows) {
+  // A send must never be declared with zero arrivals: pattern 9 has no row
+  // at node 0 (it is installed elsewhere only), so its multicast from node
+  // 0 reaches nobody.
+  Fixture f;
+  f.machine.setMulticastPattern(f.at(1, 0, 0), 9,
+                                {.clientMask = std::uint8_t(1u << kSlice0)});
+  CountedSchedule s = oneWaitSchedule(f);
+  s.sends.push_back({.node = 0, .counterId = 7, .pattern = 9});
+  EXPECT_THROW(s.transpose(&f.machine), std::logic_error);
+  // Without a machine there are no tables to read at all.
+  CountedSchedule t = oneWaitSchedule(f);
+  t.sends.push_back({.node = f.at(1, 0, 0), .counterId = 7, .pattern = 9});
+  EXPECT_THROW(t.transpose(nullptr), std::logic_error);
+  // The same send from the node that has the row is counted.
+  CountedSchedule u = oneWaitSchedule(f);
+  u.sends.push_back({.node = f.at(1, 0, 0), .counterId = 7, .pattern = 9});
+  u.transpose(&f.machine);
+  EXPECT_EQ(u.arrivals(f.at(1, 0, 0), 0).size(), 1u);
 }
 
 }  // namespace

@@ -656,6 +656,32 @@ TEST(Recovery, AllReduceResultFanoutDropIsResentAndCompletes) {
   runAllReduceWithDrop(2, "result-fanout drop");
 }
 
+TEST(Recovery, ArmingAfterARunThrows) {
+  // A disarmed round keeps no per-source totals, so a wait armed after it
+  // would find nothing missing and never replay: arming late is refused.
+  Fixture f({2, 2, 2});
+  core::DropRegistry reg(f.machine);
+  core::RecoveryStats stats;
+  core::DimOrderedAllReduce reduce(f.machine);
+  fft::DistributedFft3D dist(f.machine, 4, 4, 4, {});
+  EXPECT_NO_THROW(reduce.setRecovery(testHooks(reg, stats)));
+  EXPECT_NO_THROW(dist.setRecovery(testHooks(reg, stats)));
+  auto reduceTask = [](core::DimOrderedAllReduce& r, int n) -> Task {
+    co_await r.barrier(n);
+  };
+  auto fftTask = [](fft::DistributedFft3D& d, int n) -> Task {
+    co_await d.run(n, false);
+  };
+  for (int n = 0; n < f.machine.numNodes(); ++n) {
+    f.sim.spawn(reduceTask(reduce, n));
+    f.sim.spawn(fftTask(dist, n));
+  }
+  f.sim.run();
+  EXPECT_THROW(reduce.setRecovery(testHooks(reg, stats)), std::logic_error);
+  EXPECT_THROW(dist.setRecovery(testHooks(reg, stats)), std::logic_error);
+  EXPECT_THROW(reduce.setRecovery({}), std::logic_error);
+}
+
 md::MDSystem migratingSystem() {
   md::SyntheticSystemParams sp;
   sp.targetAtoms = 1536;
