@@ -687,9 +687,7 @@ sim::Task AntonMdApp::htisPhase(int node, int stepNumber) {
   // streaming cadence rather than co_awaited:
   // one event posts packet k at spacing * k and re-arms itself on the
   // (k+1)-th of the sequence numbers reserved here, which are the (time,
-  // seq) slots one scheduled event per packet would take. Each is noted in
-  // the causal log at its reservation, so attribution is that of the
-  // per-packet schedule too.
+  // seq) slots one scheduled event per packet would take.
   struct ForceStream {
     AntonMdApp& app;
     net::Htis& htis;
@@ -730,10 +728,7 @@ sim::Task AntonMdApp::htisPhase(int node, int stepNumber) {
   for (const std::vector<Vec3>& f : forceOut) total += int(f.size());
   ForceStream stream{*this, htis, sources, forceOut, simulator.now(),
                      sim::ns(cfg_.htisStreamNs), simulator.nextSeq(), total};
-  for (int k = 0; k < total; ++k) {
-    std::uint64_t seq = simulator.reserveSeq();
-    if (sim::CausalLog* log = sim::causalOracle()) log->noteScheduled(seq);
-  }
+  for (int k = 0; k < total; ++k) simulator.reserveSeq();
   if (total > 0)
     simulator.atReserved(stream.start, stream.firstSeq,
                          [&stream] { stream.fire(); });
@@ -1205,12 +1200,8 @@ void AntonMdApp::runSteps(int k) {
     }
 
     sim::Time start = machine_.sim().now();
-    for (int node = 0; node < machine_.numNodes(); ++node) {
-      // Attribute the task's event chain to its node in the causal log (a
-      // no-op hint when no log is attached).
-      sim::ScopedCausalNodeHint hint(node, false);
+    for (int node = 0; node < machine_.numNodes(); ++node)
       machine_.sim().spawn(stepTask(node, stepNumber));
-    }
     machine_.sim().run();
     if (current_.migration) buildSchedule();
 

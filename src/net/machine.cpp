@@ -8,7 +8,6 @@
 #include <new>
 #include <stdexcept>
 
-#include "sim/causal_log.hpp"
 #include "trace/activity.hpp"
 
 namespace anton::net {
@@ -346,21 +345,14 @@ void Machine::forwardOnLink(const PacketPtr& p, int nodeIdx, int entryRouter,
     p->tailLag = d.linkSerialization[p->wire - kHeaderBytes];
 
   sim::Time headArrive = depart + d.wire[std::size_t(dim)];
-  int nextIdx = neighbor(nodeIdx, adapterIdx);
   sim::Time atRing = headArrive + d.adapter;
   // Reserve the arrival's event sequence number here, at the traversal, not
   // when a drain is armed for it: the reserved seq fixes the arrival's place
   // in the kernel's (time, seq) order, so the schedule is the same however
   // many arrivals queue on the link. The arrival parks on the link's pending
   // queue; at most one drain event sits in the kernel per link regardless of
-  // how many packets are in flight on it. The causal oracle attributes the
-  // arrival here too (node, link crossing, and the currently executing event
-  // as parent) — at atReserved() time the executing event would be the
-  // previous drain, not the traversal that caused the arrival.
-  std::uint64_t seq = sim_.reserveSeq();
-  if (sim::CausalLog* log = sim::causalOracle())
-    log->noteScheduled(seq, nextIdx, /*link=*/true);
-  l.pending.push({p, atRing, seq});
+  // how many packets are in flight on it.
+  l.pending.push({p, atRing, sim_.reserveSeq()});
   if (!l.drainScheduled)
     scheduleDrain(std::size_t(nodeIdx) * 6 + std::size_t(adapterIdx));
 }
@@ -430,9 +422,6 @@ void Machine::deliverLocal(const PacketPtr& p, int nodeIdx, int entryRouter,
   Node& node = *nodes_[std::size_t(nodeIdx)];
   sim::Time start = node.reserveRing(tPath, p->wire);
   sim::Time commit = start + p->tailLag;
-  // Same-node schedule point: attribute the commit to this node (not a link
-  // crossing) so the causal log's inheritance chain stays on the node.
-  sim::ScopedCausalNodeHint hint(nodeIdx, /*link=*/false);
   sim_.at(commit, [this, p, dst = &node.client(clientId)] {
     dst->deliver(p);
     ++stats_.packetsDelivered;

@@ -25,12 +25,7 @@ inline double oneWayLatencyNs(Machine& m, ClientAddr src, ClientAddr dst,
     co_await c.waitCounter(0, c.counterValue(0) + 1);
     out = sim::toNs(mm.sim().now());
   };
-  {
-    // Attribute the receiver's event chain to its node in the causal log
-    // (a no-op hint when no log is attached).
-    sim::ScopedCausalNodeHint hint(dst.node, false);
-    m.sim().spawn(receiver(m, dst, done));
-  }
+  m.sim().spawn(receiver(m, dst, done));
   double start = sim::toNs(m.sim().now());
   NetworkClient::SendArgs args;
   args.dst = dst;
@@ -52,14 +47,8 @@ inline double bidirLatencyNs(Machine& m, ClientAddr a, ClientAddr b,
     co_await c.waitCounter(0, c.counterValue(0) + 1);
     out = sim::toNs(mm.sim().now());
   };
-  {
-    sim::ScopedCausalNodeHint hintA(a.node, false);
-    m.sim().spawn(receiver(m, a, doneA));
-  }
-  {
-    sim::ScopedCausalNodeHint hintB(b.node, false);
-    m.sim().spawn(receiver(m, b, doneB));
-  }
+  m.sim().spawn(receiver(m, a, doneA));
+  m.sim().spawn(receiver(m, b, doneB));
   double start = sim::toNs(m.sim().now());
   NetworkClient::SendArgs args;
   args.counterId = 0;

@@ -191,10 +191,7 @@ RunOutcome runTable2AllReduce(const JobSpec& spec, sim::Simulator& arena,
     co_await reduce.run(node, std::move(in), &out[std::size_t(node)]);
     done = std::max(done, sim::toUs(arena.now()));
   };
-  for (int node = 0; node < n; ++node) {
-    sim::ScopedCausalNodeHint hint(node, false);
-    arena.spawn(task(node));
-  }
+  for (int node = 0; node < n; ++node) arena.spawn(task(node));
   arena.run();
 
   double expect = double(n) * double(n - 1) / 2.0;  // sum 0..n-1, exact

@@ -40,9 +40,9 @@
 //
 // Soundness contract: criticalPathNs never exceeds the live simulator's
 // completion time for a run executing at least one template round —
-// enforced dynamically by `verify_plans --timing-oracle`, which replays the
-// live ping/MD/all-reduce schedules (with sim/causal_log attribution) and
-// pins the measured/bound slack ratio per plan family.
+// enforced dynamically by `verify_plans --timing-oracle`, which runs the
+// live ping/MD/all-reduce schedules once each and pins the measured/bound
+// slack ratio per plan family.
 #pragma once
 
 #include <cstdint>
