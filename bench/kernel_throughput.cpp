@@ -14,9 +14,11 @@
 // hot. Self-checks (exit 1): both schedule digests must equal the pinned
 // ones, the ping steady state must make ZERO allocations, building and
 // destroying the process's first 8x8x8 Machine must stay lazy — fewer than
-// kLazyBuildMaxFaults minor page faults — and constructing an 8x8x8
+// kLazyBuildMaxFaults minor page faults — constructing an 8x8x8
 // all-reduce must stay lean — fewer than kLeanArBuildMaxAllocs heap
-// allocations.
+// allocations — and so must appending its static plan (fewer than
+// kLeanArPlanMaxAllocs). The allocations of verifying that plan are
+// printed, not gated.
 //
 // Gated metrics (tools/check_perf_trajectory.py), each against a pinned
 // constant, so every one of them can fail on any host:
@@ -28,6 +30,8 @@
 //   allreduce_build_lean       1.0 = one 8x8x8 DimOrderedAllReduce
 //                              construction made fewer than
 //                              kLeanArBuildMaxAllocs heap allocations
+//   allreduce_plan_lean        1.0 = its appendPlan made fewer than
+//                              kLeanArPlanMaxAllocs heap allocations
 //   allreduce_allocs_per_event heap allocations per kernel event in the
 //                              all-reduce window, against kArAllocsPerEvent
 // The printed events/s and packets/s columns are host speed: they are
@@ -42,6 +46,7 @@
 
 #include "core/allreduce.hpp"
 #include "util/json.hpp"
+#include "verify/checks.hpp"
 #include "util/torus_coord.hpp"
 
 namespace {
@@ -173,6 +178,28 @@ std::uint64_t allReduceBuildAllocs() {
   return g_allocs - a0;
 }
 
+/// Heap allocations made by appending one 8x8x8 DimOrderedAllReduce's
+/// static plan, and by verifying that plan.
+struct PlanAllocs {
+  std::uint64_t append = 0;
+  std::uint64_t verify = 0;
+};
+PlanAllocs allReducePlanAllocs() {
+  sim::Simulator sim;
+  net::Machine m(sim, {8, 8, 8});
+  core::DimOrderedAllReduce red(m);
+  verify::CommPlan plan;
+  plan.shape = m.shape();
+  PlanAllocs out;
+  std::uint64_t a0 = g_allocs;
+  red.appendPlan(plan, "");
+  out.append = g_allocs - a0;
+  a0 = g_allocs;
+  (void)verify::verifyPlan(plan);
+  out.verify = g_allocs - a0;
+  return out;
+}
+
 /// Fig. 5-shaped ping: counted 256 B remote writes to x-neighbors 1-4 hops
 /// out. One probe per iteration; `warmup` iterations heat pools and vector
 /// capacities before the `iters` measured ones.
@@ -263,11 +290,16 @@ int main() {
   // Half a machine's 512 nodes: a few dozen allocations per schedule table
   // fit, one per source or per send does not.
   constexpr std::uint64_t kLeanArBuildMaxAllocs = 256;
+  // A few dozen per plan table fit; one per wait, tree or buffer (1,536
+  // each at 8x8x8) does not.
+  constexpr std::uint64_t kLeanArPlanMaxAllocs = 1000;
 
   const std::uint64_t faults = buildFaults();
   const bool buildLazy = faults < kLazyBuildMaxFaults;
   const std::uint64_t arBuildAllocs = allReduceBuildAllocs();
   const bool arBuildLean = arBuildAllocs < kLeanArBuildMaxAllocs;
+  const PlanAllocs arPlan = allReducePlanAllocs();
+  const bool arPlanLean = arPlan.append < kLeanArPlanMaxAllocs;
   RunStats ping = runPing(kPingWarmup, kPingIters);
   RunStats ar = runAllReduce(kArWarmup, kArRounds);
 
@@ -290,7 +322,11 @@ int main() {
   std::cout << "\n8x8x8 Machine build + teardown: " << faults
             << " minor faults (limit " << kLazyBuildMaxFaults << ")\n"
             << "8x8x8 all-reduce construction: " << arBuildAllocs
-            << " heap allocations (limit " << kLeanArBuildMaxAllocs << ")\n";
+            << " heap allocations (limit " << kLeanArBuildMaxAllocs << ")\n"
+            << "8x8x8 all-reduce appendPlan: " << arPlan.append
+            << " heap allocations (limit " << kLeanArPlanMaxAllocs << ")\n"
+            << "8x8x8 all-reduce verifyPlan: " << arPlan.verify
+            << " heap allocations (not gated)\n";
 
   bench::JsonReporter json("kernel");
   // The boolean invariants gate on exact 1.0, the allocation rate on its
@@ -300,10 +336,12 @@ int main() {
   json.record("schedule_match", 1.0, schedulesMatch ? 1.0 : 0.0, "bool");
   json.record("machine_build_lazy", 1.0, buildLazy ? 1.0 : 0.0, "bool");
   json.record("allreduce_build_lean", 1.0, arBuildLean ? 1.0 : 0.0, "bool");
+  json.record("allreduce_plan_lean", 1.0, arPlanLean ? 1.0 : 0.0, "bool");
   json.record("allreduce_allocs_per_event", kArAllocsPerEvent,
               arAllocsPerEvent, "allocs/event");
 
-  bool ok = schedulesMatch && pingZeroAlloc && buildLazy && arBuildLean;
+  bool ok = schedulesMatch && pingZeroAlloc && buildLazy && arBuildLean &&
+            arPlanLean;
   if (!schedulesMatch)
     std::cout << "\nSCHEDULE MISMATCH: digests differ from the pinned "
               << util::hex64(kPingDigest) << " (ping) and "
@@ -317,6 +355,9 @@ int main() {
   if (!arBuildLean)
     std::cout << "\nHEAVY ALL-REDUCE BUILD: " << arBuildAllocs
               << " heap allocations constructing an 8x8x8 all-reduce\n";
+  if (!arPlanLean)
+    std::cout << "\nHEAVY ALL-REDUCE PLAN: " << arPlan.append
+              << " heap allocations appending an 8x8x8 all-reduce plan\n";
   if (ok) std::cout << "\nkernel invariants hold\n";
   return ok ? 0 : 1;
 }

@@ -49,7 +49,7 @@ std::string appendAllReducePlan(verify::CommPlan& plan, int numNodes,
     // allReduce() sends to the partner before posting the recv.
     schedule.sites.push_back({phase, phase, phase, 1, 1});
     for (int node = 0; node < numNodes; ++node)
-      schedule.sends.push_back({.node = node, .phase = phase, .seq = 0,
+      schedule.sends.push_back({.srcNode = node, .phase = phase, .seq = 0,
                                 .counterId = tagBase + r,
                                 .dst = {node ^ (1 << r), 0}});
   }

@@ -115,15 +115,14 @@ void DimOrderedAllReduce::buildSchedule() {
       peers.clear();
       for (int k = 0; k < n; ++k)
         if (k != pos) peers.push_back(lineNode(s, dim, k));
-      schedule_.sends.push_back({.node = s, .phase = phase, .seq = 0,
+      schedule_.sends.push_back({.srcNode = s, .phase = phase, .seq = 0,
                                  .counterId = cfg_.counterId,
                                  .pattern = patternId(dim, pos)});
-      schedule_.addBuffer({.name = std::uint8_t(kShare + 1 + dim),
+      schedule_.addBuffer({.name = std::uint16_t(kShare + 1 + dim),
                            .client = {s, dim}, .base = slotAddr(0, 0),
                            .bytes = std::uint32_t(n) * 2u * kSlotBytes,
-                           .copies = 2, .freePhase = phase,
-                           .writePhase = phase},
-                          peers);
+                           .copies = 2, .freePhase = phase},
+                          phase, peers);
     }
   }
   // The node-local share of the global sum: uncounted writes.
@@ -132,7 +131,7 @@ void DimOrderedAllReduce::buildSchedule() {
       for (int sl = 0; sl < net::kNumSlices; ++sl)
         if (sl != last)
           schedule_.sends.push_back(
-              {.node = s, .phase = kShare, .dst = {s, sl}});
+              {.srcNode = s, .phase = kShare, .dst = {s, sl}});
   schedule_.transpose(&machine_);
 }
 
@@ -149,19 +148,22 @@ std::string DimOrderedAllReduce::appendPlan(verify::CommPlan& plan,
   }
   // Each source's tree: the installed rows of its line, the only ones its
   // broadcast can reach, meant for the line's other nodes.
+  std::vector<verify::TreeRow> rows;
+  std::vector<net::ClientAddr> dests;
   for (int dim = 0; dim < 3; ++dim) {
     const int n = machine_.shape().extent(dim);
     if (n < 2) continue;
     for (int s = 0; s < machine_.numNodes(); ++s) {
       const int pos = util::torusCoordOf(s, machine_.shape())[dim];
-      verify::MulticastPlanEntry& tree = plan.multicasts.emplace_back();
-      tree.patternId = patternId(dim, pos);
-      tree.srcNode = s;
+      const int id = patternId(dim, pos);
+      rows.clear();
+      dests.clear();
       for (int k = 0; k < n; ++k) {
         const int j = lineNode(s, dim, k);
-        tree.entries.emplace(j, machine_.node(j).multicast(tree.patternId));
-        if (k != pos) tree.declaredDests.push_back({j, dim});
+        rows.push_back({j, machine_.node(j).multicast(id)});
+        if (k != pos) dests.push_back({j, dim});
       }
+      plan.addTree(id, s, rows, dests);
     }
   }
   return prev;

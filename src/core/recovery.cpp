@@ -110,10 +110,10 @@ sim::Task RecoverableCountedWrite::await(std::uint64_t target,
 
 sim::Task recoverCounted(net::NetworkClient& client, int counterId,
                          std::uint64_t target,
-                         const std::map<int, std::uint64_t>& bySource,
+                         std::span<const verify::SourceCount> bySource,
                          const RecoveryHooks& hooks) {
   RecoverableCountedWrite rcw(client, counterId, hooks.config);
-  for (const auto& [node, want] : bySource) rcw.expectFrom(node, want);
+  for (const verify::SourceCount& s : bySource) rcw.expectFrom(s.src, s.packets);
   net::Machine& machine = client.machine();
   DropRegistry& registry = *hooks.registry;
   auto replay = [&machine, &registry](const WatchdogReport& r) {

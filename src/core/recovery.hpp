@@ -27,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -35,6 +36,7 @@
 #include "net/packet.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
+#include "verify/plan.hpp"
 
 namespace anton::net {
 class Machine;
@@ -193,11 +195,11 @@ class [[nodiscard]] CountedWait {
 
 /// The armed form of a counted wait: a RecoverableCountedWrite against the
 /// hooks' registry, its stats accumulated into the hooks' sink. `bySource`
-/// (cumulative per-source expectations) is taken by reference and must
-/// outlive the co_await.
+/// (cumulative per-source expectations, by ascending source) is a view and
+/// must outlive the co_await.
 sim::Task recoverCounted(net::NetworkClient& client, int counterId,
                          std::uint64_t target,
-                         const std::map<int, std::uint64_t>& bySource,
+                         std::span<const verify::SourceCount> bySource,
                          const RecoveryHooks& hooks);
 
 }  // namespace anton::core

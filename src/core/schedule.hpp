@@ -7,16 +7,18 @@
 // wait's arrivals are the transpose of the sends that reach its (client,
 // counter), so "a wait expects what the writes deliver" is one rule. The
 // live waits add one round of their arrivals per call (addRound), and the
-// static plan (src/verify/) is a copy of the same table, each wait counted
-// by the same rule.
+// static plan's waits (src/verify/) are counted by the same call into the
+// same flat per-source form.
 //
-// The tables are flat arrays grouped by node: a 512-node machine declares
-// tens of thousands of sends, and one allocation per table (instead of a
-// few per node) keeps the host heap unfragmented.
+// A send is a verify::PlannedWrite row and a buffer a verify::BufferPlan
+// row, their phases and names indexing the schedule's `names`: appendTo
+// copies the rows into a plan and only remaps those indices. The tables are
+// flat arrays grouped by node: a 512-node machine declares tens of
+// thousands of sends, and one allocation per table (instead of a few per
+// node) keeps the host heap unfragmented.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,24 +29,6 @@
 
 namespace anton::core {
 
-/// One counted-write group a node issues per round of its kinds. Phases and
-/// names are indices into the schedule's name table; kinds are mask bits the
-/// component defines (step kinds of the MD, forward/inverse of the FFT).
-struct ScheduledSend {
-  int node = 0;            ///< the sending node
-  std::uint8_t phase = 0;  ///< issuing phase
-  std::uint8_t kinds = 1;  ///< round kinds the send is issued on
-  bool inOrder = false;
-  bool fifo = false;    ///< uncounted FIFO lane (verify::PlannedWrite::fifo)
-  std::int8_t seq = 1;  ///< see verify::PlannedWrite::seq
-  int counterId = net::kNoCounter;  ///< none: not awaited by any wait
-  /// Multicast pattern (its receivers are the installed tables'), or
-  /// kNoMulticast for a unicast to `dst`.
-  int pattern = net::kNoMulticast;
-  net::ClientAddr dst{-1, -1};
-  std::uint32_t packets = 1;
-};
-
 /// One send as its receiver counts it.
 struct Arrival {
   int src;
@@ -52,36 +36,24 @@ struct Arrival {
   std::uint32_t packets;
 };
 
-/// One preallocated receive region (verify::BufferPlan) on `client.node`:
-/// the writers fill it in `writePhase`, the wait of `freePhase` retires a
-/// round.
-struct ScheduledBuffer {
-  std::uint8_t name = 0;
-  net::ClientAddr client{-1, -1};
-  std::uint32_t base = 0;
-  std::uint32_t bytes = 0;  ///< all copies
-  std::uint8_t copies = 1;
-  std::uint8_t freePhase = 0;
-  std::uint8_t writePhase = 0;
-  /// Its writers: CountedSchedule::writers[firstWriter, + numWriters).
-  std::uint32_t firstWriter = 0;
-  std::uint32_t numWriters = 0;
-};
-
 /// Live state of one node's wait on one (client, counter). Counters never
 /// reset, so the target is cumulative over every round of every kind.
 struct WaitState {
   std::uint64_t rounds = 0;  ///< rounds awaited (drives buffer parities)
   std::uint64_t target = 0;  ///< cumulative counter target
-  /// Cumulative per-source target, kept only when recovery is armed
-  /// (per-source missing diagnosis needs what each sender owes).
-  std::map<int, std::uint64_t> bySource;
+  /// Cumulative per-source target by ascending source, kept only when
+  /// recovery is armed (per-source missing diagnosis needs what each sender
+  /// owes).
+  std::vector<verify::SourceCount> bySource;
 };
 
 /// The component declares `names`, `waits` and `sites` once, then the sends
 /// and buffers of every node (in any node order; each node's keep their
 /// declaration order), then calls transpose(). It rebuilds the sends and
-/// buffers whenever its counts change; the live wait state survives.
+/// buffers whenever its counts change; the live wait state survives. Kinds
+/// are mask bits the component defines (step kinds of the MD,
+/// forward/inverse of the FFT): a send is issued in the rounds of its
+/// `kinds`, a site counts the arrivals of its own.
 struct CountedSchedule {
   /// A counter the component's programs wait on, the same on every node.
   struct Wait {
@@ -106,13 +78,16 @@ struct CountedSchedule {
   std::vector<std::string> names{};  ///< phases, sites and buffers
   std::vector<Wait> waits{};
   std::vector<Site> sites{};
-  std::vector<ScheduledSend> sends{};      ///< grouped by node by transpose()
-  std::vector<ScheduledBuffer> buffers{};  ///< grouped by node by transpose()
-  std::vector<int> writers{};
+  /// Grouped by node by transpose(); `srcNode` is the sending node.
+  std::vector<verify::PlannedWrite> sends{};
+  /// Grouped by node (the owner, `client.node`) by transpose().
+  std::vector<verify::BufferPlan> buffers{};
+  std::vector<verify::BufferWriter> writers{};  ///< the buffers' ranges
   std::vector<WaitState> live{};  ///< per node, per wait
 
-  /// Declare a buffer written by `bufferWriters`.
-  void addBuffer(ScheduledBuffer buffer, std::span<const int> bufferWriters);
+  /// Declare a buffer written in `writePhase` by `writerNodes`.
+  void addBuffer(verify::BufferPlan buffer, std::uint8_t writePhase,
+                 std::span<const int> writerNodes);
   /// Group the sends and buffers by node and fill every wait's arrivals
   /// from the counted sends: unicasts by their target, multicasts by the
   /// receivers of `machine`'s installed tables (null: the schedule has no
@@ -122,7 +97,7 @@ struct CountedSchedule {
   /// Whether any wait has run a round.
   bool started() const;
 
-  std::span<const ScheduledSend> sendsOf(int node) const {
+  std::span<const verify::PlannedWrite> sendsOf(int node) const {
     return range(sends, firstSend_, std::size_t(node));
   }
   std::span<const Arrival> arrivals(int node, int wait) const {
@@ -131,11 +106,12 @@ struct CountedSchedule {
   }
 
   /// What one round of a wait in a round of `kinds` adds to `target` and,
-  /// when given, to its per-source breakdown: the live waits and the plan
-  /// both count this way.
+  /// when given, to its per-source breakdown (*bySource)[first, end) (see
+  /// verify::addSource): the live waits and the plan both count this way.
   static void addRound(std::span<const Arrival> arrivals, unsigned kinds,
                        std::uint64_t& target,
-                       std::map<int, std::uint64_t>* bySource);
+                       std::vector<verify::SourceCount>* bySource,
+                       std::size_t first = 0);
 
   WaitState& state(int node, int wait) {
     return live[std::size_t(node) * waits.size() + std::size_t(wait)];
@@ -149,7 +125,8 @@ struct CountedSchedule {
 
   /// Copy the phases [firstPhase, lastPhase] into `plan`, node by node: the
   /// sends issued there, the sites whose wait lies there (each counting one
-  /// round of its kinds), and the buffers freed there.
+  /// round of its kinds), and the buffers freed there. Names map to the
+  /// plan's tables (added when absent); everything else is copied as is.
   void appendTo(verify::CommPlan& plan, int firstPhase, int lastPhase,
                 bool recoveryArmed) const;
 

@@ -159,7 +159,7 @@ void DistributedFft3D::buildSchedule() {
           const int peer = util::torusIndex(oc, shape);
           // Gather: my segments of every line `peer` owns.
           if (const int owned = ownedLines(o, p); owned != 0) {
-            schedule_.sends.push_back({.node = n, .phase = gather,
+            schedule_.sends.push_back({.srcNode = n, .phase = gather,
                                        .kinds = kind,
                                        .counterId = kCounterBase + 2 * d,
                                        .dst = {peer, kSlice},
@@ -168,7 +168,7 @@ void DistributedFft3D::buildSchedule() {
           }
           // Scatter: my owned lines' segments back to every ring node.
           if (myOwned != 0) {
-            schedule_.sends.push_back({.node = n, .phase = xform,
+            schedule_.sends.push_back({.srcNode = n, .phase = xform,
                                        .kinds = kind,
                                        .counterId = kCounterBase + 2 * d + 1,
                                        .dst = {peer, kSlice},
@@ -179,13 +179,13 @@ void DistributedFft3D::buildSchedule() {
         schedule_.addBuffer(
             {.name = gather, .client = {n, kSlice},
              .base = p.gatherBase + std::uint32_t(pass) * p.gatherRegion,
-             .bytes = p.gatherRegion, .freePhase = xform, .writePhase = gather},
-            gatherWriters);
+             .bytes = p.gatherRegion, .freePhase = xform},
+            gather, gatherWriters);
         schedule_.addBuffer(
-            {.name = std::uint8_t(phase(pass, d, 3)), .client = {n, kSlice},
+            {.name = std::uint16_t(phase(pass, d, 3)), .client = {n, kSlice},
              .base = p.scatterBase + std::uint32_t(pass) * p.scatterRegion,
-             .bytes = p.scatterRegion, .freePhase = unpack, .writePhase = xform},
-            scatterWriters);
+             .bytes = p.scatterRegion, .freePhase = unpack},
+            xform, scatterWriters);
       }
     }
   }
@@ -200,7 +200,7 @@ void DistributedFft3D::setRecovery(const core::RecoveryHooks& hooks) {
 
 std::uint64_t DistributedFft3D::packetsPerNodePerTransform(int nodeIdx) const {
   std::uint64_t total = 0;
-  for (const core::ScheduledSend& s : schedule_.sendsOf(nodeIdx))
+  for (const verify::PlannedWrite& s : schedule_.sendsOf(nodeIdx))
     if (s.kinds & kForward) total += s.packets;
   return total;
 }

@@ -286,9 +286,9 @@ void AntonMdApp::buildSchedule() {
     // A unicast to `dst`, or a multicast on `pattern`.
     auto send = [&](std::uint8_t phase, StepKind kind, int counter,
                     std::uint64_t packets, net::ClientAddr dst,
-                    int pattern = net::kNoMulticast) -> core::ScheduledSend& {
-      return schedule_.sends.emplace_back(core::ScheduledSend{
-          .node = n, .phase = phase, .kinds = kind, .counterId = counter,
+                    int pattern = net::kNoMulticast) -> verify::PlannedWrite& {
+      return schedule_.sends.emplace_back(verify::PlannedWrite{
+          .srcNode = n, .phase = phase, .kinds = kind, .counterId = counter,
           .pattern = pattern, .dst = dst, .packets = std::uint32_t(packets)});
     };
     const net::ClientAddr none{-1, -1};
@@ -320,7 +320,7 @@ void AntonMdApp::buildSchedule() {
     // know how many atoms leave, only where they may go. One nominal
     // record per neighbour documents the lanes the flush fences.
     for (int nb : neighbors) {
-      core::ScheduledSend& lane = send(Phase::kFifo, kMigrationStep,
+      verify::PlannedWrite& lane = send(Phase::kFifo, kMigrationStep,
                                        net::kNoCounter, 1, {nb, net::kSlice0});
       lane.inOrder = lane.fifo = true;
     }
@@ -329,7 +329,7 @@ void AntonMdApp::buildSchedule() {
     // step's md.htis). migrationPhase() signals the flush first and only
     // then waits on the neighbours' flushes: the flush rides behind the
     // md.fifo records and fences them, it does not follow the local wait.
-    core::ScheduledSend& flush =
+    verify::PlannedWrite& flush =
         send(Phase::kMigrate, kMigrationStep, migrationSync_->counterId(), 1,
              none, migrationSync_->patternId(n));
     flush.inOrder = true;
@@ -344,15 +344,13 @@ void AntonMdApp::buildSchedule() {
     const std::uint32_t posBytes =
         std::uint32_t(posRegionMod_) * std::uint32_t(posRegionSlots_) * 32u;
     schedule_.addBuffer({.name = Label::kPosBuffer, .client = {n, net::kHtis},
-                         .bytes = posBytes, .freePhase = Phase::kHtis,
-                         .writePhase = Phase::kSend},
-                        sources);
+                         .bytes = posBytes, .freePhase = Phase::kHtis},
+                        Phase::kSend, sources);
     schedule_.addBuffer({.name = Label::kCountBuffer,
                          .client = {n, net::kHtis}, .base = countSlotAddr(0),
                          .bytes = std::uint32_t(posRegionMod_) * 4u,
-                         .freePhase = Phase::kHtis,
-                         .writePhase = Phase::kMigrate},
-                        sources);
+                         .freePhase = Phase::kHtis},
+                        Phase::kMigrate, sources);
     if (!bondFrom[std::size_t(n)].empty()) {
       std::vector<int> homes;
       for (const auto& [h, atoms] : bondFrom[std::size_t(n)])
@@ -361,20 +359,18 @@ void AntonMdApp::buildSchedule() {
           {.name = Label::kBondPosBuffer, .client = {n, net::kSlice0},
            .base = 0x8000u,
            .bytes = std::uint32_t(bondAtomSlot_[std::size_t(n)].size()) * 32u,
-           .freePhase = Phase::kBonded, .writePhase = Phase::kSend},
-          homes);
+           .freePhase = Phase::kBonded},
+          Phase::kSend, homes);
     }
     schedule_.addBuffer({.name = Phase::kGrid, .client = {n, net::kAccum1},
                          .bytes = 2u * std::uint32_t(blockPts) * 4u,
-                         .copies = 2, .freePhase = Phase::kGrid,
-                         .writePhase = Phase::kSpread},
-                        block);
+                         .copies = 2, .freePhase = Phase::kGrid},
+                        Phase::kSpread, block);
     schedule_.addBuffer({.name = Phase::kPot, .client = {n, net::kSlice1},
                          .bytes = 2u * std::uint32_t(posRegionMod_) *
                                   std::uint32_t(potBlockBytes),
-                         .copies = 2, .freePhase = Phase::kInterp,
-                         .writePhase = Phase::kPot},
-                        block);
+                         .copies = 2, .freePhase = Phase::kInterp},
+                        Phase::kPot, block);
   }
 
   // Every wait expects what the sends reaching its (client, counter)
@@ -828,9 +824,9 @@ sim::Task AntonMdApp::longRangePhase(int node) {
   // --- charge spreading: dense fixed-count accumulation sends -------------
   // Compute this node's contribution to each neighborhood block: the
   // scheduled spread sends name the blocks.
-  const std::span<const core::ScheduledSend> sends = schedule_.sendsOf(node);
+  const std::span<const verify::PlannedWrite> sends = schedule_.sendsOf(node);
   std::map<int, std::vector<std::int32_t>> contrib;
-  for (const core::ScheduledSend& s : sends)
+  for (const verify::PlannedWrite& s : sends)
     if (s.phase == Phase::kSpread) contrib[s.dst.node].assign(blockPts, 0);
 
   MDSystem tmp;
@@ -867,7 +863,7 @@ sim::Task AntonMdApp::longRangePhase(int node) {
   // Dense block sends (zero-padded): fixed packet counts per pair.
   const std::size_t blockBytes = blockPts * 4;
   const std::size_t chunk = net::kMaxPayloadBytes;
-  for (const core::ScheduledSend& s : sends) {
+  for (const verify::PlannedWrite& s : sends) {
     if (s.phase != Phase::kSpread) continue;
     const std::vector<std::int32_t>& block = contrib[s.dst.node];
     for (std::size_t off = 0; off < blockBytes; off += chunk) {
@@ -1239,10 +1235,7 @@ verify::CommPlan AntonMdApp::extractCommPlan() const {
   schedule_.appendTo(plan, Phase::kSend, Phase::kMigrate,
                      dropRegistry_ != nullptr);
   for (const core::InstalledPattern& p : patterns_->installed())
-    plan.multicasts.push_back({.patternId = p.id, .srcNode = p.tree.srcNode,
-                               .entries = {p.tree.entries.begin(),
-                                           p.tree.entries.end()},
-                               .declaredDests = p.dests});
+    plan.addTree(p.id, p.tree.srcNode, p.tree.entries, p.dests);
   return plan;
 }
 

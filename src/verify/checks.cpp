@@ -1,9 +1,11 @@
 #include "verify/checks.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 
@@ -38,17 +40,22 @@ std::string addrName(const net::ClientAddr& a) {
 /// (node, client, counter): identity of one sync counter instance.
 using CounterKey = std::tuple<int, int, int>;
 
-struct ExpectedCount {
+/// Packets per round at one sync counter, in total and per source: what
+/// the waits expect, or what the writes deliver.
+struct Tally {
   std::uint64_t total = 0;
   std::map<int, std::uint64_t> bySource;
-  bool allBySource = true;  ///< every record declared a per-source breakdown
-  std::string site;         ///< first site naming this counter
+  bool allBySource = true;  ///< every wait record declared a breakdown
+  int site = -1;            ///< first wait site naming this counter
 };
 
-struct ActualCount {
-  std::uint64_t total = 0;
-  std::map<int, std::uint64_t> bySource;
-};
+using ClientSet = std::set<std::pair<int, int>>;
+
+ClientSet clientSet(std::span<const net::ClientAddr> clients) {
+  ClientSet out;
+  for (const net::ClientAddr& a : clients) out.insert({a.node, a.client});
+  return out;
+}
 
 /// Coalesce findings that differ only in the node they occurred on, so a
 /// plan-wide bug yields one record (with a representative node and a tally)
@@ -136,18 +143,15 @@ RouteTrace traceUnicastRoute(int srcNode, int dstNode, const TorusShape& shape,
   return tr;
 }
 
-TreeRepair repairMulticastTree(const MulticastPlanEntry& entry,
-                               const TorusShape& shape,
+TreeRepair repairMulticastTree(const TreeView& tree, const TorusShape& shape,
                                const std::vector<TorusLink>& downLinks) {
   TreeRepair rep;
-  TreeExpansion degraded = expandTree(entry, shape, downLinks);
-  std::set<std::pair<int, int>> degReached;
-  for (const net::ClientAddr& a : degraded.reached)
-    degReached.insert({a.node, a.client});
-  for (const net::ClientAddr& d : entry.declaredDests)
+  const ClientSet degReached =
+      clientSet(expandTree(tree, shape, downLinks).reached);
+  for (const net::ClientAddr& d : tree.dests)
     if (!degReached.count({d.node, d.client})) rep.lostDests.push_back(d);
   if (rep.lostDests.empty()) {  // every declared delivery survives the cuts
-    rep.repaired = entry;
+    rep.rows.assign(tree.rows.begin(), tree.rows.end());
     return rep;
   }
 
@@ -155,23 +159,18 @@ TreeRepair repairMulticastTree(const MulticastPlanEntry& entry,
   // unicast routes from the source to every declared destination — the same
   // first-healthy-dimension policy recovery resends use, so the repaired
   // tree is exactly what a resend sweep would trace.
-  std::set<std::pair<int, int>> lost;
-  for (const net::ClientAddr& d : rep.lostDests) lost.insert({d.node, d.client});
-  MulticastPlanEntry r;
-  r.patternId = entry.patternId;
-  r.srcNode = entry.srcNode;
-  r.declaredDests = entry.declaredDests;
-  for (const net::ClientAddr& d : entry.declaredDests) {
+  const ClientSet lost = clientSet(rep.lostDests);
+  std::map<int, net::MulticastEntry> rows;
+  for (const net::ClientAddr& d : tree.dests) {
     if (d.node < 0 || d.node >= shape.size() || d.client < 0 ||
         d.client >= net::kClientsPerNode)
       continue;  // malformed dests are check-2 findings, not repair targets
-    RouteTrace tr =
-        traceUnicastRoute(entry.srcNode, d.node, shape, downLinks);
+    RouteTrace tr = traceUnicastRoute(tree.srcNode, d.node, shape, downLinks);
     if (tr.stalled) {
       rep.stalledDests.push_back(d);
       continue;
     }
-    r.entries[d.node].clientMask |= std::uint8_t(1u << d.client);
+    rows[d.node].clientMask |= std::uint8_t(1u << d.client);
     if (!tr.dimOrdered) ++rep.nonDimOrderedRoutes;
     if (lost.count({d.node, d.client})) ++rep.reroutedDests;
     for (std::size_t i = 0; i + 1 < tr.nodes.size(); ++i) {
@@ -180,22 +179,18 @@ TreeRepair repairMulticastTree(const MulticastPlanEntry& entry,
       TorusCoord b = util::torusCoordOf(tr.nodes[i + 1], shape);
       int sign =
           util::wrap(b[dim] - a[dim], shape.extent(dim)) == 1 ? +1 : -1;
-      r.entries[tr.nodes[i]].linkMask |=
+      rows[tr.nodes[i]].linkMask |=
           std::uint8_t(1u << net::RingLayout::adapterIndex(dim, sign));
     }
   }
-  rep.repaired = std::move(r);
+  rep.rows.assign(rows.begin(), rows.end());
 
   // Validate the merged tables: replicas follow the union of the routes, so
   // every routed destination must still be delivered under the same cuts.
-  TreeExpansion check = expandTree(rep.repaired, shape, downLinks);
-  std::set<std::pair<int, int>> covered;
-  for (const net::ClientAddr& a : check.reached)
-    covered.insert({a.node, a.client});
-  std::set<std::pair<int, int>> stalled;
-  for (const net::ClientAddr& d : rep.stalledDests)
-    stalled.insert({d.node, d.client});
-  for (const net::ClientAddr& d : entry.declaredDests)
+  const ClientSet covered =
+      clientSet(expandTree(rep.repaired(tree), shape, downLinks).reached);
+  const ClientSet stalled = clientSet(rep.stalledDests);
+  for (const net::ClientAddr& d : tree.dests)
     if (!stalled.count({d.node, d.client}) &&
         !covered.count({d.node, d.client}))
       rep.stalledDests.push_back(d);
@@ -213,6 +208,36 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
   };
   Severity routeSev =
       opts.routeIssuesAreErrors ? Severity::kError : Severity::kLint;
+  const std::size_t P = plan.phases.size();
+
+  // ---- plan.index: indices and ranges inside their tables ----------------
+  auto inTable = [](Range r, std::size_t size) {
+    return r.begin <= r.end && r.end <= size;
+  };
+  auto indexed = [&](const char* kind, std::size_t row, bool ok) {
+    if (!ok)
+      add("plan.index", Severity::kError, kind,
+          std::string(kind) + " " + std::to_string(row) +
+              " indexes past one of the plan's tables; it reads as empty");
+  };
+  for (std::size_t wi = 0; wi < plan.writes.size(); ++wi)
+    indexed("write", wi, plan.writes[wi].phase < P);
+  for (std::size_t ei = 0; ei < plan.expectations.size(); ++ei) {
+    const CounterExpectation& e = plan.expectations[ei];
+    indexed("expectation", ei,
+            e.phase < P && e.site < plan.names.size() &&
+                inTable(e.bySource, plan.sources.size()));
+  }
+  for (std::size_t mi = 0; mi < plan.multicasts.size(); ++mi)
+    indexed("multicast", mi,
+            inTable(plan.multicasts[mi].rows, plan.treeRows.size()) &&
+                inTable(plan.multicasts[mi].dests, plan.treeDests.size()));
+  for (std::size_t bi = 0; bi < plan.buffers.size(); ++bi) {
+    const BufferPlan& b = plan.buffers[bi];
+    indexed("buffer", bi,
+            b.name < plan.names.size() && b.freePhase < P &&
+                inTable(b.writers, plan.writers.size()));
+  }
 
   // ---- check 2: multicast well-formedness -------------------------------
   std::vector<TreeExpansion> expansions;
@@ -221,6 +246,7 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
   std::map<int, std::set<int>> patternsPerNode;
   for (std::size_t mi = 0; mi < plan.multicasts.size(); ++mi) {
     const MulticastPlanEntry& m = plan.multicasts[mi];
+    const TreeView tree = plan.tree(m);
     std::string site = "pattern " + std::to_string(m.patternId);
     if (m.patternId < 0 || m.patternId >= net::kMulticastPatterns)
       add("multicast.pattern-limit", Severity::kError, site,
@@ -228,7 +254,7 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
               " outside the " + std::to_string(net::kMulticastPatterns) +
               "-entry per-node tables",
           m.srcNode, -1, m.patternId);
-    for (const auto& [node, entry] : m.entries) {
+    for (const auto& [node, entry] : tree.rows) {
       (void)entry;
       auto [it, fresh] = nodePattern.emplace(
           std::make_pair(node, m.patternId), int(mi));
@@ -241,7 +267,7 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
       patternsPerNode[node].insert(m.patternId);
     }
 
-    expansions.push_back(expandTree(m, plan.shape));
+    expansions.push_back(expandTree(tree, plan.shape));
     const TreeExpansion& x = expansions.back();
     if (x.cycle)
       add("multicast.cycle", Severity::kError, site,
@@ -268,12 +294,8 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
           "the wormhole fabric)",
           m.srcNode, -1, m.patternId);
 
-    std::set<std::pair<int, int>> reached;
-    for (const net::ClientAddr& a : x.reached)
-      reached.insert({a.node, a.client});
-    std::set<std::pair<int, int>> declared;
-    for (const net::ClientAddr& a : m.declaredDests)
-      declared.insert({a.node, a.client});
+    const ClientSet reached = clientSet(x.reached);
+    const ClientSet declared = clientSet(tree.dests);
     if (reached != declared) {
       std::string detail;
       for (const auto& d : declared)
@@ -298,20 +320,18 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
       // means the live machine would stall the fan-out today; report whether
       // rerouted unicast trees (what a recovery resend sweep traces) can
       // re-cover the full destination set.
-      TreeExpansion deg = expandTree(m, plan.shape, opts.downLinks);
-      std::set<std::pair<int, int>> degReached;
-      for (const net::ClientAddr& a : deg.reached)
-        degReached.insert({a.node, a.client});
+      TreeExpansion deg = expandTree(tree, plan.shape, opts.downLinks);
+      const ClientSet degReached = clientSet(deg.reached);
       bool lossy = !deg.cutLinks.empty();
       for (const auto& d : reached)
         if (!degReached.count(d)) lossy = true;
       if (lossy) {
-        TreeRepair rep = repairMulticastTree(m, plan.shape, opts.downLinks);
+        TreeRepair rep = repairMulticastTree(tree, plan.shape, opts.downLinks);
         if (rep.ok()) {
           ++res.multicastsRepaired;
           std::string detail =
               "down links cut " + std::to_string(rep.lostDests.size()) +
-              " of " + std::to_string(m.declaredDests.size()) +
+              " of " + std::to_string(tree.dests.size()) +
               " destination(s) from the tree; repaired by rerouting (" +
               std::to_string(rep.reroutedDests) + " rerouted";
           if (rep.nonDimOrderedRoutes > 0)
@@ -344,42 +364,33 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
           node);
 
   // ---- check 1: count consistency ---------------------------------------
-  std::map<CounterKey, ExpectedCount> expected;
+  std::map<CounterKey, Tally> expected;
   for (const CounterExpectation& e : plan.expectations) {
-    ExpectedCount& x =
-        expected[{e.client.node, e.client.client, e.counterId}];
+    Tally& x = expected[{e.client.node, e.client.client, e.counterId}];
     x.total += e.perRound;
-    if (x.site.empty()) x.site = e.site;
-    if (e.bySource.empty()) {
-      x.allBySource = false;
-    } else {
-      for (const auto& [src, n] : e.bySource) x.bySource[src] += n;
-    }
+    if (x.site < 0) x.site = e.site;
+    if (plan.bySource(e).empty()) x.allBySource = false;
+    for (const SourceCount& s : plan.bySource(e))
+      x.bySource[s.src] += s.packets;
   }
 
-  // Delivered clients per write (unicast target or expanded fan-out), kept
-  // for the buffer-reuse dependency edges below.
-  std::vector<std::vector<net::ClientAddr>> delivered(plan.writes.size());
-  std::map<CounterKey, ActualCount> actual;
-  const std::vector<int> trees = writeTrees(plan);
+  const Delivered delivered = deliveredTargets(plan, expansions);
+  std::map<CounterKey, Tally> actual;
   for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
     const PlannedWrite& w = plan.writes[wi];
-    if (trees[wi] >= 0) {
-      delivered[wi] = expansions[std::size_t(trees[wi])].reached;
-    } else if (w.pattern != net::kNoMulticast) {
-      add("count.unknown-pattern", Severity::kError, w.phase,
-          "write in phase '" + w.phase + "' from node " +
+    const std::string& phase = plan.phaseName(w.phase);
+    if (w.pattern != net::kNoMulticast && delivered.tree[wi] < 0) {
+      add("count.unknown-pattern", Severity::kError, phase,
+          "write in phase '" + phase + "' from node " +
               std::to_string(w.srcNode) + " references pattern " +
               std::to_string(w.pattern) +
               " but no declared tree has that id and source",
           w.srcNode, w.counterId, w.pattern);
       continue;
-    } else if (w.dst.node >= 0) {
-      delivered[wi].push_back(w.dst);
     }
     if (w.counterId == net::kNoCounter) continue;
-    for (const net::ClientAddr& d : delivered[wi]) {
-      ActualCount& a = actual[{d.node, d.client, w.counterId}];
+    for (const net::ClientAddr& d : delivered.of(wi)) {
+      Tally& a = actual[{d.node, d.client, w.counterId}];
       a.total += w.packets;
       a.bySource[w.srcNode] += w.packets;
     }
@@ -387,10 +398,11 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
 
   for (const auto& [key, exp] : expected) {
     auto [node, client, ctr] = key;
+    const std::string& site = plan.nameOf(std::size_t(exp.site));
     auto it = actual.find(key);
     std::uint64_t got = it == actual.end() ? 0 : it->second.total;
     if (got != exp.total) {
-      add("count", Severity::kError, exp.site,
+      add("count", Severity::kError, site,
           "counter " + std::to_string(ctr) + " at " +
               addrName({node, client}) + ": plan delivers " +
               std::to_string(got) + " packets/round, wait expects " +
@@ -413,7 +425,7 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
         break;
       }
     }
-    add("count.by-source", Severity::kError, exp.site, detail, node, ctr);
+    add("count.by-source", Severity::kError, site, detail, node, ctr);
   }
   for (const auto& [key, act] : actual) {
     if (expected.count(key)) continue;
@@ -426,20 +438,22 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
   }
 
   // ---- check 5: recovery coverage ---------------------------------------
-  std::map<std::string, std::pair<int, int>> siteArm;  // site -> {armed, not}
-  std::map<std::string, int> siteCtr;
+  // Per site: {armed, unarmed, first counter}; the last slot collects sites
+  // outside the name table.
+  std::vector<std::array<int, 3>> siteArm(plan.names.size() + 1, {0, 0, -1});
   for (const CounterExpectation& e : plan.expectations) {
-    auto& [armed, unarmed] = siteArm[e.site];
+    auto& [armed, unarmed, ctr] =
+        siteArm[std::min<std::size_t>(e.site, plan.names.size())];
+    if (armed + unarmed == 0) ctr = e.counterId;
     (e.recoveryArmed ? armed : unarmed) += 1;
-    siteCtr.emplace(e.site, e.counterId);
   }
-  for (const auto& [site, counts] : siteArm)
-    if (counts.second > 0)
-      add("recovery-coverage", Severity::kLint, site,
-          std::to_string(counts.second) + " counted-wait record(s) at site '" +
-              site + "' have no RecoverableCountedWrite armed; a dropped "
-              "packet hangs the step",
-          -1, siteCtr[site]);
+  for (std::size_t si = 0; si < siteArm.size(); ++si)
+    if (const auto& [armed, unarmed, ctr] = siteArm[si]; unarmed > 0)
+      add("recovery-coverage", Severity::kLint, plan.nameOf(si),
+          std::to_string(unarmed) + " counted-wait record(s) at site '" +
+              plan.nameOf(si) + "' have no RecoverableCountedWrite armed; "
+              "a dropped packet hangs the step",
+          -1, ctr);
 
   // ---- check 4: deadlock freedom of unicast routes ----------------------
   std::set<std::pair<int, int>> traced;
@@ -450,22 +464,23 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
     RouteTrace tr =
         traceUnicastRoute(w.srcNode, w.dst.node, plan.shape, opts.downLinks);
     ++res.routesTraced;
+    const std::string& phase = plan.phaseName(w.phase);
     std::string site =
         "route " + std::to_string(w.srcNode) + "->" +
         std::to_string(w.dst.node);
     if (!tr.dimOrdered)
-      add("route.dim-order", routeSev, w.phase,
-          site + " (phase '" + w.phase + "') is not dimension-ordered after "
+      add("route.dim-order", routeSev, phase,
+          site + " (phase '" + phase + "') is not dimension-ordered after "
           "rerouting around down links (deadlock risk)",
           w.srcNode, w.counterId);
     if (tr.stalled)
-      add("route.stalled", routeSev, w.phase,
-          site + " (phase '" + w.phase + "') has a hop where every usable "
+      add("route.stalled", routeSev, phase,
+          site + " (phase '" + phase + "') has a hop where every usable "
           "link is down; the packet stalls for the outage",
           w.srcNode, w.counterId);
     if (tr.degraded && tr.dimOrdered && !tr.stalled)
-      add("route.degraded", Severity::kLint, w.phase,
-          site + " (phase '" + w.phase + "') deviates from its preferred "
+      add("route.degraded", Severity::kLint, phase,
+          site + " (phase '" + phase + "') deviates from its preferred "
           "dimension to avoid a down link (still dimension-ordered)",
           w.srcNode, w.counterId);
   }
@@ -518,10 +533,8 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
     // buffer's declared writers are matched to their send events so the
     // reachability target is the actual counted send, not the whole phase.
     std::map<std::pair<int, int>, std::vector<std::size_t>> writesAt;
-    for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
-      int pw = plan.phaseIndex(plan.writes[wi].phase);
-      if (pw >= 0) writesAt[{plan.writes[wi].srcNode, pw}].push_back(wi);
-    }
+    for (std::size_t wi = 0; wi < plan.writes.size(); ++wi)
+      writesAt[{plan.writes[wi].srcNode, plan.writes[wi].phase}].push_back(wi);
 
     std::map<int, std::vector<char>> reachMemo;
     auto reachableFrom = [&](int src) -> const std::vector<char>& {
@@ -539,23 +552,25 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
     }
     for (std::size_t bi = 0; bi < plan.buffers.size(); bi += stride) {
       const BufferPlan& b = plan.buffers[bi];
+      const std::string& name = plan.nameOf(b.name);
       ++res.buffersChecked;
       int fs = graph.freeSlot(bi);
       if (fs < 0 || b.client.node < 0 || b.client.node >= N) {
-        add("buffer-reuse.bad-phase", Severity::kError, b.name,
-            "buffer '" + b.name + "' names unknown free phase '" +
-                b.freePhase + "' or owner " + addrName(b.client),
+        add("buffer-reuse.bad-phase", Severity::kError, name,
+            "buffer '" + name + "' names unknown free phase '" +
+                plan.phaseName(b.freePhase) + "' or owner " +
+                addrName(b.client),
             b.client.node);
         continue;
       }
       const std::vector<char>& seen =
           reachableFrom(graph.vertex(fs, 0));
-      for (const BufferWriter& w : b.writers) {
-        int wp = plan.phaseIndex(w.phase);
-        if (wp < 0 || w.node < 0 || w.node >= N) {
-          add("buffer-reuse.bad-phase", Severity::kError, b.name,
-              "buffer '" + b.name + "' writer names unknown phase '" +
-                  w.phase + "' or node " + std::to_string(w.node),
+      for (const BufferWriter& w : plan.writersOf(b)) {
+        if (w.phase >= P || w.node < 0 || w.node >= N) {
+          add("buffer-reuse.bad-phase", Severity::kError, name,
+              "buffer '" + name + "' writer names unknown phase '" +
+                  plan.phaseName(w.phase) + "' or node " +
+                  std::to_string(w.node),
               w.node);
           continue;
         }
@@ -563,27 +578,24 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
         // has no modeled write into the owner, fall back to the phase-entry
         // anchor (preserves the coarse argument for unmodeled writes).
         std::vector<int> targets;
-        auto wit = writesAt.find({w.node, wp});
+        auto wit = writesAt.find({w.node, w.phase});
         if (wit != writesAt.end()) {
           for (std::size_t wi : wit->second) {
-            bool hits = false;
-            for (const net::ClientAddr& d : delivered[wi])
-              if (d.node == b.client.node && d.client == b.client.client) {
-                hits = true;
-                break;
-              }
-            if (hits && graph.sendSlot(wi) >= 0)
+            const std::span<const net::ClientAddr> to = delivered.of(wi);
+            if (std::find(to.begin(), to.end(), b.client) != to.end() &&
+                graph.sendSlot(wi) >= 0)
               targets.push_back(graph.sendSlot(wi));
           }
         }
-        if (targets.empty()) targets.push_back(graph.entrySlot(w.node, wp));
+        if (targets.empty())
+          targets.push_back(graph.entrySlot(w.node, w.phase));
         for (int slot : targets) {
           int target = graph.vertex(slot, b.copies);
           if (seen[std::size_t(target)]) continue;
-          add("buffer-reuse", Severity::kError, b.name,
-              "buffer '" + b.name + "' at " + addrName(b.client) +
+          add("buffer-reuse", Severity::kError, name,
+              "buffer '" + name + "' at " + addrName(b.client) +
                   ": no happens-before path from the freeing counter fire "
-                  "(phase '" + b.freePhase + "', round 0) to " +
+                  "(phase '" + plan.phaseName(b.freePhase) + "', round 0) to " +
                   graph.describe(target) +
                   "; the write can land before the copy is free",
               b.client.node);

@@ -27,6 +27,10 @@
 //                            (wait-before-send loops and friends) is
 //                            reported with the full cycle in the diagnostic.
 //
+// A row whose index or range leaves its table is a "plan.index" error: the
+// plan's views read it as empty or "?", so the checks above still run
+// without leaving the plan's arrays.
+//
 // Structural problems (1-4, 6) are errors; coverage gaps and informational
 // reroute audits are lints. verifyPlan never touches a live Machine.
 #pragma once
@@ -43,12 +47,12 @@ enum class Severity { kError, kLint };
 const char* severityName(Severity s);
 
 /// One finding. `check` is a stable machine-readable id:
-///   "count", "count.by-source", "count.unwaited", "count.unknown-pattern",
-///   "multicast.cycle", "multicast.empty-entry", "multicast.dead-entry",
-///   "multicast.dests", "multicast.pattern-limit", "multicast.conflict",
-///   "multicast.dim-order", "multicast.degraded", "multicast.stalled",
-///   "buffer-reuse", "buffer-reuse.bad-phase", "event.deadlock",
-///   "route.dim-order", "route.stalled", "route.degraded",
+///   "plan.index", "count", "count.by-source", "count.unwaited",
+///   "count.unknown-pattern", "multicast.cycle", "multicast.empty-entry",
+///   "multicast.dead-entry", "multicast.dests", "multicast.pattern-limit",
+///   "multicast.conflict", "multicast.dim-order", "multicast.degraded",
+///   "multicast.stalled", "buffer-reuse", "buffer-reuse.bad-phase",
+///   "event.deadlock", "route.dim-order", "route.stalled", "route.degraded",
 ///   "recovery-coverage".
 struct Violation {
   std::string check;
@@ -113,15 +117,20 @@ RouteTrace traceUnicastRoute(int srcNode, int dstNode,
 /// reach at all — the fan-out stalls for the outage, exactly like the live
 /// machine today.
 struct TreeRepair {
-  MulticastPlanEntry repaired;
+  std::vector<TreeRow> rows;  ///< the repaired forwarding tables, by node
   std::vector<net::ClientAddr> lostDests;     ///< lost before repair
   std::vector<net::ClientAddr> stalledDests;  ///< unreachable even degraded
   int reroutedDests = 0;           ///< lost destinations re-covered
   int nonDimOrderedRoutes = 0;     ///< repair paths breaking dimension order
   bool ok() const { return stalledDests.empty(); }
+  /// The repaired tree: `of`'s pattern, source and declared destinations
+  /// over the rebuilt rows.
+  TreeView repaired(const TreeView& of) const {
+    return {of.patternId, of.srcNode, rows, of.dests};
+  }
 };
 
-TreeRepair repairMulticastTree(const MulticastPlanEntry& entry,
+TreeRepair repairMulticastTree(const TreeView& tree,
                                const util::TorusShape& shape,
                                const std::vector<TorusLink>& downLinks);
 

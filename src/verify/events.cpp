@@ -1,6 +1,7 @@
 #include "verify/events.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cstddef>
 #include <deque>
 #include <map>
@@ -8,6 +9,11 @@
 
 namespace anton::verify {
 namespace {
+
+/// The sync counter a wait waits on: (node, client, counter).
+auto counterOf(const CounterExpectation& e) {
+  return std::tie(e.client.node, e.client.client, e.counterId);
+}
 
 /// Sort rank at equal seq: the counter wait fires, the freed buffer copy is
 /// retired, and only then do the phase's sends go out.
@@ -27,30 +33,50 @@ int kindRank(EventKind k) {
 
 }  // namespace
 
-std::vector<std::vector<net::ClientAddr>> deliveredTargets(
-    const CommPlan& plan) {
-  const std::vector<int> trees = writeTrees(plan);
-  std::map<int, TreeExpansion> expansions;
-  std::vector<std::vector<net::ClientAddr>> delivered(plan.writes.size());
+Delivered deliveredTargets(const CommPlan& plan,
+                           std::span<const TreeExpansion> expansions) {
+  std::vector<TreeExpansion> walked;
+  if (expansions.empty()) {
+    for (const MulticastPlanEntry& m : plan.multicasts)
+      walked.push_back(expandTree(plan.tree(m), plan.shape));
+    expansions = walked;
+  }
+  // A pattern id may back several trees with disjoint footprints (the
+  // allocator reuses ids exactly as the 256-entry tables allow).
+  std::map<std::pair<int, int>, int> bySource;  // (id, source) -> first tree
+  std::map<int, int> byId;  // id -> its only tree, -1 when shared
+  for (std::size_t mi = 0; mi < plan.multicasts.size(); ++mi) {
+    const MulticastPlanEntry& m = plan.multicasts[mi];
+    bySource.try_emplace({m.patternId, m.srcNode}, int(mi));
+    if (auto [it, fresh] = byId.try_emplace(m.patternId, int(mi)); !fresh)
+      it->second = -1;
+  }
+  auto resolve = [&](int id, int src) {
+    if (auto it = bySource.find({id, src}); it != bySource.end())
+      return it->second;
+    auto it = byId.find(id);
+    return it == byId.end() ? -1 : it->second;
+  };
+
+  Delivered out;
+  out.tree.assign(plan.writes.size(), -1);
+  out.first.push_back(0);
   for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
     const PlannedWrite& w = plan.writes[wi];
     if (w.pattern == net::kNoMulticast) {
-      if (w.dst.node >= 0) delivered[wi].push_back(w.dst);
-      continue;
+      if (w.dst.node >= 0) out.clients.push_back(w.dst);
+    } else if ((out.tree[wi] = resolve(w.pattern, w.srcNode)) >= 0) {
+      const std::vector<net::ClientAddr>& reached =
+          expansions[std::size_t(out.tree[wi])].reached;
+      out.clients.insert(out.clients.end(), reached.begin(), reached.end());
     }
-    if (trees[wi] < 0) continue;
-    auto [ei, fresh] = expansions.try_emplace(trees[wi]);
-    if (fresh)
-      ei->second = expandTree(plan.multicasts[std::size_t(trees[wi])],
-                              plan.shape);
-    delivered[wi] = ei->second.reached;
+    out.first.push_back(std::uint32_t(out.clients.size()));
   }
-  return delivered;
+  return out;
 }
 
-EventGraph::EventGraph(
-    const CommPlan& plan, int rounds,
-    const std::vector<std::vector<net::ClientAddr>>& delivered)
+EventGraph::EventGraph(const CommPlan& plan, int rounds,
+                       const Delivered& delivered)
     : plan_(plan),
       rounds_(std::max(rounds, 1)),
       numPhases_(int(plan.phases.size())),
@@ -60,94 +86,100 @@ EventGraph::EventGraph(
 }
 
 void EventGraph::buildSlots(const CommPlan& plan) {
-  const int P = numPhases_;
-  const int N = numNodes_;
+  const std::size_t P = std::size_t(numPhases_);
+  const std::size_t N = std::size_t(numNodes_);
   struct Item {
+    std::size_t group;  ///< node * P + phase
     int seq;
     int rank;
     int order;  ///< insertion order, for a stable tie-break
     Event ev;
   };
-  std::vector<std::vector<Item>> groups(std::size_t(N) * std::size_t(P));
-  auto groupOf = [&](int node, int phaseIdx) -> std::vector<Item>* {
-    if (node < 0 || node >= N || phaseIdx < 0 || phaseIdx >= P) return nullptr;
-    return &groups[std::size_t(node) * std::size_t(P) + std::size_t(phaseIdx)];
+  std::vector<Item> items;
+  items.reserve(plan.expectations.size() + plan.buffers.size() +
+                plan.writes.size());
+  // (node, phase) group of a record; N * P when out of range.
+  auto groupOf = [&](int node, std::size_t phase) {
+    return node < 0 || std::size_t(node) >= N || phase >= P
+               ? N * P
+               : std::size_t(node) * P + phase;
   };
+  auto add = [&](EventKind kind, std::size_t group, int node, int seq,
+                 std::size_t ref) {
+    if (group < N * P)
+      items.push_back({group, seq, kindRank(kind), int(items.size()),
+                       {kind, node, int(group % P), int(ref)}});
+  };
+
+  // The free event of a buffer fires when the freePhase's waits are done:
+  // it sorts after the last wait of its (node, phase) group.
+  std::vector<int> maxWaitSeq(N * P + 1, INT_MIN);
+  for (std::size_t ei = 0; ei < plan.expectations.size(); ++ei) {
+    const CounterExpectation& e = plan.expectations[ei];
+    const std::size_t g = groupOf(e.client.node, e.phase);
+    add(EventKind::kWait, g, e.client.node, e.seq, ei);
+    maxWaitSeq[g] = std::max(maxWaitSeq[g], e.seq);
+  }
+  for (std::size_t bi = 0; bi < plan.buffers.size(); ++bi) {
+    const BufferPlan& b = plan.buffers[bi];
+    const std::size_t g = groupOf(b.client.node, b.freePhase);
+    add(EventKind::kFree, g, b.client.node,
+        maxWaitSeq[g] == INT_MIN ? 0 : maxWaitSeq[g], bi);
+  }
+  for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
+    const PlannedWrite& w = plan.writes[wi];
+    add(EventKind::kSend, groupOf(w.srcNode, w.phase), w.srcNode, w.seq, wi);
+  }
+  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+    return std::tie(a.group, a.seq, a.rank, a.order) <
+           std::tie(b.group, b.seq, b.rank, b.order);
+  });
 
   waitSlot_.assign(plan.expectations.size(), -1);
   sendSlot_.assign(plan.writes.size(), -1);
   freeSlot_.assign(plan.buffers.size(), -1);
-
-  // The free event of a buffer fires when the freePhase's waits are done:
-  // it sorts after the last wait of its (node, phase) group.
-  std::map<std::pair<int, int>, int> maxWaitSeq;
-  int order = 0;
-  for (std::size_t ei = 0; ei < plan.expectations.size(); ++ei) {
-    const CounterExpectation& e = plan.expectations[ei];
-    int p = plan.phaseIndex(e.phase);
-    std::vector<Item>* g = groupOf(e.client.node, p);
-    if (g == nullptr) continue;
-    g->push_back({e.seq, kindRank(EventKind::kWait), order++,
-                  {EventKind::kWait, e.client.node, p, int(ei)}});
-    auto [it, fresh] = maxWaitSeq.emplace(std::pair{e.client.node, p}, e.seq);
-    if (!fresh) it->second = std::max(it->second, e.seq);
-  }
-  for (std::size_t bi = 0; bi < plan.buffers.size(); ++bi) {
-    const BufferPlan& b = plan.buffers[bi];
-    int p = plan.phaseIndex(b.freePhase);
-    std::vector<Item>* g = groupOf(b.client.node, p);
-    if (g == nullptr) continue;
-    auto it = maxWaitSeq.find({b.client.node, p});
-    int seq = it == maxWaitSeq.end() ? 0 : it->second;
-    g->push_back({seq, kindRank(EventKind::kFree), order++,
-                  {EventKind::kFree, b.client.node, p, int(bi)}});
-  }
-  for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
-    const PlannedWrite& w = plan.writes[wi];
-    int p = plan.phaseIndex(w.phase);
-    std::vector<Item>* g = groupOf(w.srcNode, p);
-    if (g == nullptr) continue;
-    g->push_back({w.seq, kindRank(EventKind::kSend), order++,
-                  {EventKind::kSend, w.srcNode, p, int(wi)}});
-  }
-
-  groupStart_.assign(std::size_t(N) * std::size_t(P) + 1, 0);
+  groupStart_.assign(N * P + 1, 0);
   events_.clear();
-  for (int n = 0; n < N; ++n)
-    for (int p = 0; p < P; ++p) {
-      std::size_t np = std::size_t(n) * std::size_t(P) + std::size_t(p);
-      groupStart_[np] = int(events_.size());
-      events_.push_back({EventKind::kPhaseEntry, n, p, -1});
-      std::vector<Item>& g = groups[np];
-      std::sort(g.begin(), g.end(), [](const Item& a, const Item& b) {
-        return std::tie(a.seq, a.rank, a.order) <
-               std::tie(b.seq, b.rank, b.order);
-      });
-      for (const Item& it : g) {
-        int slot = int(events_.size());
-        events_.push_back(it.ev);
-        switch (it.ev.kind) {
-          case EventKind::kWait:
-            waitSlot_[std::size_t(it.ev.ref)] = slot;
-            break;
-          case EventKind::kFree:
-            freeSlot_[std::size_t(it.ev.ref)] = slot;
-            break;
-          case EventKind::kSend:
-          case EventKind::kPhaseEntry:  // anchors never enter the groups
-          case EventKind::kPhaseExit:
-            sendSlot_[std::size_t(it.ev.ref)] = slot;
-            break;
-        }
-      }
-      events_.push_back({EventKind::kPhaseExit, n, p, -1});
+  events_.reserve(items.size() + 2 * N * P);
+  auto item = items.begin();
+  for (std::size_t np = 0; np < N * P; ++np) {
+    const int n = int(np / P), p = int(np % P);
+    groupStart_[np] = int(events_.size());
+    events_.push_back({EventKind::kPhaseEntry, n, p, -1});
+    for (; item != items.end() && item->group == np; ++item) {
+      std::vector<int>& slots = item->ev.kind == EventKind::kWait   ? waitSlot_
+                                : item->ev.kind == EventKind::kFree ? freeSlot_
+                                                                    : sendSlot_;
+      slots[std::size_t(item->ev.ref)] = int(events_.size());
+      events_.push_back(item->ev);
     }
-  groupStart_[std::size_t(N) * std::size_t(P)] = int(events_.size());
+    events_.push_back({EventKind::kPhaseExit, n, p, -1});
+  }
+  groupStart_[N * P] = int(events_.size());
+
+  waits_.clear();
+  for (std::size_t ei = 0; ei < plan.expectations.size(); ++ei)
+    if (waitSlot_[ei] >= 0) waits_.push_back(int(ei));
+  std::sort(waits_.begin(), waits_.end(), [&](int a, int b) {
+    return std::pair(counterOf(plan.expectations[std::size_t(a)]), a) <
+           std::pair(counterOf(plan.expectations[std::size_t(b)]), b);
+  });
 }
 
-void EventGraph::buildEdges(
-    const CommPlan& plan,
-    const std::vector<std::vector<net::ClientAddr>>& delivered) {
+std::span<const int> EventGraph::waitsOn(const net::ClientAddr& client,
+                                         int counterId) const {
+  const auto key = std::tie(client.node, client.client, counterId);
+  auto of = [&](int ei) {
+    return counterOf(plan_.expectations[std::size_t(ei)]);
+  };
+  auto lo = std::partition_point(waits_.begin(), waits_.end(),
+                                 [&](int ei) { return of(ei) < key; });
+  auto hi = std::partition_point(lo, waits_.end(),
+                                 [&](int ei) { return of(ei) == key; });
+  return {lo, hi};
+}
+
+void EventGraph::buildEdges(const CommPlan& plan, const Delivered& delivered) {
   const int P = numPhases_;
   const int N = numNodes_;
   const int R = rounds_;
@@ -186,48 +218,40 @@ void EventGraph::buildEdges(
   auto before = [&](int p, int q) {
     return strictBefore[std::size_t(p) * std::size_t(P) + std::size_t(q)] != 0;
   };
+  auto phaseOf = [&](int ei) {
+    return int(plan.expectations[std::size_t(ei)].phase);
+  };
 
   // Delivery targets of each counted send: the precedence-minimal matching
   // wait phases not strictly before the send (same round), or — when every
   // matching wait is strictly before it — the next round's minimal waits.
-  std::map<std::tuple<int, int, int>, std::vector<int>> waitsFor;
-  for (std::size_t ei = 0; ei < plan.expectations.size(); ++ei) {
-    if (waitSlot_[ei] < 0) continue;
-    const CounterExpectation& e = plan.expectations[ei];
-    waitsFor[{e.client.node, e.client.client, e.counterId}].push_back(int(ei));
-  }
   struct Target {
+    std::size_t write;
     int waitSlot;
     bool nextRound;
   };
-  std::vector<std::vector<Target>> targets(plan.writes.size());
+  std::vector<Target> targets;
+  std::vector<int> eligible;
   for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
     const PlannedWrite& w = plan.writes[wi];
     if (sendSlot_[wi] < 0 || w.counterId == net::kNoCounter) continue;
-    int wp = plan.phaseIndex(w.phase);
-    for (const net::ClientAddr& d : delivered[wi]) {
-      auto it = waitsFor.find({d.node, d.client, w.counterId});
-      if (it == waitsFor.end()) continue;
-      std::vector<int> eligible;
-      for (int ei : it->second) {
-        int ep = plan.phaseIndex(plan.expectations[std::size_t(ei)].phase);
-        if (!before(ep, wp)) eligible.push_back(ei);
-      }
-      bool nextRound = eligible.empty();
-      const std::vector<int>& pool = nextRound ? it->second : eligible;
+    const int wp = w.phase;
+    for (const net::ClientAddr& d : delivered.of(wi)) {
+      const std::span<const int> matching = waitsOn(d, w.counterId);
+      if (matching.empty()) continue;
+      eligible.clear();
+      for (int ei : matching)
+        if (!before(phaseOf(ei), wp)) eligible.push_back(ei);
+      const bool nextRound = eligible.empty();
+      const std::span<const int> pool =
+          nextRound ? matching : std::span<const int>(eligible);
       for (int ei : pool) {
-        int ep = plan.phaseIndex(plan.expectations[std::size_t(ei)].phase);
-        bool minimal = true;
-        for (int oi : pool) {
-          if (oi == ei) continue;
-          int op = plan.phaseIndex(plan.expectations[std::size_t(oi)].phase);
-          if (before(op, ep)) {
-            minimal = false;
-            break;
-          }
-        }
+        const bool minimal =
+            std::none_of(pool.begin(), pool.end(), [&](int other) {
+              return other != ei && before(phaseOf(other), phaseOf(ei));
+            });
         if (minimal)
-          targets[wi].push_back({waitSlot_[std::size_t(ei)], nextRound});
+          targets.push_back({wi, waitSlot_[std::size_t(ei)], nextRound});
       }
     }
   }
@@ -264,13 +288,12 @@ void EventGraph::buildEdges(
       }
     }
     // Counted delivery: send to the waits its counter satisfies.
-    for (std::size_t wi = 0; wi < targets.size(); ++wi)
-      for (const Target& t : targets[wi])
-        for (int r = 0; r < R; ++r) {
-          int tr = r + (t.nextRound ? 1 : 0);
-          if (tr >= R) continue;
-          emit(vertex(sendSlot_[wi], r), vertex(t.waitSlot, tr));
-        }
+    for (const Target& t : targets)
+      for (int r = 0; r < R; ++r) {
+        int tr = r + (t.nextRound ? 1 : 0);
+        if (tr >= R) continue;
+        emit(vertex(sendSlot_[t.write], r), vertex(t.waitSlot, tr));
+      }
   };
 
   std::vector<int> degree(std::size_t(numVertices()) + 1, 0);
@@ -361,9 +384,7 @@ std::vector<int> EventGraph::findCycle() const {
 
 std::string EventGraph::describe(int vertex) const {
   const Event& e = events_[std::size_t(slotOf(vertex))];
-  const std::string phase = e.phase >= 0 && e.phase < numPhases_
-                                ? plan_.phases[std::size_t(e.phase)]
-                                : "?";
+  const std::string& phase = plan_.phaseName(std::size_t(e.phase));
   std::string what;
   switch (e.kind) {
     case EventKind::kPhaseEntry:
@@ -374,13 +395,15 @@ std::string EventGraph::describe(int vertex) const {
       break;
     case EventKind::kWait: {
       const CounterExpectation& x = plan_.expectations[std::size_t(e.ref)];
-      what = "wait '" + x.site + "' (ctr " + std::to_string(x.counterId) +
+      what = "wait '" + plan_.nameOf(x.site) + "' (ctr " +
+             std::to_string(x.counterId) +
              ") in phase '" + phase + "'";
       break;
     }
     case EventKind::kFree: {
       const BufferPlan& b = plan_.buffers[std::size_t(e.ref)];
-      what = "free of buffer '" + b.name + "' in phase '" + phase + "'";
+      what = "free of buffer '" + plan_.nameOf(b.name) + "' in phase '" +
+             phase + "'";
       break;
     }
     case EventKind::kSend: {

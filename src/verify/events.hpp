@@ -31,6 +31,8 @@
 // would satisfy it).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,22 +49,34 @@ struct Event {
   int ref = -1;   ///< index into writes / expectations / buffers, -1 anchors
 };
 
-/// Delivered destination clients of each write, mirroring the
-/// count-consistency pass (checks.cpp) without re-emitting its diagnostics:
-/// malformed patterns simply deliver nowhere. The timing analyzer prices its
-/// happens-before walk over exactly this fan-out.
-std::vector<std::vector<net::ClientAddr>> deliveredTargets(
-    const CommPlan& plan);
+/// Where each write of a plan lands, as compressed rows: the unicast
+/// target, or the clients its multicast tree's healthy walk reaches.
+/// Malformed patterns simply deliver nowhere (the count check reports
+/// them). The one answer the count check, the event graph and the timing
+/// analyzer all read.
+struct Delivered {
+  /// Per write: its tree in plan.multicasts — the one declared under the
+  /// write's pattern and source, otherwise the only tree with that id — or
+  /// -1 for a unicast or a pattern no tree resolves.
+  std::vector<int> tree;
+  std::vector<std::uint32_t> first;  ///< per write, then the end
+  std::vector<net::ClientAddr> clients;
+
+  std::span<const net::ClientAddr> of(std::size_t write) const {
+    return {clients.data() + first[write], first[write + 1] - first[write]};
+  }
+};
+
+/// `expansions`, when given, are the healthy walks of plan.multicasts (in
+/// order); otherwise each referenced tree is walked here.
+Delivered deliveredTargets(const CommPlan& plan,
+                           std::span<const TreeExpansion> expansions = {});
 
 class EventGraph {
  public:
-  /// `delivered[wi]` lists the destination clients of plan.writes[wi]
-  /// (the unicast target, or the expanded multicast fan-out) — computed by
-  /// the count-consistency pass so malformed patterns are not re-diagnosed
-  /// here. `rounds` is the number of template rounds to unroll (buffer
-  /// checks need maxCopies + 1).
-  EventGraph(const CommPlan& plan, int rounds,
-             const std::vector<std::vector<net::ClientAddr>>& delivered);
+  /// `delivered` is deliveredTargets(plan). `rounds` is the number of
+  /// template rounds to unroll (buffer checks need maxCopies + 1).
+  EventGraph(const CommPlan& plan, int rounds, const Delivered& delivered);
 
   int rounds() const { return rounds_; }
   int numSlots() const { return int(events_.size()); }
@@ -74,13 +88,19 @@ class EventGraph {
   int slotOf(int vertex) const { return vertex / rounds_; }
   int roundOf(int vertex) const { return vertex % rounds_; }
 
-  /// Event slots of the plan records; -1 when the record names an unknown
-  /// phase or an out-of-shape node (reported separately by the checks).
+  /// Event slots of the plan records; -1 when the record's phase index is
+  /// outside the plan or its node outside the shape (reported separately
+  /// by the checks).
   int sendSlot(std::size_t writeIndex) const;
   int waitSlot(std::size_t expectationIndex) const;
   int freeSlot(std::size_t bufferIndex) const;
   /// Phase-entry anchor of (node, phase); -1 when out of range.
   int entrySlot(int node, int phase) const;
+
+  /// The modeled waits (expectation indices whose phase and node are in
+  /// range) on one (client, counter), ascending.
+  std::span<const int> waitsOn(const net::ClientAddr& client,
+                               int counterId) const;
 
   /// Happens-before successors of `vertex`, as a CSR slice (begin/end
   /// pointers into the adjacency array). The timing analyzer walks every
@@ -105,8 +125,7 @@ class EventGraph {
 
  private:
   void buildSlots(const CommPlan& plan);
-  void buildEdges(const CommPlan& plan,
-                  const std::vector<std::vector<net::ClientAddr>>& delivered);
+  void buildEdges(const CommPlan& plan, const Delivered& delivered);
 
   const CommPlan& plan_;
   int rounds_;
@@ -117,6 +136,7 @@ class EventGraph {
   std::vector<int> sendSlot_;      ///< write index -> slot
   std::vector<int> waitSlot_;      ///< expectation index -> slot
   std::vector<int> freeSlot_;      ///< buffer index -> slot
+  std::vector<int> waits_;         ///< by (node, client, counter, index)
   // CSR adjacency over vertices.
   std::vector<int> adjStart_;
   std::vector<int> adjEdges_;

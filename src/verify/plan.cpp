@@ -2,23 +2,51 @@
 
 #include <algorithm>
 
-#include "net/latency.hpp"
-
 namespace anton::verify {
+namespace {
 
-int CommPlan::phaseIndex(const std::string& phase) const {
-  auto it = std::find(phases.begin(), phases.end(), phase);
-  return it == phases.end() ? -1 : int(it - phases.begin());
+const std::string kUnknown = "?";
+
+template <typename T>
+Range appendRows(std::vector<T>& table, std::span<const T> rows) {
+  const auto begin = std::uint32_t(table.size());
+  table.insert(table.end(), rows.begin(), rows.end());
+  return {begin, std::uint32_t(table.size())};
 }
 
-int CommPlan::addPhase(const std::string& phase) {
-  int idx = phaseIndex(phase);
-  if (idx >= 0) return idx;
-  phases.push_back(phase);
-  return int(phases.size()) - 1;
+int indexOf(std::vector<std::string>& table, std::string_view s) {
+  auto it = std::find(table.begin(), table.end(), s);
+  if (it != table.end()) return int(it - table.begin());
+  table.emplace_back(s);
+  return int(table.size()) - 1;
 }
 
-void CommPlan::addPhaseEdge(const std::string& from, const std::string& to) {
+}  // namespace
+
+void addSource(std::vector<SourceCount>& table, std::size_t first, int src,
+               std::uint64_t packets) {
+  auto it = std::lower_bound(
+      table.begin() + std::ptrdiff_t(first), table.end(), src,
+      [](const SourceCount& s, int v) { return s.src < v; });
+  if (it == table.end() || it->src != src) it = table.insert(it, {src, 0});
+  it->packets += packets;
+}
+
+const std::string& CommPlan::phaseName(std::size_t phase) const {
+  return phase < phases.size() ? phases[phase] : kUnknown;
+}
+
+const std::string& CommPlan::nameOf(std::size_t n) const {
+  return n < names.size() ? names[n] : kUnknown;
+}
+
+int CommPlan::addPhase(std::string_view phase) {
+  return indexOf(phases, phase);
+}
+
+int CommPlan::addName(std::string_view n) { return indexOf(names, n); }
+
+void CommPlan::addPhaseEdge(std::string_view from, std::string_view to) {
   if (from.empty()) {  // standalone plans chain their first phase after ""
     addPhase(to);
     return;
@@ -28,31 +56,46 @@ void CommPlan::addPhaseEdge(const std::string& from, const std::string& to) {
   phaseEdges.emplace_back(f, t);
 }
 
-std::vector<int> writeTrees(const CommPlan& plan) {
-  // A pattern id may back several trees with disjoint footprints (the
-  // allocator reuses ids exactly as the 256-entry tables allow).
-  std::map<std::pair<int, int>, int> bySource;  // (id, source) -> first tree
-  std::map<int, int> byId;  // id -> its only tree, -1 when shared
-  for (int mi = 0; mi < int(plan.multicasts.size()); ++mi) {
-    const MulticastPlanEntry& m = plan.multicasts[std::size_t(mi)];
-    bySource.try_emplace({m.patternId, m.srcNode}, mi);
-    if (auto [it, fresh] = byId.try_emplace(m.patternId, mi); !fresh)
-      it->second = -1;
-  }
-  std::vector<int> trees(plan.writes.size(), -1);
-  for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
-    const PlannedWrite& w = plan.writes[wi];
-    if (w.pattern == net::kNoMulticast) continue;
-    if (auto it = bySource.find({w.pattern, w.srcNode}); it != bySource.end())
-      trees[wi] = it->second;
-    else if (auto id = byId.find(w.pattern); id != byId.end())
-      trees[wi] = id->second;
-  }
-  return trees;
+PlannedWrite& CommPlan::addWrite(std::string_view phase, PlannedWrite w) {
+  w.phase = std::uint16_t(addPhase(phase));
+  return writes.emplace_back(w);
 }
 
-TreeExpansion expandTree(const MulticastPlanEntry& entry,
-                         const util::TorusShape& shape,
+CounterExpectation& CommPlan::addExpectation(
+    std::string_view site, std::string_view phase, CounterExpectation e,
+    std::span<const SourceCount> bySource) {
+  e.site = std::uint16_t(addName(site));
+  e.phase = std::uint16_t(addPhase(phase));
+  const std::size_t first = sources.size();
+  for (const SourceCount& s : bySource)
+    addSource(sources, first, s.src, s.packets);
+  e.bySource = {std::uint32_t(first), std::uint32_t(sources.size())};
+  return expectations.emplace_back(e);
+}
+
+MulticastPlanEntry& CommPlan::addTree(
+    int patternId, int srcNode, std::span<const TreeRow> treeRowsIn,
+    std::span<const net::ClientAddr> destsIn) {
+  MulticastPlanEntry& m = multicasts.emplace_back(MulticastPlanEntry{
+      patternId, srcNode, appendRows(treeRows, treeRowsIn),
+      appendRows(treeDests, destsIn)});
+  std::sort(treeRows.begin() + m.rows.begin, treeRows.end(),
+            [](const TreeRow& a, const TreeRow& b) {
+              return a.first < b.first;
+            });
+  return m;
+}
+
+BufferPlan& CommPlan::addBuffer(std::string_view n, std::string_view freePhase,
+                                BufferPlan b,
+                                std::span<const BufferWriter> writersIn) {
+  b.name = std::uint16_t(addName(n));
+  b.freePhase = std::uint16_t(addPhase(freePhase));
+  b.writers = appendRows(writers, writersIn);
+  return buffers.emplace_back(b);
+}
+
+TreeExpansion expandTree(const TreeView& tree, const util::TorusShape& shape,
                          const std::vector<TorusLink>& downLinks) {
   TreeExpansion out;
   std::vector<char> visited(std::size_t(shape.size()), 0);
@@ -70,7 +113,7 @@ TreeExpansion expandTree(const MulticastPlanEntry& entry,
     TorusLink in;       // the link the walk entered `node` by
   };
   std::vector<Frame> stack;
-  stack.push_back({entry.srcNode, -1, 0, 0u, {-1, -1, 0}});
+  stack.push_back({tree.srcNode, -1, 0, 0u, {-1, -1, 0}});
 
   while (!stack.empty()) {
     Frame f = stack.back();
@@ -87,8 +130,10 @@ TreeExpansion expandTree(const MulticastPlanEntry& entry,
     out.visited.push_back(f.node);
     out.enteredBy.push_back(f.in);
 
-    auto it = entry.entries.find(f.node);
-    if (it == entry.entries.end() || it->second.empty()) {
+    auto it = std::lower_bound(
+        tree.rows.begin(), tree.rows.end(), f.node,
+        [](const TreeRow& r, int node) { return r.first < node; });
+    if (it == tree.rows.end() || it->first != f.node || it->second.empty()) {
       // A replica arrived here with no table row to route it: the hardware
       // would drop it (the machine model throws). The source itself may
       // legitimately have no entry only if the whole tree is empty.
@@ -126,10 +171,9 @@ TreeExpansion expandTree(const MulticastPlanEntry& entry,
     }
   }
 
-  for (const auto& [node, e] : entry.entries)
+  for (const auto& [node, e] : tree.rows)
     if (node >= 0 && node < shape.size() && !visited[std::size_t(node)])
       out.unreachedEntries.push_back(node);
-  std::sort(out.unreachedEntries.begin(), out.unreachedEntries.end());
   return out;
 }
 

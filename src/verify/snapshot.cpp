@@ -1,12 +1,13 @@
 #include "verify/snapshot.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
+#include <utility>
 
 #include "util/json.hpp"
 
@@ -29,10 +30,6 @@ const Value& field(const Value& obj, const std::string& key) {
   return util::json::field(obj, key, "plan snapshot");
 }
 
-const Value* jsonOpt(const Value& obj, const std::string& key) {
-  return util::json::optField(obj, key);
-}
-
 int jsonInt(const Value& v, const std::string& what) {
   return util::json::asInt(v, "plan snapshot: '" + what + "'");
 }
@@ -49,34 +46,22 @@ bool jsonBool(const Value& v, const std::string& what) {
   return util::json::asBool(v, "plan snapshot: '" + what + "'");
 }
 
+/// `v` as a T; throws when it does not fit (the rows' fields are narrower
+/// than the snapshot's integers).
+template <typename T, typename V>
+T narrow(V v, const std::string& what) {
+  if (!std::in_range<T>(v))
+    throw std::runtime_error("plan snapshot: '" + what + "' out of range");
+  return T(v);
+}
+
 std::string clientLabel(const net::ClientAddr& a) {
   return "node " + std::to_string(a.node) + "/client " +
          std::to_string(a.client);
 }
 
-// ---- diff keys --------------------------------------------------------------
-
-std::string writeTarget(const PlannedWrite& w) {
-  if (w.pattern != net::kNoMulticast)
-    return "pattern " + std::to_string(w.pattern);
-  return clientLabel(w.dst);
-}
-
-struct WriteAgg {
-  std::uint64_t packets = 0;
-  std::uint64_t payloadBytes = 0;  ///< packets * per-packet payload
-  int records = 0;
-  int fifo = 0;
-  int inOrder = 0;
-};
-
-struct ExpectAgg {
-  std::uint64_t perRound = 0;
-  int records = 0;
-  int armed = 0;
-};
-
-std::string dests(const std::vector<net::ClientAddr>& v) {
+/// "n/c" per distinct destination client, ascending.
+std::string dests(std::span<const net::ClientAddr> v) {
   std::set<std::pair<int, int>> s;
   for (const net::ClientAddr& a : v) s.insert({a.node, a.client});
   std::string out;
@@ -86,6 +71,9 @@ std::string dests(const std::vector<net::ClientAddr>& v) {
   }
   return out;
 }
+
+/// One plan's records of a diff category: record key -> the facts compared.
+using Records = std::map<std::string, std::string>;
 
 }  // namespace
 
@@ -111,11 +99,12 @@ std::string planToJson(const CommPlan& plan) {
   for (std::size_t i = 0; i < plan.writes.size(); ++i) {
     const PlannedWrite& w = plan.writes[i];
     o << (i ? ",\n    " : "\n    ");
-    o << "{\"phase\": " << jsonString(w.phase) << ", \"srcNode\": "
+    o << "{\"phase\": " << jsonString(plan.phaseName(w.phase))
+      << ", \"srcNode\": "
       << num(w.srcNode) << ", \"dstNode\": " << num(w.dst.node)
       << ", \"dstClient\": " << num(w.dst.client) << ", \"pattern\": "
       << num(w.pattern) << ", \"counterId\": " << num(w.counterId)
-      << ", \"packets\": " << num(w.packets) << ", \"inOrder\": "
+      << ", \"packets\": " << num(std::uint64_t(w.packets)) << ", \"inOrder\": "
       << boolean(w.inOrder) << ", \"fifo\": " << boolean(w.fifo)
       << ", \"seq\": " << num(w.seq);
     if (w.bytes != 0) o << ", \"bytes\": " << num(std::uint64_t(w.bytes));
@@ -127,15 +116,16 @@ std::string planToJson(const CommPlan& plan) {
   for (std::size_t i = 0; i < plan.expectations.size(); ++i) {
     const CounterExpectation& e = plan.expectations[i];
     o << (i ? ",\n    " : "\n    ");
-    o << "{\"site\": " << jsonString(e.site) << ", \"phase\": "
-      << jsonString(e.phase) << ", \"node\": " << num(e.client.node)
+    o << "{\"site\": " << jsonString(plan.nameOf(e.site)) << ", \"phase\": "
+      << jsonString(plan.phaseName(e.phase))
+      << ", \"node\": " << num(e.client.node)
       << ", \"client\": " << num(e.client.client) << ", \"counterId\": "
       << num(e.counterId) << ", \"perRound\": " << num(e.perRound)
       << ", \"bySource\": {";
     bool first = true;
-    for (const auto& [src, n] : e.bySource) {
-      o << (first ? "" : ", ") << jsonString(std::to_string(src)) << ": "
-        << num(n);
+    for (const SourceCount& by : plan.bySource(e)) {
+      o << (first ? "" : ", ") << jsonString(std::to_string(by.src)) << ": "
+        << num(by.packets);
       first = false;
     }
     o << "}, \"recoveryArmed\": " << boolean(e.recoveryArmed)
@@ -150,16 +140,16 @@ std::string planToJson(const CommPlan& plan) {
     o << "{\"patternId\": " << num(m.patternId) << ", \"srcNode\": "
       << num(m.srcNode) << ", \"entries\": {";
     bool first = true;
-    for (const auto& [node, e] : m.entries) {
+    for (const auto& [node, e] : plan.tree(m).rows) {
       o << (first ? "" : ", ") << jsonString(std::to_string(node))
         << ": [" << num(int(e.clientMask)) << ", " << num(int(e.linkMask))
         << "]";
       first = false;
     }
     o << "}, \"declaredDests\": [";
-    for (std::size_t d = 0; d < m.declaredDests.size(); ++d)
-      o << (d ? ", " : "") << "[" << m.declaredDests[d].node << ", "
-        << m.declaredDests[d].client << "]";
+    const std::span<const net::ClientAddr> to = plan.tree(m).dests;
+    for (std::size_t d = 0; d < to.size(); ++d)
+      o << (d ? ", " : "") << "[" << to[d].node << ", " << to[d].client << "]";
     o << "]}";
   }
   o << (plan.multicasts.empty() ? "],\n" : "\n  ],\n");
@@ -168,14 +158,16 @@ std::string planToJson(const CommPlan& plan) {
   for (std::size_t i = 0; i < plan.buffers.size(); ++i) {
     const BufferPlan& b = plan.buffers[i];
     o << (i ? ",\n    " : "\n    ");
-    o << "{\"name\": " << jsonString(b.name) << ", \"node\": "
+    o << "{\"name\": " << jsonString(plan.nameOf(b.name)) << ", \"node\": "
       << num(b.client.node) << ", \"client\": " << num(b.client.client)
       << ", \"base\": " << num(std::uint64_t(b.base)) << ", \"bytes\": "
       << num(std::uint64_t(b.bytes)) << ", \"copies\": " << num(b.copies)
-      << ", \"freePhase\": " << jsonString(b.freePhase) << ", \"writers\": [";
-    for (std::size_t w = 0; w < b.writers.size(); ++w)
-      o << (w ? ", " : "") << "[" << b.writers[w].node << ", "
-        << jsonString(b.writers[w].phase) << "]";
+      << ", \"freePhase\": " << jsonString(plan.phaseName(b.freePhase))
+      << ", \"writers\": [";
+    const std::span<const BufferWriter> ws = plan.writersOf(b);
+    for (std::size_t w = 0; w < ws.size(); ++w)
+      o << (w ? ", " : "") << "[" << ws[w].node << ", "
+        << jsonString(plan.phaseName(ws[w].phase)) << "]";
     o << "]}";
   }
   o << (plan.buffers.empty() ? "]\n" : "\n  ]\n");
@@ -206,315 +198,223 @@ CommPlan planFromJson(const std::string& json) {
                                  jsonInt(e.arr[1], "edge.to"));
   }
 
+  // Records name phases; each must be one of `phases`.
+  auto phaseOf = [&plan](const Value& v, const std::string& what) {
+    const std::string& name = jsonStr(v, what);
+    auto it = std::find(plan.phases.begin(), plan.phases.end(), name);
+    if (it == plan.phases.end())
+      throw std::runtime_error("plan snapshot: '" + what + "' names phase '" +
+                               name + "', which is not in 'phases'");
+    return narrow<std::uint16_t>(it - plan.phases.begin(), what);
+  };
+
   for (const Value& jw : field(root, "writes").arr) {
     PlannedWrite w;
-    w.phase = jsonStr(field(jw, "phase"), "write.phase");
+    w.phase = phaseOf(field(jw, "phase"), "write.phase");
     w.srcNode = jsonInt(field(jw, "srcNode"), "write.srcNode");
     w.dst = {jsonInt(field(jw, "dstNode"), "write.dstNode"),
              jsonInt(field(jw, "dstClient"), "write.dstClient")};
     w.pattern = jsonInt(field(jw, "pattern"), "write.pattern");
     w.counterId = jsonInt(field(jw, "counterId"), "write.counterId");
-    w.packets = jsonU64(field(jw, "packets"), "write.packets");
+    w.packets = narrow<std::uint32_t>(
+        jsonU64(field(jw, "packets"), "write.packets"), "write.packets");
     w.inOrder = jsonBool(field(jw, "inOrder"), "write.inOrder");
-    if (const Value* f = jsonOpt(jw, "fifo"))
+    if (const Value* f = util::json::optField(jw, "fifo"))
       w.fifo = jsonBool(*f, "write.fifo");
-    if (const Value* s = jsonOpt(jw, "seq"))
+    if (const Value* s = util::json::optField(jw, "seq"))
       w.seq = jsonInt(*s, "write.seq");
-    if (const Value* by = jsonOpt(jw, "bytes"))
+    if (const Value* by = util::json::optField(jw, "bytes"))
       w.bytes = std::uint32_t(jsonU64(*by, "write.bytes"));
-    plan.writes.push_back(std::move(w));
+    plan.writes.push_back(w);
   }
 
   for (const Value& je : field(root, "expectations").arr) {
     CounterExpectation e;
-    e.site = jsonStr(field(je, "site"), "expectation.site");
-    e.phase = jsonStr(field(je, "phase"), "expectation.phase");
+    e.site = narrow<std::uint16_t>(
+        plan.addName(jsonStr(field(je, "site"), "expectation.site")),
+        "expectation.site");
+    e.phase = phaseOf(field(je, "phase"), "expectation.phase");
     e.client = {jsonInt(field(je, "node"), "expectation.node"),
                 jsonInt(field(je, "client"), "expectation.client")};
     e.counterId = jsonInt(field(je, "counterId"), "expectation.counterId");
     e.perRound = jsonU64(field(je, "perRound"), "expectation.perRound");
+    // Object keys come back in string order ("10" before "2"): addSource
+    // restores the numeric order.
+    const std::size_t first = plan.sources.size();
     for (const auto& [src, n] : field(je, "bySource").obj)
-      e.bySource[std::stoi(src)] = jsonU64(n, "expectation.bySource");
+      addSource(plan.sources, first, std::stoi(src),
+                jsonU64(n, "expectation.bySource"));
+    e.bySource = {std::uint32_t(first), std::uint32_t(plan.sources.size())};
     e.recoveryArmed =
         jsonBool(field(je, "recoveryArmed"), "expectation.recoveryArmed");
-    if (const Value* s = jsonOpt(je, "seq"))
+    if (const Value* s = util::json::optField(je, "seq"))
       e.seq = jsonInt(*s, "expectation.seq");
-    plan.expectations.push_back(std::move(e));
+    plan.expectations.push_back(e);
   }
 
+  std::vector<TreeRow> rows;
+  std::vector<net::ClientAddr> dests;
   for (const Value& jm : field(root, "multicasts").arr) {
-    MulticastPlanEntry m;
-    m.patternId = jsonInt(field(jm, "patternId"), "multicast.patternId");
-    m.srcNode = jsonInt(field(jm, "srcNode"), "multicast.srcNode");
+    rows.clear();
+    dests.clear();
     for (const auto& [node, row] : field(jm, "entries").obj) {
       if (row.type != Value::kArray || row.arr.size() != 2)
         throw std::runtime_error(
             "plan snapshot: multicast table row is not a mask pair");
-      m.entries[std::stoi(node)] = {
-          std::uint8_t(jsonInt(row.arr[0], "multicast.clientMask")),
-          std::uint8_t(jsonInt(row.arr[1], "multicast.linkMask"))};
+      rows.push_back(
+          {std::stoi(node),
+           {std::uint8_t(jsonInt(row.arr[0], "multicast.clientMask")),
+            std::uint8_t(jsonInt(row.arr[1], "multicast.linkMask"))}});
     }
     for (const Value& d : field(jm, "declaredDests").arr) {
       if (d.type != Value::kArray || d.arr.size() != 2)
         throw std::runtime_error("plan snapshot: dest is not a pair");
-      m.declaredDests.push_back(
+      dests.push_back(
           {jsonInt(d.arr[0], "dest.node"), jsonInt(d.arr[1], "dest.client")});
     }
-    plan.multicasts.push_back(std::move(m));
+    // addTree re-sorts the rows by node, out of the keys' string order.
+    plan.addTree(jsonInt(field(jm, "patternId"), "multicast.patternId"),
+                 jsonInt(field(jm, "srcNode"), "multicast.srcNode"), rows,
+                 dests);
   }
 
   for (const Value& jb : field(root, "buffers").arr) {
     BufferPlan b;
-    b.name = jsonStr(field(jb, "name"), "buffer.name");
+    b.name = narrow<std::uint16_t>(
+        plan.addName(jsonStr(field(jb, "name"), "buffer.name")),
+        "buffer.name");
     b.client = {jsonInt(field(jb, "node"), "buffer.node"),
                 jsonInt(field(jb, "client"), "buffer.client")};
     b.base = std::uint32_t(jsonU64(field(jb, "base"), "buffer.base"));
     b.bytes = std::uint32_t(jsonU64(field(jb, "bytes"), "buffer.bytes"));
     b.copies = jsonInt(field(jb, "copies"), "buffer.copies");
-    b.freePhase = jsonStr(field(jb, "freePhase"), "buffer.freePhase");
+    b.freePhase = phaseOf(field(jb, "freePhase"), "buffer.freePhase");
+    b.writers.begin = std::uint32_t(plan.writers.size());
     for (const Value& w : field(jb, "writers").arr) {
       if (w.type != Value::kArray || w.arr.size() != 2)
         throw std::runtime_error("plan snapshot: writer is not a pair");
-      b.writers.push_back({jsonInt(w.arr[0], "writer.node"),
-                           jsonStr(w.arr[1], "writer.phase")});
+      plan.writers.push_back({jsonInt(w.arr[0], "writer.node"),
+                              phaseOf(w.arr[1], "writer.phase")});
     }
-    plan.buffers.push_back(std::move(b));
+    b.writers.end = std::uint32_t(plan.writers.size());
+    plan.buffers.push_back(b);
   }
   return plan;
 }
 
 PlanDelta diffPlans(const CommPlan& a, const CommPlan& b) {
   PlanDelta delta;
-  auto add = [&](std::string category, std::string site, std::string detail) {
-    delta.entries.push_back(
-        {std::move(category), std::move(site), std::move(detail)});
+  // Each category is summarized per record key on both sides: a key on one
+  // side only, or with different facts, is one delta entry.
+  auto compare = [&delta](const char* category, const Records& x,
+                          const Records& y) {
+    auto only = [](const char* side, const std::string& facts) {
+      return std::string("only in ") + side + " plan" +
+             (facts.empty() ? "" : " (" + facts + ")");
+    };
+    for (const auto& [key, facts] : x) {
+      auto it = y.find(key);
+      if (it == y.end())
+        delta.entries.push_back({category, key, only("first", facts)});
+      else if (it->second != facts)
+        delta.entries.push_back({category, key, facts + " vs " + it->second});
+    }
+    for (const auto& [key, facts] : y)
+      if (!x.count(key))
+        delta.entries.push_back({category, key, only("second", facts)});
   };
 
   if (!(a.shape == b.shape))
-    add("shape", "machine",
-        a.shape.str() + " vs " + b.shape.str());
+    delta.entries.push_back(
+        {"shape", "machine", a.shape.str() + " vs " + b.shape.str()});
 
-  // Phases and their DAG, compared as name sets and name-pair sets so two
-  // plans that list the same program in different orders are identical.
-  {
-    std::set<std::string> pa(a.phases.begin(), a.phases.end());
-    std::set<std::string> pb(b.phases.begin(), b.phases.end());
-    for (const std::string& p : pa)
-      if (!pb.count(p)) add("phase", p, "phase only in first plan");
-    for (const std::string& p : pb)
-      if (!pa.count(p)) add("phase", p, "phase only in second plan");
-    auto edgeSet = [](const CommPlan& plan) {
-      std::set<std::string> out;
-      for (const auto& [f, t] : plan.phaseEdges)
-        if (f >= 0 && f < int(plan.phases.size()) && t >= 0 &&
-            t < int(plan.phases.size()))
-          out.insert(plan.phases[std::size_t(f)] + " -> " +
-                     plan.phases[std::size_t(t)]);
-      return out;
-    };
-    std::set<std::string> ea = edgeSet(a), eb = edgeSet(b);
-    for (const std::string& e : ea)
-      if (!eb.count(e)) add("phase", e, "program-order edge only in first plan");
-    for (const std::string& e : eb)
-      if (!ea.count(e)) add("phase", e, "program-order edge only in second plan");
-  }
-
+  // Phases and their DAG by name, so two plans that list the same program
+  // in different orders are identical.
+  auto phases = [](const CommPlan& plan) {
+    Records out;
+    for (const std::string& p : plan.phases) out[p];
+    for (const auto& [f, t] : plan.phaseEdges)
+      out[plan.phaseName(std::size_t(f)) + " -> " +
+          plan.phaseName(std::size_t(t))] = "program-order edge";
+    return out;
+  };
   // Writes, aggregated per (phase, source, target, counter).
-  {
-    auto aggregate = [](const CommPlan& plan) {
-      std::map<std::string, WriteAgg> out;
-      for (const PlannedWrite& w : plan.writes) {
-        std::string key = w.phase + " | node " + std::to_string(w.srcNode) +
-                          " -> " + writeTarget(w) + " | ctr " +
-                          std::to_string(w.counterId);
-        WriteAgg& agg = out[key];
-        agg.packets += w.packets;
-        agg.payloadBytes += w.packets * w.bytes;
-        agg.records += 1;
-        agg.fifo += w.fifo ? 1 : 0;
-        agg.inOrder += w.inOrder ? 1 : 0;
-      }
-      return out;
-    };
-    std::map<std::string, WriteAgg> wa = aggregate(a), wb = aggregate(b);
-    for (const auto& [key, x] : wa) {
-      auto it = wb.find(key);
-      if (it == wb.end()) {
-        add("write", key,
-            "write group only in first plan (" + std::to_string(x.packets) +
-                " packets/round)");
-        continue;
-      }
-      const WriteAgg& y = it->second;
-      if (x.packets != y.packets)
-        add("write", key,
-            "packets/round " + std::to_string(x.packets) + " vs " +
-                std::to_string(y.packets));
-      else if (x.payloadBytes != y.payloadBytes)
-        add("write", key,
-            "payload bytes/round " + std::to_string(x.payloadBytes) + " vs " +
-                std::to_string(y.payloadBytes));
-      else if (x.fifo != y.fifo || x.inOrder != y.inOrder)
-        add("write", key, "delivery flags (fifo/in-order) differ");
+  auto writes = [](const CommPlan& plan) {
+    // packets, payload bytes, fifo records, in-order records
+    std::map<std::string, std::array<std::uint64_t, 4>> agg;
+    for (const PlannedWrite& w : plan.writes) {
+      const std::string target =
+          w.pattern != net::kNoMulticast
+              ? "pattern " + std::to_string(w.pattern)
+              : clientLabel(w.dst);
+      auto& x = agg[plan.phaseName(w.phase) + " | node " +
+                    std::to_string(w.srcNode) + " -> " + target + " | ctr " +
+                    std::to_string(w.counterId)];
+      x[0] += w.packets;
+      x[1] += std::uint64_t(w.packets) * w.bytes;
+      x[2] += w.fifo ? 1 : 0;
+      x[3] += w.inOrder ? 1 : 0;
     }
-    for (const auto& [key, y] : wb)
-      if (!wa.count(key))
-        add("write", key,
-            "write group only in second plan (" + std::to_string(y.packets) +
-                " packets/round)");
-  }
-
+    Records out;
+    for (const auto& [key, x] : agg)
+      out[key] = std::to_string(x[0]) + " packets/round, " +
+                 std::to_string(x[1]) + " payload bytes/round, " +
+                 std::to_string(x[2]) + " fifo and " + std::to_string(x[3]) +
+                 " in-order record(s)";
+    return out;
+  };
   // Expectations per (site, client, counter).
-  {
-    auto aggregate = [](const CommPlan& plan) {
-      std::map<std::string, ExpectAgg> out;
-      for (const CounterExpectation& e : plan.expectations) {
-        std::string key = e.site + " | " + clientLabel(e.client) + " | ctr " +
-                          std::to_string(e.counterId);
-        ExpectAgg& agg = out[key];
-        agg.perRound += e.perRound;
-        agg.records += 1;
-        agg.armed += e.recoveryArmed ? 1 : 0;
-      }
-      return out;
-    };
-    std::map<std::string, ExpectAgg> ea = aggregate(a), eb = aggregate(b);
-    for (const auto& [key, x] : ea) {
-      auto it = eb.find(key);
-      if (it == eb.end()) {
-        add("expectation", key, "wait site only in first plan");
-        continue;
-      }
-      const ExpectAgg& y = it->second;
-      if (x.perRound != y.perRound)
-        add("expectation", key,
-            "expected packets/round " + std::to_string(x.perRound) + " vs " +
-                std::to_string(y.perRound));
-      else if (x.armed != y.armed)
-        add("expectation", key,
-            "recovery arming differs (" + std::to_string(x.armed) + " vs " +
-                std::to_string(y.armed) + " of " + std::to_string(x.records) +
-                " records)");
+  auto expectations = [](const CommPlan& plan) {
+    std::map<std::string, std::array<std::uint64_t, 2>> agg;
+    for (const CounterExpectation& e : plan.expectations) {
+      auto& x = agg[plan.nameOf(e.site) + " | " + clientLabel(e.client) +
+                    " | ctr " + std::to_string(e.counterId)];
+      x[0] += e.perRound;
+      x[1] += e.recoveryArmed ? 1 : 0;
     }
-    for (const auto& [key, y] : eb) {
-      (void)y;
-      if (!ea.count(key))
-        add("expectation", key, "wait site only in second plan");
-    }
-  }
-
+    Records out;
+    for (const auto& [key, x] : agg)
+      out[key] = std::to_string(x[0]) + " expected packets/round, " +
+                 std::to_string(x[1]) + " recovery-armed record(s)";
+    return out;
+  };
   // Multicast trees per (pattern, source): forwarding-table rows and the
   // declared destination set.
-  {
-    auto index = [](const CommPlan& plan) {
-      std::map<std::string, const MulticastPlanEntry*> out;
-      for (const MulticastPlanEntry& m : plan.multicasts)
-        out["pattern " + std::to_string(m.patternId) + " @ node " +
-            std::to_string(m.srcNode)] = &m;
-      return out;
-    };
-    auto ma = index(a), mb = index(b);
-    for (const auto& [key, x] : ma) {
-      auto it = mb.find(key);
-      if (it == mb.end()) {
-        add("multicast", key, "tree only in first plan");
-        continue;
-      }
-      const MulticastPlanEntry* y = it->second;
-      auto sameTables = [](const MulticastPlanEntry* p,
-                           const MulticastPlanEntry* q) {
-        if (p->entries.size() != q->entries.size()) return false;
-        auto pi = p->entries.begin();
-        for (const auto& [node, row] : q->entries) {
-          if (pi->first != node || pi->second.clientMask != row.clientMask ||
-              pi->second.linkMask != row.linkMask)
-            return false;
-          ++pi;
-        }
-        return true;
-      };
-      if (!sameTables(x, y)) {
-        std::string detail = "forwarding tables differ";
-        for (const auto& [node, row] : x->entries) {
-          auto r = y->entries.find(node);
-          if (r == y->entries.end()) {
-            detail += " (node " + std::to_string(node) +
-                      " row only in first plan)";
-            break;
-          }
-          if (row.clientMask != r->second.clientMask ||
-              row.linkMask != r->second.linkMask) {
-            detail += " (node " + std::to_string(node) + ": clients " +
-                      std::to_string(int(row.clientMask)) + "/" +
-                      std::to_string(int(r->second.clientMask)) + ", links " +
-                      std::to_string(int(row.linkMask)) + "/" +
-                      std::to_string(int(r->second.linkMask)) + ")";
-            break;
-          }
-        }
-        if (x->entries.size() < y->entries.size())
-          detail += " (" + std::to_string(y->entries.size() -
-                                          x->entries.size()) +
-                    " extra row(s) in second plan)";
-        add("multicast", key, detail);
-      }
-      if (dests(x->declaredDests) != dests(y->declaredDests))
-        add("multicast", key,
-            "declared destination sets differ (" +
-                std::to_string(x->declaredDests.size()) + " vs " +
-                std::to_string(y->declaredDests.size()) + " dest(s))");
+  auto trees = [](const CommPlan& plan) {
+    Records out;
+    for (const MulticastPlanEntry& m : plan.multicasts) {
+      std::string facts = "rows (node:clients/links)";
+      for (const auto& [node, e] : plan.tree(m).rows)
+        facts.append(" ").append(std::to_string(node)).append(":")
+            .append(std::to_string(int(e.clientMask))).append("/")
+            .append(std::to_string(int(e.linkMask)));
+      out["pattern " + std::to_string(m.patternId) + " @ node " +
+          std::to_string(m.srcNode)] =
+          facts + "; declared dests " + dests(plan.tree(m).dests);
     }
-    for (const auto& [key, y] : mb) {
-      (void)y;
-      if (!ma.count(key)) add("multicast", key, "tree only in second plan");
-    }
-  }
-
+    return out;
+  };
   // Buffer lifetimes per (name, owner).
-  {
-    auto index = [](const CommPlan& plan) {
-      std::map<std::string, const BufferPlan*> out;
-      for (const BufferPlan& bp : plan.buffers)
-        out[bp.name + " @ " + clientLabel(bp.client)] = &bp;
-      return out;
-    };
-    auto ba = index(a), bb = index(b);
-    for (const auto& [key, x] : ba) {
-      auto it = bb.find(key);
-      if (it == bb.end()) {
-        add("buffer", key, "buffer only in first plan");
-        continue;
-      }
-      const BufferPlan* y = it->second;
-      if (x->copies != y->copies)
-        add("buffer", key,
-            "copy count (reuse distance) " + std::to_string(x->copies) +
-                " vs " + std::to_string(y->copies));
-      if (x->freePhase != y->freePhase)
-        add("buffer", key,
-            "free phase '" + x->freePhase + "' vs '" + y->freePhase + "'");
-      if (x->base != y->base || x->bytes != y->bytes)
-        add("buffer", key,
-            "placement " + std::to_string(x->base) + "+" +
-                std::to_string(x->bytes) + " vs " + std::to_string(y->base) +
-                "+" + std::to_string(y->bytes));
-      auto writerSet = [](const BufferPlan* bp) {
-        std::set<std::string> out;
-        for (const BufferWriter& w : bp->writers)
-          out.insert(std::to_string(w.node) + ":" + w.phase);
-        return out;
-      };
-      if (writerSet(x) != writerSet(y))
-        add("buffer", key,
-            "writer sets differ (" + std::to_string(x->writers.size()) +
-                " vs " + std::to_string(y->writers.size()) + " writer(s))");
+  auto buffers = [](const CommPlan& plan) {
+    Records out;
+    for (const BufferPlan& bp : plan.buffers) {
+      std::set<std::string> writers;
+      for (const BufferWriter& w : plan.writersOf(bp))
+        writers.insert(std::to_string(w.node) + ":" + plan.phaseName(w.phase));
+      std::string facts = std::to_string(bp.copies) + " cop(ies) at " +
+                          std::to_string(bp.base) + "+" +
+                          std::to_string(bp.bytes) + ", freed in '" +
+                          plan.phaseName(bp.freePhase) + "', writers";
+      for (const std::string& w : writers) facts += " " + w;
+      out[plan.nameOf(bp.name) + " @ " + clientLabel(bp.client)] = facts;
     }
-    for (const auto& [key, y] : bb) {
-      (void)y;
-      if (!ba.count(key)) add("buffer", key, "buffer only in second plan");
-    }
-  }
-
+    return out;
+  };
+  compare("phase", phases(a), phases(b));
+  compare("write", writes(a), writes(b));
+  compare("expectation", expectations(a), expectations(b));
+  compare("multicast", trees(a), trees(b));
+  compare("buffer", buffers(a), buffers(b));
   return delta;
 }
 

@@ -51,13 +51,15 @@ struct PlanDelta {
   bool identical() const { return entries.empty(); }
 };
 
-/// Structural plan comparison. Writes are aggregated per (phase, source,
-/// target, counter) and compared by total packets; expectations per (site,
+/// Structural plan comparison, by names rather than table indices. Writes
+/// are aggregated per (phase, source, target, counter) and compared by
+/// total packets, payload bytes and delivery flags; expectations per (site,
 /// client, counter) by per-round increment and recovery arming; multicasts
 /// per (pattern, source) by forwarding-table rows and declared destination
 /// set; buffers per (name, owner) by base, span, copy count, free phase and
-/// writer set. Plan names are not compared — two differently-named plans
-/// with the same structure are identical.
+/// writer set. A record on one side only, or whose facts differ, is one
+/// entry naming both sides' facts. Plan names are not compared — two
+/// differently-named plans with the same structure are identical.
 PlanDelta diffPlans(const CommPlan& a, const CommPlan& b);
 
 }  // namespace anton::verify

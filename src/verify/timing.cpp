@@ -69,11 +69,9 @@ WriteRoute treeRoute(const TreeExpansion& x) {
 /// (unicast reroutes via the first-healthy-dimension trace, multicast via
 /// the repaired tree — the same policies the live machine and the recovery
 /// replays use).
-std::vector<WriteRoute> routeWrites(
-    const CommPlan& plan,
-    const std::vector<std::vector<net::ClientAddr>>& delivered,
-    const std::vector<TorusLink>& downLinks) {
-  const std::vector<int> trees = writeTrees(plan);
+std::vector<WriteRoute> routeWrites(const CommPlan& plan,
+                                    const Delivered& delivered,
+                                    const std::vector<TorusLink>& downLinks) {
   std::vector<WriteRoute> routes(plan.writes.size());
   std::map<int, WriteRoute> treeCache;
   for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
@@ -81,7 +79,7 @@ std::vector<WriteRoute> routeWrites(
     WriteRoute& r = routes[wi];
     if (w.pattern == net::kNoMulticast) {
       std::set<int> dstNodes;
-      for (const net::ClientAddr& d : delivered[wi]) dstNodes.insert(d.node);
+      for (const net::ClientAddr& d : delivered.of(wi)) dstNodes.insert(d.node);
       std::set<Link> occupied;
       for (int dst : dstNodes) {
         if (dst == w.srcNode) {
@@ -110,15 +108,17 @@ std::vector<WriteRoute> routeWrites(
       continue;
     }
 
-    if (trees[wi] < 0) continue;
-    auto [ci, fresh] = treeCache.try_emplace(trees[wi]);
+    const int treeIndex = delivered.tree[wi];
+    if (treeIndex < 0) continue;
+    auto [ci, fresh] = treeCache.try_emplace(treeIndex);
     if (fresh) {
-      const MulticastPlanEntry& tree = plan.multicasts[std::size_t(trees[wi])];
+      const TreeView tree = plan.tree(plan.multicasts[std::size_t(treeIndex)]);
       if (downLinks.empty()) {
         ci->second = treeRoute(expandTree(tree, plan.shape));
       } else {
         TreeRepair rep = repairMulticastTree(tree, plan.shape, downLinks);
-        ci->second = treeRoute(expandTree(rep.repaired, plan.shape, downLinks));
+        ci->second = treeRoute(
+            expandTree(rep.repaired(tree), plan.shape, downLinks));
         if (!rep.ok()) {
           ci->second.stalled = true;
           ci->second.stallDetail =
@@ -132,7 +132,7 @@ std::vector<WriteRoute> routeWrites(
     r = ci->second;
     // A delivered destination the (repaired) walk never reached stalls the
     // write even when the repair pass itself reported success.
-    for (const net::ClientAddr& d : delivered[wi])
+    for (const net::ClientAddr& d : delivered.of(wi))
       if (!r.pathTo.count(d.node) && !r.stalled) {
         r.stalled = true;
         r.stallDetail = "tree from node " + std::to_string(w.srcNode) +
@@ -249,36 +249,21 @@ struct PricedPlan {
   std::string stallDetail;
 };
 
-PricedPlan priceDeliveries(
-    const CommPlan& plan, const EventGraph& graph,
-    const std::vector<std::vector<net::ClientAddr>>& delivered,
-    const std::vector<WriteRoute>& routes, const net::LatencyConfig& lat) {
+PricedPlan priceDeliveries(const CommPlan& plan, const EventGraph& graph,
+                           const Delivered& delivered,
+                           const std::vector<WriteRoute>& routes,
+                           const net::LatencyConfig& lat) {
   PricedPlan out;
-  // Wait slots by (node, client, counter).
-  std::map<std::tuple<int, int, int>, std::vector<std::size_t>> waits;
-  for (std::size_t ei = 0; ei < plan.expectations.size(); ++ei) {
-    if (graph.waitSlot(ei) < 0) continue;
-    const CounterExpectation& e = plan.expectations[ei];
-    waits[{e.client.node, e.client.client, e.counterId}].push_back(ei);
-  }
   for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
     const PlannedWrite& w = plan.writes[wi];
     int sendSlot = graph.sendSlot(wi);
     if (sendSlot < 0 || w.counterId == net::kNoCounter) continue;
     std::size_t wire = plannedWireBytes(w);
-    for (const net::ClientAddr& d : delivered[wi]) {
-      auto it = waits.find({d.node, d.client, w.counterId});
-      if (it == waits.end()) continue;
+    for (const net::ClientAddr& d : delivered.of(wi)) {
+      const std::span<const int> waits = graph.waitsOn(d, w.counterId);
+      if (waits.empty()) continue;
       auto path = routes[wi].pathTo.find(d.node);
-      if (path == routes[wi].pathTo.end()) {
-        if (routes[wi].stalled && out.stallDetail.empty()) {
-          out.stalled = true;
-          out.stallDetail = routes[wi].stallDetail + " (write in phase '" +
-                            w.phase + "', ctr " + std::to_string(w.counterId) +
-                            ")";
-        }
-        continue;
-      }
+      if (path == routes[wi].pathTo.end()) continue;  // stalled: see below
       double routeNs = routeCrossingNs(
           path->second, w.pattern != net::kNoMulticast || w.inOrder, lat);
       double spacing = lat.minPacketSpacingNs(wire, !path->second.empty());
@@ -290,10 +275,10 @@ PricedPlan priceDeliveries(
                           : 0.0;
       double edge = lat.assemblyNs + double(w.packets - 1) * spacing +
                     routeNs + tailNs + lat.minDeliveryNs();
-      for (std::size_t ei : it->second) {
+      for (int ei : waits) {
         std::uint64_t key =
             (std::uint64_t(std::uint32_t(sendSlot)) << 32) |
-            std::uint32_t(graph.waitSlot(ei));
+            std::uint32_t(graph.waitSlot(std::size_t(ei)));
         auto [wit, fresh] = out.slotWeight.try_emplace(key, edge);
         if (!fresh) wit->second = std::max(wit->second, edge);
       }
@@ -301,7 +286,8 @@ PricedPlan priceDeliveries(
     if (routes[wi].stalled && !out.stalled) {
       out.stalled = true;
       out.stallDetail = routes[wi].stallDetail + " (write in phase '" +
-                        w.phase + "', ctr " + std::to_string(w.counterId) + ")";
+                        plan.phaseName(w.phase) + "', ctr " +
+                        std::to_string(w.counterId) + ")";
     }
   }
   return out;
@@ -320,7 +306,7 @@ TimingReport analyzeTiming(const CommPlan& plan, const TimingOptions& opts,
   rep.plan = plan.name;
   rep.rounds = std::max(opts.rounds, 1);
 
-  std::vector<std::vector<net::ClientAddr>> delivered = deliveredTargets(plan);
+  const Delivered delivered = deliveredTargets(plan);
   EventGraph graph(plan, rep.rounds, delivered);
   rep.eventsModeled = graph.numVertices();
 
@@ -406,7 +392,7 @@ TimingReport analyzeTiming(const CommPlan& plan, const TimingOptions& opts,
   for (std::size_t wi = 0; wi < plan.writes.size(); ++wi) {
     const PlannedWrite& w = plan.writes[wi];
     if (graph.sendSlot(wi) < 0) continue;
-    int phase = plan.phaseIndex(w.phase);
+    const int phase = w.phase;
     double serNs = lat.linkSerializationNs(plannedWireBytes(w));
     for (const Link& l : routes[wi].occupied) {
       Cell& c = cells[{l, phase}];
@@ -427,9 +413,7 @@ TimingReport analyzeTiming(const CommPlan& plan, const TimingOptions& opts,
     load.node = l.node;
     load.dim = l.dim;
     load.sign = l.sign;
-    load.phase = phase >= 0 && phase < int(plan.phases.size())
-                     ? plan.phases[std::size_t(phase)]
-                     : "?";
+    load.phase = plan.phaseName(std::size_t(phase));
     load.packets = c.packets;
     load.occupancyNs = c.occupancyNs;
     // The serialization window: from the earliest the phase can start

@@ -177,7 +177,7 @@ TEST(CountedSchedule, MulticastArrivalsAreTheInstalledTablesReceivers) {
                                          {f.at(0, 3, 0), kSlice0}};
   const int id = alloc.install(0, dests);
   CountedSchedule s = oneWaitSchedule(f);
-  s.sends.push_back({.node = 0, .counterId = 7, .pattern = id, .packets = 3});
+  s.sends.push_back({.srcNode = 0, .counterId = 7, .pattern = id, .packets = 3});
   s.transpose(&f.machine);
   for (int n = 0; n < f.machine.numNodes(); ++n) {
     const bool dest = n == f.at(1, 0, 0) || n == f.at(2, 0, 0) ||
@@ -195,11 +195,11 @@ TEST(CountedSchedule, CountedUnicastWithoutAWaitThrows) {
   Fixture f;
   CountedSchedule s = oneWaitSchedule(f);
   // Slice 0 waits on counter 7; this write bumps counter 8 there.
-  s.sends.push_back({.node = 0, .counterId = 8, .dst = {1, kSlice0}});
+  s.sends.push_back({.srcNode = 0, .counterId = 8, .dst = {1, kSlice0}});
   EXPECT_THROW(s.transpose(&f.machine), std::logic_error);
   // And one to the right counter on a client without the wait.
   CountedSchedule t = oneWaitSchedule(f);
-  t.sends.push_back({.node = 0, .counterId = 7, .dst = {1, kHtis}});
+  t.sends.push_back({.srcNode = 0, .counterId = 7, .dst = {1, kHtis}});
   EXPECT_THROW(t.transpose(&f.machine), std::logic_error);
 }
 
@@ -211,15 +211,15 @@ TEST(CountedSchedule, CountedMulticastWithoutASourceRowThrows) {
   f.machine.setMulticastPattern(f.at(1, 0, 0), 9,
                                 {.clientMask = std::uint8_t(1u << kSlice0)});
   CountedSchedule s = oneWaitSchedule(f);
-  s.sends.push_back({.node = 0, .counterId = 7, .pattern = 9});
+  s.sends.push_back({.srcNode = 0, .counterId = 7, .pattern = 9});
   EXPECT_THROW(s.transpose(&f.machine), std::logic_error);
   // Without a machine there are no tables to read at all.
   CountedSchedule t = oneWaitSchedule(f);
-  t.sends.push_back({.node = f.at(1, 0, 0), .counterId = 7, .pattern = 9});
+  t.sends.push_back({.srcNode = f.at(1, 0, 0), .counterId = 7, .pattern = 9});
   EXPECT_THROW(t.transpose(nullptr), std::logic_error);
   // The same send from the node that has the row is counted.
   CountedSchedule u = oneWaitSchedule(f);
-  u.sends.push_back({.node = f.at(1, 0, 0), .counterId = 7, .pattern = 9});
+  u.sends.push_back({.srcNode = f.at(1, 0, 0), .counterId = 7, .pattern = 9});
   u.transpose(&f.machine);
   EXPECT_EQ(u.arrivals(f.at(1, 0, 0), 0).size(), 1u);
 }

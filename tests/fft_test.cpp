@@ -263,9 +263,9 @@ TEST(Distributed, PlanEqualsTraffic) {
       using Key = std::tuple<int, int, int>;  // node, client, counter
       std::map<Key, std::map<int, std::uint64_t>> want, before;
       for (const verify::CounterExpectation& e : plan.expectations) {
-        EXPECT_EQ(e.recoveryArmed, armed) << e.site;
+        EXPECT_EQ(e.recoveryArmed, armed) << plan.nameOf(e.site);
         auto& w = want[{e.client.node, e.client.client, e.counterId}];
-        for (const auto& [src, packets] : e.bySource)
+        for (const auto& [src, packets] : plan.bySource(e))
           if (packets > 0) w[src] += packets;
       }
       auto sources = [&](const Key& k) {

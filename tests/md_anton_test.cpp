@@ -247,11 +247,11 @@ TEST(AntonMd, PlanEqualsTraffic) {
     for (int step = 0; step < 3; ++step) {
       SCOPED_TRACE("step " + std::to_string(step + 1));
       std::map<Key, std::map<int, std::uint64_t>> want, before;
-      for (const verify::CounterExpectation& e :
-           app.extractCommPlan().expectations) {
-        if (e.site.rfind("md.", 0) != 0) continue;
+      const verify::CommPlan plan = app.extractCommPlan();
+      for (const verify::CounterExpectation& e : plan.expectations) {
+        if (plan.nameOf(e.site).rfind("md.", 0) != 0) continue;
         auto& w = want[{e.client.node, e.client.client, e.counterId}];
-        for (const auto& [src, packets] : e.bySource)
+        for (const auto& [src, packets] : plan.bySource(e))
           if (packets > 0) w[src] += packets;
       }
       auto sources = [&](const Key& k) {

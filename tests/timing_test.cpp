@@ -156,41 +156,23 @@ TEST(TimingTest, SeededContentionFunnelFires) {
   p.name = "funnel";
   p.shape = {4, 1, 1};
   p.addPhaseEdge("burst", "drain");
-  verify::CounterExpectation drain;
-  drain.site = "drain";
-  drain.phase = "drain";
-  drain.client = {0, net::kSlice0};
-  drain.counterId = 0;
-  drain.recoveryArmed = true;
+  std::vector<verify::SourceCount> bursts;
   for (int n = 1; n < 4; ++n) {
-    verify::PlannedWrite w;
-    w.phase = "burst";
-    w.srcNode = n;
-    w.dst = {0, net::kSlice0};
-    w.counterId = 0;
-    w.packets = 8;
-    w.bytes = 2048;
-    p.writes.push_back(w);
-    drain.perRound += 8;
-    drain.bySource[n] = 8;
-
-    verify::PlannedWrite ack;
-    ack.phase = "drain";
-    ack.srcNode = 0;
-    ack.dst = {n, net::kSlice0};
-    ack.counterId = 1;
-    p.writes.push_back(ack);
-    verify::CounterExpectation credit;
-    credit.site = "burst.credit";
-    credit.phase = "burst";
-    credit.client = {n, net::kSlice0};
-    credit.counterId = 1;
-    credit.perRound = 1;
-    credit.bySource[0] = 1;
-    credit.recoveryArmed = true;
-    p.expectations.push_back(std::move(credit));
+    p.addWrite("burst", {.srcNode = n, .counterId = 0,
+                         .dst = {0, net::kSlice0}, .packets = 8,
+                         .bytes = 2048});
+    bursts.push_back({n, 8});
+    p.addWrite("drain",
+               {.srcNode = 0, .counterId = 1, .dst = {n, net::kSlice0}});
+    p.addExpectation("burst.credit", "burst",
+                     {.client = {n, net::kSlice0}, .counterId = 1,
+                      .perRound = 1, .recoveryArmed = true},
+                     {{{0, 1}}});
   }
-  p.expectations.push_back(std::move(drain));
+  p.addExpectation("drain", "drain",
+                   {.client = {0, net::kSlice0}, .counterId = 0,
+                    .perRound = 24, .recoveryArmed = true},
+                   bursts);
 
   verify::TimingReport r = verify::analyzeTiming(p);
   EXPECT_TRUE(hasCheck(r, "timing.contention"));

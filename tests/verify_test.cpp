@@ -47,52 +47,30 @@ CommPlan pingPlan() {
   p.shape = {2, 1, 1};
   p.addPhaseEdge("send", "recv");
   p.addPhaseEdge("recv", "ackwait");
-
-  PlannedWrite ping;
-  ping.phase = "send";
-  ping.srcNode = 0;
-  ping.dst = {1, kSlice0};
-  ping.counterId = 0;
-  ping.inOrder = true;
-  p.writes.push_back(ping);
-
-  PlannedWrite ack;
-  ack.phase = "recv";
-  ack.srcNode = 1;
-  ack.dst = {0, kSlice0};
-  ack.counterId = 1;
-  ack.inOrder = true;
-  p.writes.push_back(ack);
-
-  CounterExpectation data;
-  data.site = "ping.data";
-  data.phase = "recv";
-  data.client = {1, kSlice0};
-  data.counterId = 0;
-  data.perRound = 1;
-  data.bySource[0] = 1;
-  data.recoveryArmed = true;
-  p.expectations.push_back(data);
-
-  CounterExpectation ackw;
-  ackw.site = "ping.ack";
-  ackw.phase = "ackwait";
-  ackw.client = {0, kSlice0};
-  ackw.counterId = 1;
-  ackw.perRound = 1;
-  ackw.bySource[1] = 1;
-  ackw.recoveryArmed = true;
-  p.expectations.push_back(ackw);
-
-  BufferPlan slot;
-  slot.name = "ping.slot";
-  slot.client = {1, kSlice0};
-  slot.bytes = 32;
-  slot.copies = 1;
-  slot.freePhase = "recv";
-  slot.writers.push_back({0, "send"});
-  p.buffers.push_back(slot);
+  p.addWrite("send", {.srcNode = 0, .inOrder = true, .counterId = 0,
+                      .dst = {1, kSlice0}});
+  p.addWrite("recv", {.srcNode = 1, .inOrder = true, .counterId = 1,
+                      .dst = {0, kSlice0}});
+  p.addExpectation("ping.data", "recv",
+                   {.client = {1, kSlice0}, .counterId = 0, .perRound = 1,
+                    .recoveryArmed = true},
+                   {{{0, 1}}});
+  p.addExpectation("ping.ack", "ackwait",
+                   {.client = {0, kSlice0}, .counterId = 1, .perRound = 1,
+                    .recoveryArmed = true},
+                   {{{1, 1}}});
+  const BufferWriter pinger{0, std::uint16_t(p.addPhase("send"))};
+  p.addBuffer("ping.slot", "recv", {.client = {1, kSlice0}, .bytes = 32},
+              {&pinger, 1});
   return p;
+}
+
+/// Replace expectation `ei`'s per-source breakdown.
+void setBySource(CommPlan& p, std::size_t ei,
+                 std::vector<SourceCount> bySource) {
+  const auto first = std::uint32_t(p.sources.size());
+  p.sources.insert(p.sources.end(), bySource.begin(), bySource.end());
+  p.expectations[ei].bySource = {first, std::uint32_t(p.sources.size())};
 }
 
 // --- the clean plan --------------------------------------------------------
@@ -113,7 +91,7 @@ TEST(VerifyPlan, WellFormedPingPlanPasses) {
 TEST(VerifyPlan, MiscountedCounterIsACountViolation) {
   CommPlan p = pingPlan();
   p.expectations[0].perRound = 2;  // the plan only delivers 1 packet/round
-  p.expectations[0].bySource[0] = 2;
+  setBySource(p, 0, {{0, 2}});
   VerifyResult r = verifyPlan(p);
   EXPECT_FALSE(r.ok());
   const Violation* v = findCheck(r.violations, "count");
@@ -127,8 +105,7 @@ TEST(VerifyPlan, MiscountedCounterIsACountViolation) {
 
 TEST(VerifyPlan, WrongPerSourceBreakdownIsFlaggedEvenWhenTotalsMatch) {
   CommPlan p = pingPlan();
-  p.expectations[0].bySource.clear();
-  p.expectations[0].bySource[1] = 1;  // credits the wrong source node
+  setBySource(p, 0, {{1, 1}});  // credits the wrong source node
   VerifyResult r = verifyPlan(p);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(hasCheck(r.violations, "count.by-source"));
@@ -159,30 +136,37 @@ TEST(VerifyPlan, WriteReferencingUndeclaredPatternIsFlagged) {
 
 // --- check 2: multicast well-formedness -----------------------------------
 
+/// A multicast tree outside a plan: its rows (any order) and declared
+/// destinations.
+struct Tree {
+  int patternId = 0;
+  std::vector<TreeRow> rows;
+  std::vector<ClientAddr> dests;
+  TreeView view() const { return {patternId, 0, rows, dests}; }
+  net::MulticastEntry& at(int node) {
+    auto it = std::find_if(rows.begin(), rows.end(),
+                           [&](const TreeRow& r) { return r.first == node; });
+    if (it == rows.end()) it = rows.insert(it, {node, {}});
+    return it->second;
+  }
+};
+
 /// X+ chain pattern over `len` nodes of a {len,1,1} torus: each node
 /// forwards along X+, the last one delivers to slice0.
-MulticastPlanEntry chainPattern(int id, int len) {
-  MulticastPlanEntry m;
-  m.patternId = id;
-  m.srcNode = 0;
+Tree chainPattern(int id, int len) {
+  Tree m{id, {}, {{len - 1, kSlice0}}};
   for (int n = 0; n + 1 < len; ++n)
-    m.entries[n] = {.clientMask = 0, .linkMask = 1u << 0};
-  m.entries[len - 1] = {.clientMask = 1u << kSlice0, .linkMask = 0};
-  m.declaredDests.push_back({len - 1, kSlice0});
+    m.rows.push_back({n, {.clientMask = 0, .linkMask = 1u << 0}});
+  m.rows.push_back({len - 1, {.clientMask = 1u << kSlice0, .linkMask = 0}});
   return m;
 }
 
-CommPlan multicastPlan(MulticastPlanEntry m, util::TorusShape shape) {
+CommPlan multicastPlan(const Tree& m, util::TorusShape shape) {
   CommPlan p;
   p.name = "mcast";
   p.shape = shape;
-  p.addPhase("fanout");
-  PlannedWrite w;
-  w.phase = "fanout";
-  w.srcNode = m.srcNode;
-  w.pattern = m.patternId;
-  p.writes.push_back(w);
-  p.multicasts.push_back(std::move(m));
+  p.addWrite("fanout", {.srcNode = 0, .pattern = m.patternId});
+  p.addTree(m.patternId, 0, m.rows, m.dests);
   return p;
 }
 
@@ -190,17 +174,15 @@ TEST(VerifyPlan, CyclicMulticastTreeIsFlagged) {
   // Every node of a {4,1,1} ring forwards along X+: the walk wraps back to
   // the source. The delivery at node 2 still happens, but the tree is
   // cyclic (a packet replica chases its own tail on the real fabric).
-  MulticastPlanEntry m;
-  m.patternId = 7;
-  m.srcNode = 0;
+  Tree m{7, {}, {{2, kSlice0}}};
   for (int n = 0; n < 4; ++n)
-    m.entries[n] = {.clientMask = std::uint8_t(n == 2 ? 1u << kSlice0 : 0),
-                    .linkMask = 1u << 0};
-  m.declaredDests.push_back({2, kSlice0});
-  TreeExpansion x = expandTree(m, {4, 1, 1});
+    m.rows.push_back(
+        {n, {.clientMask = std::uint8_t(n == 2 ? 1u << kSlice0 : 0),
+             .linkMask = 1u << 0}});
+  TreeExpansion x = expandTree(m.view(), {4, 1, 1});
   EXPECT_TRUE(x.cycle);
 
-  VerifyResult r = verifyPlan(multicastPlan(std::move(m), {4, 1, 1}));
+  VerifyResult r = verifyPlan(multicastPlan(m, {4, 1, 1}));
   EXPECT_FALSE(r.ok());
   const Violation* v = findCheck(r.violations, "multicast.cycle");
   ASSERT_NE(v, nullptr);
@@ -208,8 +190,8 @@ TEST(VerifyPlan, CyclicMulticastTreeIsFlagged) {
 }
 
 TEST(VerifyPlan, PatternIdBeyondTheTablesIsFlagged) {
-  MulticastPlanEntry m = chainPattern(net::kMulticastPatterns, 2);
-  VerifyResult r = verifyPlan(multicastPlan(std::move(m), {2, 1, 1}));
+  VerifyResult r = verifyPlan(
+      multicastPlan(chainPattern(net::kMulticastPatterns, 2), {2, 1, 1}));
   EXPECT_FALSE(r.ok());
   const Violation* v = findCheck(r.violations, "multicast.pattern-limit");
   ASSERT_NE(v, nullptr);
@@ -217,9 +199,9 @@ TEST(VerifyPlan, PatternIdBeyondTheTablesIsFlagged) {
 }
 
 TEST(VerifyPlan, UnreachedDeclaredDestinationIsFlagged) {
-  MulticastPlanEntry m = chainPattern(3, 2);
-  m.declaredDests.push_back({0, kSlice0});  // the tree never delivers here
-  VerifyResult r = verifyPlan(multicastPlan(std::move(m), {2, 1, 1}));
+  Tree m = chainPattern(3, 2);
+  m.dests.push_back({0, kSlice0});  // the tree never delivers here
+  VerifyResult r = verifyPlan(multicastPlan(m, {2, 1, 1}));
   EXPECT_FALSE(r.ok());
   const Violation* v = findCheck(r.violations, "multicast.dests");
   ASSERT_NE(v, nullptr);
@@ -227,9 +209,9 @@ TEST(VerifyPlan, UnreachedDeclaredDestinationIsFlagged) {
 }
 
 TEST(VerifyPlan, ReplicaIntoMissingTableEntryIsFlagged) {
-  MulticastPlanEntry m = chainPattern(3, 2);
-  m.entries.erase(1);  // the forwarded replica finds no row at node 1
-  VerifyResult r = verifyPlan(multicastPlan(std::move(m), {2, 1, 1}));
+  Tree m = chainPattern(3, 2);
+  m.rows.pop_back();  // the forwarded replica finds no row at node 1
+  VerifyResult r = verifyPlan(multicastPlan(m, {2, 1, 1}));
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(hasCheck(r.violations, "multicast.empty-entry"));
 }
@@ -238,31 +220,29 @@ TEST(VerifyPlan, NonDimOrderedFanoutPathIsFlagged) {
   // X+ then Y+ then X+ again on a {3,3,1} torus: the X run resumes after
   // Y intervened — forbidden on the dimension-ordered wormhole fabric.
   util::TorusShape shape{3, 3, 1};
-  MulticastPlanEntry m;
-  m.patternId = 4;
-  m.srcNode = 0;
-  m.entries[0] = {.clientMask = 0, .linkMask = 1u << 0};  // X+
-  m.entries[1] = {.clientMask = 0, .linkMask = 1u << 2};  // Y+
-  m.entries[util::torusIndex({1, 1, 0}, shape)] = {.clientMask = 0,
-                                                   .linkMask = 1u << 0};  // X+
-  m.entries[util::torusIndex({2, 1, 0}, shape)] = {
-      .clientMask = 1u << kSlice0, .linkMask = 0};
-  m.declaredDests.push_back({util::torusIndex({2, 1, 0}, shape), kSlice0});
-  TreeExpansion x = expandTree(m, shape);
+  const int dest = util::torusIndex({2, 1, 0}, shape);
+  Tree m{4,
+         {{0, {.clientMask = 0, .linkMask = 1u << 0}},   // X+
+          {1, {.clientMask = 0, .linkMask = 1u << 2}},   // Y+
+          {util::torusIndex({1, 1, 0}, shape),
+           {.clientMask = 0, .linkMask = 1u << 0}},      // X+
+          {dest, {.clientMask = 1u << kSlice0, .linkMask = 0}}},
+         {{dest, kSlice0}}};
+  TreeExpansion x = expandTree(m.view(), shape);
   EXPECT_FALSE(x.dimOrdered);
   EXPECT_FALSE(x.cycle);
 
-  VerifyResult r = verifyPlan(multicastPlan(std::move(m), shape));
+  VerifyResult r = verifyPlan(multicastPlan(m, shape));
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(hasCheck(r.violations, "multicast.dim-order"));
 }
 
 TEST(VerifyPlan, DeadTableEntryIsALint) {
-  MulticastPlanEntry m = chainPattern(3, 2);
-  m.entries[0].linkMask = 0;                         // chain cut at source...
-  m.entries[0].clientMask = 1u << kSlice0;           // ...delivers locally
-  m.declaredDests.assign({ClientAddr{0, kSlice0}});  // intent matches
-  VerifyResult r = verifyPlan(multicastPlan(std::move(m), {2, 1, 1}));
+  Tree m = chainPattern(3, 2);
+  m.at(0).linkMask = 0;                      // chain cut at source...
+  m.at(0).clientMask = 1u << kSlice0;        // ...delivers locally
+  m.dests.assign({ClientAddr{0, kSlice0}});  // intent matches
+  VerifyResult r = verifyPlan(multicastPlan(m, {2, 1, 1}));
   EXPECT_TRUE(r.ok()) << "a dead table row wastes a slot but breaks nothing";
   const Violation* v = findCheck(r.lints, "multicast.dead-entry");
   ASSERT_NE(v, nullptr);
@@ -305,17 +285,18 @@ TEST(VerifyPlan, DoubleBufferingAbsorbsOneRoundOfSlack) {
 
 TEST(VerifyPlan, UnknownFreePhaseIsFlagged) {
   CommPlan p = pingPlan();
-  p.buffers[0].freePhase = "no-such-phase";
+  p.buffers[0].freePhase = std::uint16_t(p.phases.size());  // no such phase
   VerifyResult r = verifyPlan(p);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(hasCheck(r.violations, "buffer-reuse.bad-phase"));
+  EXPECT_TRUE(hasCheck(r.violations, "plan.index"));
 }
 
 TEST(VerifyPlan, BufferSamplingIsReportedHonestly) {
   CommPlan p = pingPlan();
   for (int i = 0; i < 9; ++i) {
     BufferPlan b = p.buffers[0];
-    b.name = "ping.slot." + std::to_string(i);
+    b.name = std::uint16_t(p.addName("ping.slot." + std::to_string(i)));
     p.buffers.push_back(b);
   }
   VerifyOptions opts;
@@ -355,13 +336,8 @@ CommPlan routePlan(util::TorusShape shape, int dstNode) {
   CommPlan p;
   p.name = "route";
   p.shape = shape;
-  p.addPhase("send");
-  PlannedWrite w;
-  w.phase = "send";
-  w.srcNode = 0;
-  w.dst = {dstNode, kSlice0};
-  w.counterId = net::kNoCounter;
-  p.writes.push_back(w);
+  p.addWrite("send", {.srcNode = 0, .counterId = net::kNoCounter,
+                      .dst = {dstNode, kSlice0}});
   return p;
 }
 
@@ -500,12 +476,12 @@ TEST(VerifyPlan, CorruptedMdPlanIsCaught) {
   off.expectations[0].perRound += 1;
   EXPECT_TRUE(hasCheck(verifyPlan(off).violations, "count"));
 
-  CommPlan cut = base;  // sever one multicast tree mid-walk
-  for (MulticastPlanEntry& m : cut.multicasts)
-    if (m.entries.size() > 2) {
-      auto it = m.entries.begin();
-      if (it->first == m.srcNode) ++it;
-      m.entries.erase(it);
+  CommPlan cut = base;  // sever one multicast tree mid-walk: empty a row
+  for (const MulticastPlanEntry& m : cut.multicasts)
+    if (m.rows.end - m.rows.begin > 2) {
+      TreeRow* row = &cut.treeRows[m.rows.begin];
+      if (row->first == m.srcNode) ++row;
+      row->second = {};
       break;
     }
   VerifyResult rc = verifyPlan(cut);
@@ -548,26 +524,13 @@ TEST(VerifyEvents, WaitBeforeSendCycleIsAStaticDeadlock) {
   CommPlan p;
   p.name = "exchange";
   p.shape = {2, 1, 1};
-  p.addPhase("exchange");
   for (int n = 0; n < 2; ++n) {
-    PlannedWrite w;
-    w.phase = "exchange";
-    w.srcNode = n;
-    w.dst = {1 - n, kSlice0};
-    w.counterId = 0;
-    w.seq = 1;  // send only after the wait fires
-    p.writes.push_back(w);
-
-    CounterExpectation e;
-    e.site = "exchange.recv";
-    e.phase = "exchange";
-    e.client = {n, kSlice0};
-    e.counterId = 0;
-    e.perRound = 1;
-    e.bySource[1 - n] = 1;
-    e.recoveryArmed = true;
-    e.seq = 0;  // wait precedes the send
-    p.expectations.push_back(std::move(e));
+    p.addWrite("exchange", {.srcNode = n, .seq = 1,  // send after the wait
+                            .counterId = 0, .dst = {1 - n, kSlice0}});
+    p.addExpectation("exchange.recv", "exchange",
+                     {.client = {n, kSlice0}, .counterId = 0, .perRound = 1,
+                      .recoveryArmed = true, .seq = 0},  // wait first
+                     {{{1 - n, 1}}});
   }
   VerifyResult r = verifyPlan(p);
   const Violation* v = findCheck(r.violations, "event.deadlock");
@@ -599,30 +562,19 @@ TEST(VerifyDegraded, CutMulticastTreeIsRepairedByRerouting) {
   const int hop = util::torusIndex({1, 0, 0}, p.shape);
   const int dest = util::torusIndex({1, 1, 0}, p.shape);
 
-  MulticastPlanEntry m;
-  m.patternId = 0;
-  m.srcNode = 0;
-  m.entries[0].linkMask = 1u << net::RingLayout::adapterIndex(0, +1);
-  m.entries[hop].linkMask = 1u << net::RingLayout::adapterIndex(1, +1);
-  m.entries[dest].clientMask = 1u << kSlice0;
-  m.declaredDests.push_back({dest, kSlice0});
-  p.multicasts.push_back(m);
-
-  PlannedWrite w;
-  w.phase = "fanout";
-  w.srcNode = 0;
-  w.pattern = 0;
-  w.counterId = 0;
-  p.writes.push_back(w);
-
-  CounterExpectation e;
-  e.site = "mc.recv";
-  e.phase = "sink";
-  e.client = {dest, kSlice0};
-  e.counterId = 0;
-  e.perRound = 1;
-  e.recoveryArmed = true;
-  p.expectations.push_back(std::move(e));
+  Tree m{0,
+         {{0, {.linkMask = std::uint8_t(
+                   1u << net::RingLayout::adapterIndex(0, +1))}},
+          {hop, {.linkMask = std::uint8_t(
+                     1u << net::RingLayout::adapterIndex(1, +1))}},
+          {dest, {.clientMask = 1u << kSlice0}}},
+         {{dest, kSlice0}}};
+  p.addTree(0, 0, m.rows, m.dests);
+  p.addWrite("fanout", {.srcNode = 0, .counterId = 0, .pattern = 0});
+  p.addExpectation("mc.recv", "sink",
+                   {.client = {dest, kSlice0}, .counterId = 0,
+                    .perRound = 1, .recoveryArmed = true},
+                   {});
   ASSERT_TRUE(verifyPlan(p).ok());
 
   VerifyOptions opts;
@@ -638,11 +590,11 @@ TEST(VerifyDegraded, CutMulticastTreeIsRepairedByRerouting) {
 
   // The repair itself must round-trip: rebuilt tables reach the declared
   // destination under the same outage.
-  TreeRepair repair = repairMulticastTree(m, p.shape, opts.downLinks);
+  TreeRepair repair = repairMulticastTree(m.view(), p.shape, opts.downLinks);
   EXPECT_TRUE(repair.ok());
   EXPECT_EQ(repair.reroutedDests, 1);
   TreeExpansion degraded =
-      expandTree(repair.repaired, p.shape, opts.downLinks);
+      expandTree(repair.repaired(m.view()), p.shape, opts.downLinks);
   ASSERT_EQ(degraded.reached.size(), 1u);
   EXPECT_EQ(degraded.reached[0], (ClientAddr{dest, kSlice0}));
 }
@@ -654,31 +606,19 @@ TEST(VerifyDegraded, UnroutableOutageIsReportedAsAStall) {
   p.name = "line";
   p.shape = {4, 1, 1};
   p.addPhaseEdge("fanout", "sink");
-  MulticastPlanEntry m;
-  m.patternId = 0;
-  m.srcNode = 0;
+  Tree m;
   for (int n = 0; n < 3; ++n)
-    m.entries[n].linkMask = 1u << net::RingLayout::adapterIndex(0, +1);
+    m.at(n).linkMask = 1u << net::RingLayout::adapterIndex(0, +1);
   for (int n = 1; n < 4; ++n) {
-    m.entries[n].clientMask = std::uint8_t(m.entries[n].clientMask |
-                                           (1u << kSlice0));
-    m.declaredDests.push_back({n, kSlice0});
-    CounterExpectation e;
-    e.site = "line.recv";
-    e.phase = "sink";
-    e.client = {n, kSlice0};
-    e.counterId = 0;
-    e.perRound = 1;
-    e.recoveryArmed = true;
-    p.expectations.push_back(std::move(e));
+    m.at(n).clientMask = 1u << kSlice0;
+    m.dests.push_back({n, kSlice0});
+    p.addExpectation("line.recv", "sink",
+                     {.client = {n, kSlice0}, .counterId = 0, .perRound = 1,
+                      .recoveryArmed = true},
+                     {});
   }
-  p.multicasts.push_back(m);
-  PlannedWrite w;
-  w.phase = "fanout";
-  w.srcNode = 0;
-  w.pattern = 0;
-  w.counterId = 0;
-  p.writes.push_back(w);
+  p.addTree(0, 0, m.rows, m.dests);
+  p.addWrite("fanout", {.srcNode = 0, .counterId = 0, .pattern = 0});
   ASSERT_TRUE(verifyPlan(p).ok());
 
   VerifyOptions opts;
@@ -729,6 +669,12 @@ TEST(PlanSnapshot, MalformedJsonIsRejectedWithPosition) {
   EXPECT_THROW(planFromJson("{"), std::runtime_error);
   EXPECT_THROW(planFromJson("[]"), std::runtime_error);
   EXPECT_THROW(planFromJson("{\"name\": \"x\"}"), std::runtime_error);
+
+  // A record naming a phase the plan does not list.
+  std::string json = planToJson(pingPlan());
+  const std::string phase = "\"phase\": \"recv\"";
+  json.replace(json.find(phase), phase.size(), "\"phase\": \"nowhere\"");
+  EXPECT_THROW(planFromJson(json), std::runtime_error);
 }
 
 TEST(PlanDiff, NamesDoNotCountButStructureDoes) {

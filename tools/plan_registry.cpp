@@ -81,58 +81,36 @@ verify::CommPlan fig5Plan() {
   p.shape = {8, 8, 8};
   p.addPhaseEdge("ping.send", "ping.recv");
   p.addPhaseEdge("ping.recv", "ping.ack");
+  const int send = p.addPhase("ping.send"), recv = p.addPhase("ping.recv");
   const util::TorusCoord corners[] = {
       {1, 0, 0}, {2, 0, 0}, {4, 0, 0}, {4, 4, 0}, {4, 4, 4}};
-  verify::CounterExpectation ack;
-  ack.site = "ping.ack";
-  ack.phase = "ping.ack";
-  ack.client = {0, net::kSlice0};
-  ack.counterId = 1;
-  verify::BufferPlan ackBuf;
-  ackBuf.name = "ping.ackslots";
-  ackBuf.client = {0, net::kSlice0};
-  ackBuf.bytes = std::uint32_t(std::size(corners)) * 32u;
-  ackBuf.freePhase = "ping.ack";
-  for (std::size_t i = 0; i < std::size(corners); ++i) {
-    int dst = util::torusIndex(corners[i], p.shape);
-    verify::PlannedWrite ping;
-    ping.phase = "ping.send";
-    ping.srcNode = 0;
-    ping.dst = {dst, net::kSlice0};
-    ping.counterId = 0;
-    p.writes.push_back(ping);
-
-    verify::CounterExpectation e;
-    e.site = "ping.recv";
-    e.phase = "ping.recv";
-    e.client = {dst, net::kSlice0};
-    e.counterId = 0;
-    e.perRound = 1;
-    e.bySource[0] = 1;
-    e.recoveryArmed = true;  // the fault bench arms the ping write
-    p.expectations.push_back(std::move(e));
-
-    verify::BufferPlan b;
-    b.name = "ping.slot." + std::to_string(dst);
-    b.client = {dst, net::kSlice0};
-    b.bytes = 32;
-    b.freePhase = "ping.recv";
-    b.writers.push_back({0, "ping.send"});
-    p.buffers.push_back(std::move(b));
-
-    verify::PlannedWrite pong;
-    pong.phase = "ping.recv";
-    pong.srcNode = dst;
-    pong.dst = {0, net::kSlice0};
-    pong.counterId = 1;
-    p.writes.push_back(pong);
-    ack.perRound += 1;
-    ack.bySource[dst] = 1;
-    ackBuf.writers.push_back({dst, "ping.recv"});
+  std::vector<verify::SourceCount> ackFrom;
+  std::vector<verify::BufferWriter> ackWriters;
+  for (const util::TorusCoord& corner : corners) {
+    const int dst = util::torusIndex(corner, p.shape);
+    p.addWrite("ping.send", {.srcNode = 0, .counterId = 0,
+                             .dst = {dst, net::kSlice0}});
+    // The fault bench arms the ping write.
+    p.addExpectation("ping.recv", "ping.recv",
+                     {.client = {dst, net::kSlice0}, .counterId = 0,
+                      .perRound = 1, .recoveryArmed = true},
+                     {{{0, 1}}});
+    const verify::BufferWriter pinger{0, std::uint16_t(send)};
+    p.addBuffer("ping.slot." + std::to_string(dst), "ping.recv",
+                {.client = {dst, net::kSlice0}, .bytes = 32}, {&pinger, 1});
+    p.addWrite("ping.recv", {.srcNode = dst, .counterId = 1,
+                             .dst = {0, net::kSlice0}});
+    ackFrom.push_back({dst, 1});
+    ackWriters.push_back({dst, std::uint16_t(recv)});
   }
-  ack.recoveryArmed = true;
-  p.expectations.push_back(std::move(ack));
-  p.buffers.push_back(std::move(ackBuf));
+  p.addExpectation("ping.ack", "ping.ack",
+                   {.client = {0, net::kSlice0}, .counterId = 1,
+                    .perRound = ackFrom.size(), .recoveryArmed = true},
+                   ackFrom);
+  p.addBuffer("ping.ackslots", "ping.ack",
+              {.client = {0, net::kSlice0},
+               .bytes = std::uint32_t(std::size(corners)) * 32u},
+              ackWriters);
   return p;
 }
 
@@ -190,22 +168,13 @@ verify::CommPlan buildPingPlan(util::TorusCoord corner,
            std::to_string(corner.y) + "-" + std::to_string(corner.z);
   p.shape = shape;
   p.addPhaseEdge("ping.send", "ping.recv");
-  int dst = util::torusIndex(corner, shape);
-  verify::PlannedWrite w;
-  w.phase = "ping.send";
-  w.srcNode = 0;
-  w.dst = {dst, net::kSlice0};
-  w.counterId = 0;
-  p.writes.push_back(w);
-  verify::CounterExpectation e;
-  e.site = "ping.recv";
-  e.phase = "ping.recv";
-  e.client = {dst, net::kSlice0};
-  e.counterId = 0;
-  e.perRound = 1;
-  e.bySource[0] = 1;
-  e.recoveryArmed = true;
-  p.expectations.push_back(std::move(e));
+  const int dst = util::torusIndex(corner, shape);
+  p.addWrite("ping.send",
+             {.srcNode = 0, .counterId = 0, .dst = {dst, net::kSlice0}});
+  p.addExpectation("ping.recv", "ping.recv",
+                   {.client = {dst, net::kSlice0}, .counterId = 0,
+                    .perRound = 1, .recoveryArmed = true},
+                   {{{0, 1}}});
   return p;
 }
 

@@ -170,20 +170,12 @@ std::vector<SelfTest> selfTests() {
     t.plan.name = t.name;
     t.plan.shape = {2, 1, 1};
     t.plan.addPhaseEdge("send", "recv");
-    verify::PlannedWrite w;
-    w.phase = "send";
-    w.srcNode = 0;
-    w.dst = {1, net::kSlice0};
-    w.counterId = 0;
-    t.plan.writes.push_back(w);
-    verify::CounterExpectation e;
-    e.site = "recv";
-    e.phase = "recv";
-    e.client = {1, net::kSlice0};
-    e.counterId = 0;
-    e.perRound = 2;
-    e.recoveryArmed = true;
-    t.plan.expectations.push_back(e);
+    t.plan.addWrite("send",
+                    {.srcNode = 0, .counterId = 0, .dst = {1, net::kSlice0}});
+    t.plan.addExpectation("recv", "recv",
+                          {.client = {1, net::kSlice0}, .counterId = 0,
+                           .perRound = 2, .recoveryArmed = true},
+                          {});
     tests.push_back(std::move(t));
   }
   {
@@ -192,15 +184,15 @@ std::vector<SelfTest> selfTests() {
     t.expect = "multicast.cycle";
     t.plan.name = t.name;
     t.plan.shape = {4, 1, 1};
-    verify::MulticastPlanEntry m;
-    m.patternId = 7;
-    m.srcNode = 0;
-    int xPlus = net::RingLayout::adapterIndex(0, +1);
+    const auto xPlus =
+        std::uint8_t(1u << net::RingLayout::adapterIndex(0, +1));
+    std::vector<verify::TreeRow> rows;
     for (int n = 0; n < 4; ++n)
-      m.entries[n].linkMask = std::uint8_t(1u << xPlus);
-    m.entries[2].clientMask = std::uint8_t(1u << net::kSlice0);
-    m.declaredDests = {{2, net::kSlice0}};
-    t.plan.multicasts.push_back(std::move(m));
+      rows.push_back(
+          {n, {.clientMask = std::uint8_t(n == 2 ? 1u << net::kSlice0 : 0u),
+               .linkMask = xPlus}});
+    const net::ClientAddr dest{2, net::kSlice0};
+    t.plan.addTree(7, 0, rows, {&dest, 1});
     tests.push_back(std::move(t));
   }
   {
@@ -209,12 +201,10 @@ std::vector<SelfTest> selfTests() {
     t.expect = "multicast.pattern-limit";
     t.plan.name = t.name;
     t.plan.shape = {2, 1, 1};
-    verify::MulticastPlanEntry m;
-    m.patternId = net::kMulticastPatterns;  // first invalid id
-    m.srcNode = 0;
-    m.entries[0].clientMask = std::uint8_t(1u << net::kSlice0);
-    m.declaredDests = {{0, net::kSlice0}};
-    t.plan.multicasts.push_back(std::move(m));
+    const verify::TreeRow row{0, {.clientMask = 1u << net::kSlice0}};
+    const net::ClientAddr dest{0, net::kSlice0};
+    t.plan.addTree(net::kMulticastPatterns,  // first invalid id
+                   0, {&row, 1}, {&dest, 1});
     tests.push_back(std::move(t));
   }
   {
@@ -224,27 +214,16 @@ std::vector<SelfTest> selfTests() {
     t.plan.name = t.name;
     t.plan.shape = {2, 1, 1};
     t.plan.addPhaseEdge("send", "recv");
-    verify::PlannedWrite w;
-    w.phase = "send";
-    w.srcNode = 0;
-    w.dst = {1, net::kSlice0};
-    w.counterId = 0;
-    t.plan.writes.push_back(w);
-    verify::CounterExpectation e;
-    e.site = "recv";
-    e.phase = "recv";
-    e.client = {1, net::kSlice0};
-    e.counterId = 0;
-    e.perRound = 1;
-    e.recoveryArmed = true;
-    t.plan.expectations.push_back(e);
-    verify::BufferPlan b;
-    b.name = "slot";
-    b.client = {1, net::kSlice0};
-    b.bytes = 32;
-    b.freePhase = "recv";
-    b.writers.push_back({0, "send"});
-    t.plan.buffers.push_back(b);
+    t.plan.addWrite("send",
+                    {.srcNode = 0, .counterId = 0, .dst = {1, net::kSlice0}});
+    t.plan.addExpectation("recv", "recv",
+                          {.client = {1, net::kSlice0}, .counterId = 0,
+                           .perRound = 1, .recoveryArmed = true},
+                          {});
+    const verify::BufferWriter sender{0,
+                                      std::uint16_t(t.plan.addPhase("send"))};
+    t.plan.addBuffer("slot", "recv", {.client = {1, net::kSlice0}, .bytes = 32},
+                     {&sender, 1});
     tests.push_back(std::move(t));
   }
   {
@@ -254,20 +233,13 @@ std::vector<SelfTest> selfTests() {
     t.plan.name = t.name;
     t.plan.shape = {4, 4, 1};
     t.plan.addPhaseEdge("send", "recv");
-    verify::PlannedWrite w;
-    w.phase = "send";
-    w.srcNode = 0;
-    w.dst = {anton::util::torusIndex({2, 1, 0}, t.plan.shape), net::kSlice0};
-    w.counterId = 0;
-    t.plan.writes.push_back(w);
-    verify::CounterExpectation e;
-    e.site = "recv";
-    e.phase = "recv";
-    e.client = w.dst;
-    e.counterId = 0;
-    e.perRound = 1;
-    e.recoveryArmed = true;
-    t.plan.expectations.push_back(e);
+    const net::ClientAddr dst{anton::util::torusIndex({2, 1, 0}, t.plan.shape),
+                              net::kSlice0};
+    t.plan.addWrite("send", {.srcNode = 0, .counterId = 0, .dst = dst});
+    t.plan.addExpectation("recv", "recv",
+                          {.client = dst, .counterId = 0, .perRound = 1,
+                           .recoveryArmed = true},
+                          {});
     t.opts.downLinks = {{1, 0, +1}};  // +x out of node (1,0,0) is down
     t.opts.routeIssuesAreErrors = true;
     tests.push_back(std::move(t));
@@ -299,22 +271,13 @@ std::vector<SelfTest> selfTests() {
     t.plan.shape = {2, 1, 1};
     t.plan.addPhase("exchange");
     for (int n = 0; n < 2; ++n) {
-      verify::PlannedWrite w;
-      w.phase = "exchange";
-      w.srcNode = n;
-      w.dst = {1 - n, net::kSlice0};
-      w.counterId = 0;
-      w.seq = 1;  // send issued after the wait below
-      t.plan.writes.push_back(w);
-      verify::CounterExpectation e;
-      e.site = "exchange";
-      e.phase = "exchange";
-      e.client = {n, net::kSlice0};
-      e.counterId = 0;
-      e.perRound = 1;
-      e.recoveryArmed = true;
-      e.seq = 0;
-      t.plan.expectations.push_back(e);
+      t.plan.addWrite("exchange",  // send issued after the wait below
+                      {.srcNode = n, .seq = 1, .counterId = 0,
+                       .dst = {1 - n, net::kSlice0}});
+      t.plan.addExpectation("exchange", "exchange",
+                            {.client = {n, net::kSlice0}, .counterId = 0,
+                             .perRound = 1, .recoveryArmed = true, .seq = 0},
+                            {});
     }
     tests.push_back(std::move(t));
   }
@@ -326,20 +289,12 @@ std::vector<SelfTest> selfTests() {
     t.plan.name = t.name;
     t.plan.shape = {2, 1, 1};
     t.plan.addPhaseEdge("send", "recv");
-    verify::PlannedWrite w;
-    w.phase = "send";
-    w.srcNode = 0;
-    w.dst = {1, net::kSlice0};
-    w.counterId = 0;
-    t.plan.writes.push_back(w);
-    verify::CounterExpectation e;
-    e.site = "recv";
-    e.phase = "recv";
-    e.client = {1, net::kSlice0};
-    e.counterId = 0;
-    e.perRound = 1;
-    e.recoveryArmed = false;
-    t.plan.expectations.push_back(e);
+    t.plan.addWrite("send",
+                    {.srcNode = 0, .counterId = 0, .dst = {1, net::kSlice0}});
+    t.plan.addExpectation("recv", "recv",
+                          {.client = {1, net::kSlice0}, .counterId = 0,
+                           .perRound = 1, .recoveryArmed = false},
+                          {});
     tests.push_back(std::move(t));
   }
   {
@@ -348,17 +303,17 @@ std::vector<SelfTest> selfTests() {
     t.expect = "multicast.stalled";
     t.plan.name = t.name;
     t.plan.shape = {4, 1, 1};
-    verify::MulticastPlanEntry m;
-    m.patternId = 9;
-    m.srcNode = 0;
-    int xPlus = net::RingLayout::adapterIndex(0, +1);
-    for (int n = 0; n < 3; ++n)
-      m.entries[n].linkMask = std::uint8_t(1u << xPlus);
-    for (int n = 1; n < 4; ++n) {
-      m.entries[n].clientMask = std::uint8_t(1u << net::kSlice0);
-      m.declaredDests.push_back({n, net::kSlice0});
+    const auto xPlus =
+        std::uint8_t(1u << net::RingLayout::adapterIndex(0, +1));
+    std::vector<verify::TreeRow> rows;
+    std::vector<net::ClientAddr> dests;
+    for (int n = 0; n < 4; ++n) {
+      rows.push_back(
+          {n, {.clientMask = std::uint8_t(n > 0 ? 1u << net::kSlice0 : 0u),
+               .linkMask = std::uint8_t(n < 3 ? xPlus : 0u)}});
+      if (n > 0) dests.push_back({n, net::kSlice0});
     }
-    t.plan.multicasts.push_back(std::move(m));
+    t.plan.addTree(9, 0, rows, dests);
     t.opts.downLinks = {{0, 0, +1}};
     t.opts.routeIssuesAreErrors = true;
     tests.push_back(std::move(t));
@@ -449,54 +404,34 @@ verify::CommPlan contentionFunnelPlan() {
   p.name = "bad-timing-contention";
   p.shape = {4, 1, 1};
   p.addPhaseEdge("burst", "drain");
-  verify::CounterExpectation e;
-  e.site = "drain";
-  e.phase = "drain";
-  e.client = {0, net::kSlice0};
-  e.counterId = 0;
-  e.recoveryArmed = true;
+  std::vector<verify::SourceCount> bursts;
   for (int n = 1; n < 4; ++n) {
-    verify::PlannedWrite w;
-    w.phase = "burst";
-    w.srcNode = n;
-    w.dst = {0, net::kSlice0};
-    w.counterId = 0;
-    w.packets = 8;
-    w.bytes = 2048;
-    p.writes.push_back(w);
-    e.perRound += 8;
-    e.bySource[n] = 8;
+    p.addWrite("burst", {.srcNode = n, .counterId = 0,
+                         .dst = {0, net::kSlice0}, .packets = 8,
+                         .bytes = 2048});
+    bursts.push_back({n, 8});
   }
-  p.expectations.push_back(std::move(e));
+  p.addExpectation("drain", "drain",
+                   {.client = {0, net::kSlice0}, .counterId = 0,
+                    .perRound = 24, .recoveryArmed = true},
+                   bursts);
   // Credit flow control: the drain acks each sender, and the next round's
   // burst waits for the credit. That couples consecutive rounds across
   // nodes, so the plan claims a finite steady-state round (a nonzero
   // per-round budget) — which is exactly what the funnel link cannot
   // serialize.
+  std::vector<verify::BufferWriter> writers;
   for (int n = 1; n < 4; ++n) {
-    verify::PlannedWrite ack;
-    ack.phase = "drain";
-    ack.srcNode = 0;
-    ack.dst = {n, net::kSlice0};
-    ack.counterId = 1;
-    p.writes.push_back(ack);
-    verify::CounterExpectation credit;
-    credit.site = "burst.credit";
-    credit.phase = "burst";
-    credit.client = {n, net::kSlice0};
-    credit.counterId = 1;
-    credit.perRound = 1;
-    credit.bySource[0] = 1;
-    credit.recoveryArmed = true;
-    p.expectations.push_back(std::move(credit));
+    p.addWrite("drain",
+               {.srcNode = 0, .counterId = 1, .dst = {n, net::kSlice0}});
+    p.addExpectation("burst.credit", "burst",
+                     {.client = {n, net::kSlice0}, .counterId = 1,
+                      .perRound = 1, .recoveryArmed = true},
+                     {{{0, 1}}});
+    writers.push_back({n, std::uint16_t(p.addPhase("burst"))});
   }
-  verify::BufferPlan b;
-  b.name = "drain.slots";
-  b.client = {0, net::kSlice0};
-  b.bytes = 24 * 2048;
-  b.freePhase = "drain";
-  for (int n = 1; n < 4; ++n) b.writers.push_back({n, "burst"});
-  p.buffers.push_back(std::move(b));
+  p.addBuffer("drain.slots", "drain",
+              {.client = {0, net::kSlice0}, .bytes = 24 * 2048}, writers);
   return p;
 }
 
