@@ -91,15 +91,19 @@ int main() {
             << sim::toUs(sim.now() - t0) << " us\n";
 
   // --- 4. the same configuration as a simulation-service job: the spec is
-  // declarative, its communication plan is statically verifiable, and the
-  // result is canonical JSON a simd_server would cache under the plan key.
+  // declarative and its hash is the job's cache key. The runner builds the
+  // job's machine and MD app once, verifies the plan extracted from them and
+  // only then simulates them; planForSpec returns that same plan. The result
+  // is the canonical JSON a simd_server would cache under the job key.
   std::cout << "4) run the quickstart MD job through the service runner\n";
-  verify::CommPlan plan = serve::planForSpec(spec);
   sim::Simulator arena;
-  serve::RunOutcome out = serve::runJob(spec, arena);
-  std::cout << "   plan key " << verify::planKeyHex(plan) << ", job key "
-            << util::hex64(serve::jobKey(spec, plan)) << "\n"
+  verify::VerifyResult verdict;
+  serve::RunOutcome out = serve::runJob(spec, arena, {}, &verdict);
+  std::cout << "   job key " << util::hex64(serve::jobKey(spec))
+            << ", plan key " << verify::planKeyHex(serve::planForSpec(spec))
+            << ", " << verdict.violations.size() << " plan violations\n"
             << "   " << out.resultJson << "\n";
+  if (!verdict.ok() || out.resultJson.empty()) return 1;
 
   std::cout << "\nDone. Explore bench/ for the paper's tables and figures,\n"
                "and tools/simd_server for the job-server daemon.\n";

@@ -5,8 +5,8 @@
 // doesn't (submission options like deadlines and cache policy live
 // elsewhere: they change *when* a result arrives, never what it is). Specs
 // serialize to canonical strict JSON with a fixed key order, so the same
-// choreography always produces the same bytes; together with the plan
-// snapshot those bytes form the server's cache key (runner.hpp).
+// choreography always produces the same bytes; their hash is the server's
+// cache key (runner.hpp).
 //
 // The family factories below are THE construction path for the shipped
 // configurations: the quickstart example, the Fig. 5 and Table 2 bench

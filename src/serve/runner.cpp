@@ -1,6 +1,7 @@
 #include "serve/runner.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -13,46 +14,41 @@
 #include "net/probe.hpp"
 #include "plan_registry.hpp"
 #include "util/json.hpp"
-#include "verify/snapshot.hpp"
 
 namespace anton::serve {
 namespace {
 
 namespace json = util::json;
 
-/// Fig. 5 destination at the given hop count: 1-4 X only, 5-8 add Y,
-/// 9-12 add Z (shortest-path max 4 per dimension on the 8x8x8 torus).
+/// Called between a family's construction and its simulation with the plan
+/// of the objects just built; simulation goes ahead only when it returns
+/// true. Empty for a plain run, which extracts nothing.
+using PlanGate = std::function<bool(verify::CommPlan)>;
+
 RunOutcome cancelledOutcome() {
   RunOutcome out;
   out.cancelled = true;
   return out;
 }
 
-util::TorusCoord destAtHops(int hops) {
-  int hx = std::min(hops, 4);
-  int hy = std::min(std::max(hops - 4, 0), 4);
-  int hz = std::min(std::max(hops - 8, 0), 4);
-  return {hx, hy, hz};
+/// The plan of an all-reduce job's collective, named after its job.
+verify::CommPlan allReducePlan(const JobSpec& spec,
+                               const core::DimOrderedAllReduce& reduce) {
+  verify::CommPlan p;
+  p.name = std::string(familyName(spec.family)) + "-" + spec.shape.str();
+  p.shape = spec.shape;
+  reduce.appendPlan(p, "");
+  return p;
 }
 
-md::AntonMdConfig mdConfigFor(const JobSpec& spec) {
-  md::AntonMdConfig cfg = tools::quickstartMdConfig();
-  cfg.recoveryTimeoutUs = spec.recoveryTimeoutUs;
-  cfg.recoveryMaxResends = spec.recoveryMaxResends;
-  cfg.recoveryBackoffUs = spec.recoveryBackoffUs;
-  return cfg;
-}
-
-core::RecoveryHooks recoveryHooksFor(const JobSpec& spec,
-                                     core::DropRegistry& reg,
-                                     core::RecoveryStats& stats) {
-  core::RecoveryHooks hooks;
-  hooks.registry = &reg;
-  hooks.config.timeout = sim::us(spec.recoveryTimeoutUs);
-  hooks.config.maxResends = spec.recoveryMaxResends;
-  hooks.config.resendBackoff = sim::us(spec.recoveryBackoffUs);
-  hooks.stats = &stats;
-  return hooks;
+/// True when every node's all-reduce result is `words` copies of `expect`.
+bool reducedTo(const std::vector<std::vector<double>>& out, std::size_t words,
+               double expect) {
+  for (const std::vector<double>& v : out)
+    if (v.size() != words || std::count(v.begin(), v.end(), expect) !=
+                                 std::ptrdiff_t(words))
+      return false;
+  return true;
 }
 
 /// Canonical metrics object: sorted keys (std::map order), classic-locale
@@ -93,13 +89,18 @@ RunOutcome finish(const JobSpec& spec, std::map<std::string, double> metrics,
 }
 
 RunOutcome runQuickstartMd(const JobSpec& spec, sim::Simulator& arena,
-                           const CancelToken& cancel) {
+                           const CancelToken& cancel, const PlanGate& gate) {
   arena.reset();
   net::Machine machine(arena, spec.shape);
   md::SyntheticSystemParams sp;
   sp.targetAtoms = spec.atoms;
   sp.seed = spec.seed;
-  md::AntonMdApp app(machine, md::buildSyntheticSystem(sp), mdConfigFor(spec));
+  md::AntonMdConfig cfg = tools::quickstartMdConfig();
+  cfg.recoveryTimeoutUs = spec.recoveryTimeoutUs;
+  cfg.recoveryMaxResends = spec.recoveryMaxResends;
+  cfg.recoveryBackoffUs = spec.recoveryBackoffUs;
+  md::AntonMdApp app(machine, md::buildSyntheticSystem(sp), cfg);
+  if (gate && !gate(app.extractCommPlan())) return {};
   // One runSteps call per step so cancellation can land between steps: the
   // step counter carries across calls, so the phase schedule (long-range /
   // thermostat / migration cadence) is identical to one runSteps(steps).
@@ -131,10 +132,22 @@ RunOutcome runQuickstartMd(const JobSpec& spec, sim::Simulator& arena,
 }
 
 RunOutcome runFig5Ping(const JobSpec& spec, sim::Simulator& arena,
-                       const CancelToken& cancel) {
+                       const CancelToken& cancel, const PlanGate& gate) {
+  // The probed destinations: 1-4 hops X only, 5-8 add Y, 9-12 add Z
+  // (shortest-path max 4 per dimension on the 8x8x8 torus); hop 0 is node
+  // 0's other slice. The job's plan pings exactly these, with unarmed waits.
+  std::vector<net::ClientAddr> dests;
+  for (int h = 0; h <= spec.maxHops; ++h) {
+    util::TorusCoord c{std::min(h, 4), std::min(std::max(h - 4, 0), 4),
+                       std::min(std::max(h - 8, 0), 4)};
+    dests.push_back({util::torusIndex(c, spec.shape),
+                     h == 0 ? net::kSlice1 : net::kSlice0});
+  }
+  if (gate && !gate(tools::buildFig5Plan(dests, /*recoveryArmed=*/false)))
+    return {};
   std::map<std::string, double> m;
   std::uint64_t reroutes = 0;
-  auto measure = [&](int hops, int payload, bool bidir) {
+  auto measure = [&](net::ClientAddr dst, int payload, bool bidir) {
     arena.reset();
     net::MachineConfig mc;
     mc.faultReroute = spec.degradedMode;
@@ -148,8 +161,6 @@ RunOutcome runFig5Ping(const JobSpec& spec, sim::Simulator& arena,
       machine.setFaultModel(&plan);
     }
     net::ClientAddr src{0, net::kSlice0};
-    net::ClientAddr dst{util::torusIndex(destAtHops(hops), machine.shape()),
-                        hops == 0 ? net::kSlice1 : net::kSlice0};
     double ns = bidir
                     ? net::bidirLatencyNs(machine, src, dst, std::size_t(payload))
                     : net::oneWayLatencyNs(machine, src, dst,
@@ -164,8 +175,8 @@ RunOutcome runFig5Ping(const JobSpec& spec, sim::Simulator& arena,
     if (cancel.stop()) return cancelledOutcome();
     for (int payload : payloads) {
       std::string tail = std::to_string(payload) + "_h" + std::to_string(h);
-      m["uni" + tail] = measure(h, payload, false);
-      m["bidir" + tail] = measure(h, payload, true);
+      m["uni" + tail] = measure(dests[std::size_t(h)], payload, false);
+      m["bidir" + tail] = measure(dests[std::size_t(h)], payload, true);
     }
   }
   if (spec.maxHops >= 1) m["one_hop_ns"] = m.at("uni0_h1");
@@ -174,16 +185,17 @@ RunOutcome runFig5Ping(const JobSpec& spec, sim::Simulator& arena,
 }
 
 RunOutcome runTable2AllReduce(const JobSpec& spec, sim::Simulator& arena,
-                              const CancelToken& cancel) {
+                              const CancelToken& cancel,
+                              const PlanGate& gate) {
   if (cancel.stop()) return cancelledOutcome();
   arena.reset();
   net::Machine machine(arena, spec.shape);
   core::DimOrderedAllReduce reduce(machine);
+  if (gate && !gate(allReducePlan(spec, reduce))) return {};
 
   const int n = machine.numNodes();
   const std::size_t words = std::size_t(spec.words);
-  std::vector<std::vector<double>> out;
-  out.resize(std::size_t(n));
+  std::vector<std::vector<double>> out(static_cast<std::size_t>(n));
   double start = sim::toUs(arena.now());
   double done = start;
   auto task = [&](int node) -> sim::Task {
@@ -195,22 +207,16 @@ RunOutcome runTable2AllReduce(const JobSpec& spec, sim::Simulator& arena,
   arena.run();
 
   double expect = double(n) * double(n - 1) / 2.0;  // sum 0..n-1, exact
-  bool correct = true;
-  for (int node = 0; node < n; ++node) {
-    if (out[std::size_t(node)].size() != words) correct = false;
-    for (double v : out[std::size_t(node)])
-      if (v != expect) correct = false;
-  }
   std::map<std::string, double> m;
   m["allreduce_us"] = done - start;
   m["nodes"] = double(n);
   m["words"] = double(spec.words);
-  m["correct"] = correct ? 1.0 : 0.0;
+  m["correct"] = reducedTo(out, words, expect) ? 1.0 : 0.0;
   return finish(spec, std::move(m));
 }
 
 RunOutcome runFaultSweep(const JobSpec& spec, sim::Simulator& arena,
-                         const CancelToken& cancel) {
+                         const CancelToken& cancel, const PlanGate& gate) {
   if (cancel.stop()) return cancelledOutcome();
   arena.reset();
   net::MachineConfig mc;
@@ -223,12 +229,17 @@ RunOutcome runFaultSweep(const JobSpec& spec, sim::Simulator& arena,
   core::DropRegistry registry(machine);
   core::RecoveryStats stats;
   core::DimOrderedAllReduce reduce(machine);
-  reduce.setRecovery(recoveryHooksFor(spec, registry, stats));
+  reduce.setRecovery({.registry = &registry,
+                      .config = {.timeout = sim::us(spec.recoveryTimeoutUs),
+                                 .maxResends = spec.recoveryMaxResends,
+                                 .resendBackoff =
+                                     sim::us(spec.recoveryBackoffUs)},
+                      .stats = &stats});
+  if (gate && !gate(allReducePlan(spec, reduce))) return {};
 
   const int n = machine.numNodes();
   const std::size_t words = std::size_t(spec.words);
-  std::vector<std::vector<double>> out;
-  out.resize(std::size_t(n));
+  std::vector<std::vector<double>> out(static_cast<std::size_t>(n));
   auto task = [&](int node) -> sim::Task {
     std::vector<double> in(words, double(node + 1));  // exact in double
     co_await reduce.run(node, std::move(in), &out[std::size_t(node)]);
@@ -237,17 +248,11 @@ RunOutcome runFaultSweep(const JobSpec& spec, sim::Simulator& arena,
   arena.run();
 
   double expect = double(n) * double(n + 1) / 2.0;  // sum 1..n, exact
-  bool correct = true;
-  for (int node = 0; node < n; ++node) {
-    if (out[std::size_t(node)].size() != words) correct = false;
-    for (double v : out[std::size_t(node)])
-      if (v != expect) correct = false;
-  }
   std::map<std::string, double> m;
   m["allreduce_us"] = sim::toUs(arena.now());
   m["nodes"] = double(n);
   m["words"] = double(spec.words);
-  m["correct"] = correct ? 1.0 : 0.0;
+  m["correct"] = reducedTo(out, words, expect) ? 1.0 : 0.0;
   m["crc_retransmits"] = double(machine.stats().crcRetransmits);
   m["link_failures"] = double(machine.stats().linkFailures);
   m["drops"] = double(registry.dropsObserved());
@@ -257,37 +262,45 @@ RunOutcome runFaultSweep(const JobSpec& spec, sim::Simulator& arena,
   return finish(spec, std::move(m));
 }
 
+/// The one per-family construction: builds the job's objects on `arena`,
+/// hands their plan to `gate` (when given) and simulates them.
+RunOutcome runFamily(const JobSpec& spec, sim::Simulator& arena,
+                     const CancelToken& cancel, const PlanGate& gate) {
+  switch (spec.family) {
+    case JobFamily::kQuickstartMd:
+      return runQuickstartMd(spec, arena, cancel, gate);
+    case JobFamily::kFig5Ping: return runFig5Ping(spec, arena, cancel, gate);
+    case JobFamily::kTable2AllReduce:
+      return runTable2AllReduce(spec, arena, cancel, gate);
+    case JobFamily::kFaultSweep:
+      return runFaultSweep(spec, arena, cancel, gate);
+  }
+  throw std::invalid_argument("runJob: unknown family");
+}
+
 }  // namespace
 
 verify::CommPlan planForSpec(const JobSpec& spec) {
-  switch (spec.family) {
-    case JobFamily::kQuickstartMd:
-      return tools::buildMdPlan("md-" + spec.shape.str(), spec.shape,
-                                spec.atoms, mdConfigFor(spec));
-    case JobFamily::kFig5Ping:
-      return tools::buildNamedPlan("fig5-ping");
-    case JobFamily::kTable2AllReduce:
-    case JobFamily::kFaultSweep:
-      return tools::buildNamedPlan("table2-allreduce-" + spec.shape.str());
-  }
-  throw std::invalid_argument("planForSpec: unknown family");
+  sim::Simulator sim;
+  verify::CommPlan plan;
+  runFamily(spec, sim, {}, [&](verify::CommPlan p) {
+    plan = std::move(p);
+    return false;
+  });
+  return plan;
 }
 
-std::uint64_t jobKey(const JobSpec& spec, const verify::CommPlan& plan) {
-  return util::fnv1a64(verify::planToJson(plan),
-                       util::fnv1a64(specToJson(spec)));
+std::uint64_t jobKey(const JobSpec& spec) {
+  return util::fnv1a64(specToJson(spec));
 }
 
 RunOutcome runJob(const JobSpec& spec, sim::Simulator& arena,
-                  const CancelToken& cancel) {
-  switch (spec.family) {
-    case JobFamily::kQuickstartMd: return runQuickstartMd(spec, arena, cancel);
-    case JobFamily::kFig5Ping: return runFig5Ping(spec, arena, cancel);
-    case JobFamily::kTable2AllReduce:
-      return runTable2AllReduce(spec, arena, cancel);
-    case JobFamily::kFaultSweep: return runFaultSweep(spec, arena, cancel);
-  }
-  throw std::invalid_argument("runJob: unknown family");
+                  const CancelToken& cancel, verify::VerifyResult* verified) {
+  if (verified == nullptr) return runFamily(spec, arena, cancel, {});
+  return runFamily(spec, arena, cancel, [&](verify::CommPlan plan) {
+    *verified = verify::verifyPlan(plan);
+    return verified->ok();
+  });
 }
 
 }  // namespace anton::serve

@@ -6,13 +6,17 @@
 // construction, same measurement helpers, same arithmetic — and renders the
 // observables as canonical JSON. Determinism is the contract: the same spec
 // on any worker (or serially on one) produces byte-identical result JSON,
-// which is what makes the snapshot-keyed result cache sound.
+// which is what makes the spec-keyed result cache sound.
 //
-// Cache keying: jobKey() continues one FNV-1a stream over the canonical
-// spec JSON and the plan's canonical snapshot bytes (verify/snapshot.hpp).
-// Two submissions key identically exactly when they request the same
-// choreography with the same parameters — so verification and simulation
-// happen once per distinct choreography.
+// One construction per family decides what a job runs: its Machine and
+// subsystem (MD app, all-reduce) or, for the Fig. 5 sweep, its probe list.
+// The plan a job is verified against is extracted from those very objects,
+// so the verified traffic is the simulated traffic.
+//
+// Cache keying: jobKey() is FNV-1a over the canonical spec JSON. The plan
+// is a function of the spec, so two submissions key identically exactly
+// when they request the same choreography with the same parameters, and a
+// cache hit needs no plan at all.
 #pragma once
 
 #include <atomic>
@@ -23,7 +27,7 @@
 
 #include "serve/job_spec.hpp"
 #include "sim/simulator.hpp"
-#include "verify/plan.hpp"
+#include "verify/checks.hpp"
 
 namespace anton::serve {
 
@@ -55,20 +59,23 @@ struct RunOutcome {
   std::uint64_t digest = 0;
 };
 
-/// The static communication plan a spec will put on the wire, built through
-/// the shipped plan registry (tools/plan_registry). Throws on specs whose
-/// family/shape combination has no plan (validateSpec rejects those first).
+/// The static communication plan runJob(spec) puts on the wire: the job's
+/// own construction, on a private Simulator, with nothing simulated.
 verify::CommPlan planForSpec(const JobSpec& spec);
 
-/// The service cache key: FNV-1a over canonical spec JSON, continued over
-/// the plan's canonical snapshot bytes.
-std::uint64_t jobKey(const JobSpec& spec, const verify::CommPlan& plan);
+/// The service cache key: FNV-1a over the canonical spec JSON.
+std::uint64_t jobKey(const JobSpec& spec);
 
 /// Execute `spec` on `arena`. The runner resets the arena before each
 /// internal measurement unit, so results are identical to running on a
 /// fresh Simulator; it leaves the arena drained (a subsequent reset()
 /// reports 0 discarded — the cross-job leak audit the server performs).
+/// With `verified`, the plan of the objects built is verified into it
+/// between construction and simulation, and a plan with violations returns
+/// an empty, uncancelled outcome without simulating; without, nothing is
+/// extracted or verified.
 RunOutcome runJob(const JobSpec& spec, sim::Simulator& arena,
-                  const CancelToken& cancel = {});
+                  const CancelToken& cancel = {},
+                  verify::VerifyResult* verified = nullptr);
 
 }  // namespace anton::serve

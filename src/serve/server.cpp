@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "util/json.hpp"
-#include "verify/checks.hpp"
 
 namespace anton::serve {
 namespace {
@@ -145,10 +144,7 @@ void JobServer::resume() {
 void JobServer::shutdown() {
   {
     util::MutexLock lk(mu_);
-    if (stop_) {
-      // Second call: workers already told to stop; fall through to join.
-    }
-    stop_ = true;
+    stop_ = true;  // a second call finds the queue empty and just joins
     for (std::uint64_t id : queue_) {
       Job& job = jobs_.at(id);
       job.rec.error = "server shut down before the job ran";
@@ -203,30 +199,27 @@ void JobServer::workerLoop(int index) {
 
     auto t0 = std::chrono::steady_clock::now();
     JobState final = JobState::kDone;
-    std::string error, resultJson, keyHex;
-    std::uint64_t digest = 0, key = 0;
+    std::string error, resultJson;
+    std::uint64_t digest = 0;
+    const std::uint64_t key = jobKey(spec);
     int violations = 0, lints = 0;
     bool cacheHit = false, stored = false;
     std::size_t dirty = 0;
     try {
-      verify::CommPlan plan = planForSpec(spec);
-      key = jobKey(spec, plan);
-      keyHex = util::hex64(key);
-      CacheEntry cached;
       {
         util::MutexLock lk2(mu_);
         auto it = cache_.find(key);
         if (opts.useCache && it != cache_.end()) {
           cacheHit = true;
-          cached = it->second;
+          resultJson = it->second.resultJson;
+          digest = it->second.digest;
+          lints = it->second.lints;
         }
       }
-      if (cacheHit) {
-        resultJson = cached.resultJson;
-        digest = cached.digest;
-        lints = cached.lints;
-      } else {
-        verify::VerifyResult vr = verify::verifyPlan(plan);
+      if (!cacheHit) {
+        dirty = arena.reset();
+        verify::VerifyResult vr;
+        RunOutcome out = runJob(spec, arena, token, &vr);
         violations = int(vr.violations.size());
         lints = int(vr.lints.size());
         if (!vr.ok()) {
@@ -237,17 +230,13 @@ void JobServer::workerLoop(int index) {
                   vr.violations.front().detail;
           if (violations > 1)
             error += " (+" + std::to_string(violations - 1) + " more)";
+        } else if (out.cancelled) {
+          final = cancelFlag->load() ? JobState::kCancelled
+                                     : JobState::kExpired;
         } else {
-          dirty = arena.reset();
-          RunOutcome out = runJob(spec, arena, token);
-          if (out.cancelled) {
-            final = cancelFlag->load() ? JobState::kCancelled
-                                       : JobState::kExpired;
-          } else {
-            resultJson = out.resultJson;
-            digest = out.digest;
-            stored = true;
-          }
+          resultJson = out.resultJson;
+          digest = out.digest;
+          stored = true;
         }
       }
     } catch (const std::exception& e) {
@@ -261,7 +250,7 @@ void JobServer::workerLoop(int index) {
       cache_[key] = CacheEntry{resultJson, digest, lints};
     Job& done = jobs_.at(id);
     done.rec.cacheHit = cacheHit;
-    done.rec.cacheKeyHex = keyHex;
+    done.rec.cacheKeyHex = util::hex64(key);
     done.rec.resultJson = resultJson;
     done.rec.digest = digest;
     done.rec.error = error;

@@ -7,12 +7,14 @@
 // structurally, queued into a bounded queue (a full queue rejects with a
 // reason — the accept path never blocks), and executed as:
 //
-//   plan     = planForSpec(spec)          static plan via the registry
-//   key      = jobKey(spec, plan)         FNV over spec + snapshot bytes
-//   cache?   -> done, cacheHit = true     verified+simulated once per key
-//   verify   = verifyPlan(plan)           violations fail the job up front
+//   key      = jobKey(spec)               FNV over the canonical spec bytes
+//   cache?   -> done, cacheHit = true     no plan work on a hit
 //   reset()  audit                        arena must come back clean (0)
-//   runJob(spec, arena, token)            cooperative cancel + deadline
+//   runJob(spec, arena, token, &verdict)  builds the job's objects once,
+//                                         verifies their plan (violations
+//                                         fail the job before it
+//                                         simulates), then simulates them
+//                                         with cooperative cancel + deadline
 //   cache[key] = result                   stored even for useCache=false
 //
 // Results are canonical JSON (runner.hpp): bit-identical across workers for
@@ -73,7 +75,7 @@ struct JobRecord {
   JobSpec spec;
   JobState state = JobState::kQueued;
   bool cacheHit = false;
-  std::string cacheKeyHex;  ///< "0x..." once the plan was built
+  std::string cacheKeyHex;  ///< "0x..." jobKey(spec), once a worker took it
   std::string resultJson;   ///< canonical outcome (kDone only)
   std::uint64_t digest = 0;
   std::string error;        ///< kFailed diagnostic

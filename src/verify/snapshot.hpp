@@ -31,8 +31,7 @@ CommPlan planFromJson(const std::string& json);
 /// Identical across runs and platforms: the canonical JSON is byte-stable
 /// (fixed key order, integer-only numbers, classic-locale formatting) and
 /// FNV-1a consumes it byte-wise, so host endianness never enters the hash.
-/// This is the cache key the job server (src/serve) uses: identical
-/// choreographies key identically, so they verify and simulate once.
+/// `verify_plans --plan-keys` prints it and golden_plan_test pins it.
 std::uint64_t planKey(const CommPlan& plan);
 
 /// planKey rendered as "0x" + 16 lowercase hex digits.

@@ -53,10 +53,10 @@ TEST(GoldenPlans, CommittedSnapshotsMatchTheExtractors) {
 }
 
 // Pinned plan keys: verify::planKey is the stable identity of a plan (FNV-1a
-// over its canonical snapshot bytes) and feeds the simulation service's
-// result-cache keys, so a drifting key silently invalidates every cached
-// result for that plan. Any intentional plan change must update the constant
-// here — the new value comes from `verify_plans --plan-keys`.
+// over its canonical snapshot bytes), so a drifting key is a change to the
+// communication shape of a shipped plan. Any intentional plan change must
+// update the constant here — the new value comes from
+// `verify_plans --plan-keys`.
 TEST(GoldenPlans, PlanKeysArePinned) {
   const std::map<std::string, std::string> pinned = {
       {"fig5-ping", "0x63269775621c1e80"},

@@ -1,5 +1,5 @@
 // The simulation service (src/serve): spec round-trips and validation, the
-// deterministic runner, the concurrent job server with its snapshot-keyed
+// deterministic runner, the concurrent job server with its spec-keyed
 // cache, and the line-delimited protocol.
 //
 // The determinism contract under test: a job's result is a pure function of
@@ -12,11 +12,15 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "md/anton_app.hpp"
+#include "net/machine.hpp"
+#include "plan_registry.hpp"
 #include "serve/job_spec.hpp"
 #include "serve/protocol.hpp"
 #include "serve/runner.hpp"
@@ -125,14 +129,66 @@ TEST(JobSpec, ParseShapeAcceptsAxBxCOnly) {
   EXPECT_THROW(parseShape(""), std::runtime_error);
 }
 
-TEST(Runner, JobKeyCoversSpecAndPlan) {
-  JobSpec a = table2AllReduceSpec({2, 2, 2});
-  JobSpec b = a;
-  b.words = 8;
-  verify::CommPlan planA = planForSpec(a);
-  verify::CommPlan planB = planForSpec(b);
-  EXPECT_NE(jobKey(a, planA), jobKey(b, planB));
-  EXPECT_EQ(jobKey(a, planA), jobKey(a, planForSpec(a)));
+TEST(Runner, JobKeyIsTheSpec) {
+  const JobSpec base = quickstartMdSpec();
+  EXPECT_EQ(jobKey(base), jobKey(quickstartMdSpec()));
+  // Changing any one field changes the key.
+  const std::vector<std::function<void(JobSpec&)>> edits = {
+      [](JobSpec& s) { s.family = JobFamily::kTable2AllReduce; },
+      [](JobSpec& s) { s.shape = {4, 4, 2}; },
+      [](JobSpec& s) { s.seed = 7; },
+      [](JobSpec& s) { s.steps = 3; },
+      [](JobSpec& s) { s.atoms = 1024; },
+      [](JobSpec& s) { s.maxHops = 5; },
+      [](JobSpec& s) { s.payloadBytes = 64; },
+      [](JobSpec& s) { s.words = 8; },
+      [](JobSpec& s) { s.bitErrorRate = 1e-6; },
+      [](JobSpec& s) { s.maxRetransmits = 4; },
+      [](JobSpec& s) { s.degradedMode = true; },
+      [](JobSpec& s) { s.recoveryTimeoutUs = 100.0; },
+      [](JobSpec& s) { s.recoveryMaxResends = 2; },
+      [](JobSpec& s) { s.recoveryBackoffUs = 1.5; },
+  };
+  for (const auto& edit : edits) {
+    JobSpec changed = base;
+    edit(changed);
+    SCOPED_TRACE(specToJson(changed));
+    EXPECT_NE(jobKey(changed), jobKey(base));
+  }
+}
+
+// The plan serve verifies is the traffic the job simulates: it comes from
+// the job's own construction, seed included, and the Fig. 5 plan names
+// every destination the sweep probes.
+TEST(Runner, PlanIsTheTrafficTheJobRuns) {
+  std::string plans[2];
+  int k = 0;
+  for (std::uint64_t seed : {2010ull, 7ull}) {
+    JobSpec spec = quickstartMdSpec();
+    spec.seed = seed;
+    SCOPED_TRACE(specToJson(spec));
+    sim::Simulator sim;
+    net::Machine machine(sim, spec.shape);
+    md::SyntheticSystemParams sp;
+    sp.targetAtoms = spec.atoms;
+    sp.seed = seed;
+    md::AntonMdApp app(machine, md::buildSyntheticSystem(sp),
+                       tools::quickstartMdConfig());
+    plans[k] = verify::planKeyHex(planForSpec(spec));
+    EXPECT_EQ(plans[k++], verify::planKeyHex(app.extractCommPlan()));
+  }
+  EXPECT_NE(plans[0], plans[1]);
+
+  const JobSpec ping = fig5PingSpec(/*maxHops=*/2, /*payloadBytes=*/0);
+  const verify::CommPlan plan = planForSpec(ping);
+  std::vector<net::ClientAddr> sent;
+  for (const verify::PlannedWrite& w : plan.writes)
+    if (plan.phaseName(w.phase) == "ping.send") sent.push_back(w.dst);
+  const std::vector<net::ClientAddr> probed = {
+      {0, net::kSlice1},  // hop 0: node 0's other slice
+      {util::torusIndex({1, 0, 0}, ping.shape), net::kSlice0},
+      {util::torusIndex({2, 0, 0}, ping.shape), net::kSlice0}};
+  EXPECT_EQ(sent, probed);
 }
 
 TEST(Runner, EveryFamilyPlanPassesTheStaticVerifier) {
@@ -184,7 +240,7 @@ TEST(JobSpec, ShardingIsAnUnknownKeyInSpecsAndOverTheProtocol) {
 // The acceptance-criteria core: the mixed-family jobs on a 4-worker server
 // complete bit-identical to serial execution on a single arena, every plan
 // verifies clean, and resubmitting the whole workload is served entirely
-// from the snapshot-keyed cache with the same results.
+// from the spec-keyed cache with the same results.
 TEST(JobServer, ParallelResultsMatchSerialExecutionBitForBit) {
   std::vector<JobSpec> specs = mixedWorkload();
 

@@ -13,11 +13,6 @@
 namespace anton::tools {
 namespace {
 
-std::string shapeStr(const util::TorusShape& s) {
-  return std::to_string(s.extent(0)) + "x" + std::to_string(s.extent(1)) +
-         "x" + std::to_string(s.extent(2));
-}
-
 md::AntonMdConfig table3Config() {
   md::AntonMdConfig cfg = quickstartMdConfig();
   cfg.force.cutoff = 2.6;
@@ -44,7 +39,7 @@ verify::CommPlan allReducePlan(util::TorusShape shape) {
   core::DimOrderedAllReduce reduce(machine);
   reduce.setRecovery(shippedRecoveryHooks(registry));
   verify::CommPlan p;
-  p.name = "table2-allreduce-" + shapeStr(shape);
+  p.name = "table2-allreduce-" + shape.str();
   p.shape = shape;
   reduce.appendPlan(p, "");
   return p;
@@ -72,48 +67,6 @@ verify::CommPlan fftPairPlan() {
   return p;
 }
 
-/// Fig. 5 topology: ping-pong between node 0 and corners at increasing hop
-/// distance on the 512-node torus. The pong is what makes the receive slot
-/// reusable without a barrier, so the plan models both directions.
-verify::CommPlan fig5Plan() {
-  verify::CommPlan p;
-  p.name = "fig5-ping";
-  p.shape = {8, 8, 8};
-  p.addPhaseEdge("ping.send", "ping.recv");
-  p.addPhaseEdge("ping.recv", "ping.ack");
-  const int send = p.addPhase("ping.send"), recv = p.addPhase("ping.recv");
-  const util::TorusCoord corners[] = {
-      {1, 0, 0}, {2, 0, 0}, {4, 0, 0}, {4, 4, 0}, {4, 4, 4}};
-  std::vector<verify::SourceCount> ackFrom;
-  std::vector<verify::BufferWriter> ackWriters;
-  for (const util::TorusCoord& corner : corners) {
-    const int dst = util::torusIndex(corner, p.shape);
-    p.addWrite("ping.send", {.srcNode = 0, .counterId = 0,
-                             .dst = {dst, net::kSlice0}});
-    // The fault bench arms the ping write.
-    p.addExpectation("ping.recv", "ping.recv",
-                     {.client = {dst, net::kSlice0}, .counterId = 0,
-                      .perRound = 1, .recoveryArmed = true},
-                     {{{0, 1}}});
-    const verify::BufferWriter pinger{0, std::uint16_t(send)};
-    p.addBuffer("ping.slot." + std::to_string(dst), "ping.recv",
-                {.client = {dst, net::kSlice0}, .bytes = 32}, {&pinger, 1});
-    p.addWrite("ping.recv", {.srcNode = dst, .counterId = 1,
-                             .dst = {0, net::kSlice0}});
-    ackFrom.push_back({dst, 1});
-    ackWriters.push_back({dst, std::uint16_t(recv)});
-  }
-  p.addExpectation("ping.ack", "ping.ack",
-                   {.client = {0, net::kSlice0}, .counterId = 1,
-                    .perRound = ackFrom.size(), .recoveryArmed = true},
-                   ackFrom);
-  p.addBuffer("ping.ackslots", "ping.ack",
-              {.client = {0, net::kSlice0},
-               .bytes = std::uint32_t(std::size(corners)) * 32u},
-              ackWriters);
-  return p;
-}
-
 bool parseShapeSuffix(const std::string& s, util::TorusShape* out) {
   int v[3] = {0, 0, 0};
   std::size_t pos = 0;
@@ -131,6 +84,42 @@ bool parseShapeSuffix(const std::string& s, util::TorusShape* out) {
 }
 
 }  // namespace
+
+verify::CommPlan buildFig5Plan(std::span<const net::ClientAddr> dests,
+                               bool recoveryArmed) {
+  verify::CommPlan p;
+  p.name = "fig5-ping";
+  p.shape = {8, 8, 8};
+  p.addPhaseEdge("ping.send", "ping.recv");
+  p.addPhaseEdge("ping.recv", "ping.ack");
+  const int send = p.addPhase("ping.send"), recv = p.addPhase("ping.recv");
+  std::vector<verify::SourceCount> ackFrom;
+  std::vector<verify::BufferWriter> ackWriters;
+  for (const net::ClientAddr& to : dests) {
+    p.addWrite("ping.send", {.srcNode = 0, .counterId = 0, .dst = to});
+    p.addExpectation("ping.recv", "ping.recv",
+                     {.client = to, .counterId = 0, .perRound = 1,
+                      .recoveryArmed = recoveryArmed},
+                     {{{0, 1}}});
+    const verify::BufferWriter pinger{0, std::uint16_t(send)};
+    p.addBuffer("ping.slot." + std::to_string(to.node), "ping.recv",
+                {.client = to, .bytes = 32}, {&pinger, 1});
+    p.addWrite("ping.recv", {.srcNode = to.node, .counterId = 1,
+                             .dst = {0, net::kSlice0}});
+    ackFrom.push_back({to.node, 1});
+    ackWriters.push_back({to.node, std::uint16_t(recv)});
+  }
+  p.addExpectation("ping.ack", "ping.ack",
+                   {.client = {0, net::kSlice0}, .counterId = 1,
+                    .perRound = ackFrom.size(),
+                    .recoveryArmed = recoveryArmed},
+                   ackFrom);
+  p.addBuffer("ping.ackslots", "ping.ack",
+              {.client = {0, net::kSlice0},
+               .bytes = std::uint32_t(dests.size()) * 32u},
+              ackWriters);
+  return p;
+}
 
 md::AntonMdConfig quickstartMdConfig() {
   md::AntonMdConfig cfg;
@@ -202,7 +191,12 @@ verify::CommPlan buildNamedPlan(const std::string& name) {
     return buildMdPlan(name, {4, 4, 1}, 1536, quickstartMdConfig());
   if (name == "table3-md-8x8x8")
     return buildMdPlan(name, {8, 8, 8}, 23558, table3Config());
-  if (name == "fig5-ping") return fig5Plan();
+  if (name == "fig5-ping") {
+    // Slice 0 of corners (1,0,0), (2,0,0), (4,0,0), (4,4,0) and (4,4,4) of
+    // the 8x8x8 torus; the fault bench arms the ping write.
+    const net::ClientAddr corners[] = {{1, 0}, {2, 0}, {4, 0}, {36, 0}, {292, 0}};
+    return buildFig5Plan(corners, /*recoveryArmed=*/true);
+  }
   if (name == "fft-pair-2x2x2") return fftPairPlan();
   const std::string arPrefix = "table2-allreduce-";
   if (name.rfind(arPrefix, 0) == 0) {

@@ -8,6 +8,7 @@
 // the delta the golden files are meant to surface.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,11 +27,19 @@ std::vector<std::string> goldenPlanNames();
 md::AntonMdConfig quickstartMdConfig();
 
 /// Extract the static communication plan of an MD app with the given
-/// decomposition (shape/atoms) and configuration, named `name`. The
-/// parametric form of the fixed "quickstart-md"/"md-4x4x1" registry
-/// entries, used by serve jobs whose specs override shape or atom count.
+/// decomposition (shape/atoms) and configuration, built from the fixed
+/// seed 2010, named `name`. The parametric form of the fixed
+/// "quickstart-md"/"md-4x4x1" registry entries.
 verify::CommPlan buildMdPlan(const std::string& name, util::TorusShape shape,
                              int atoms, const md::AntonMdConfig& cfg);
+
+/// Fig. 5 ping-pong plan on the 512-node torus: node 0 (slice 0) pings each
+/// client of `dests` once and each answers back. The pong is what makes the
+/// receive slot reusable without a barrier, so the plan models both
+/// directions. The named "fig5-ping" plan pings five corners with armed
+/// waits; a serve fig5-ping job pings the destinations it measures.
+verify::CommPlan buildFig5Plan(std::span<const net::ClientAddr> dests,
+                               bool recoveryArmed);
 
 /// Build a shipped plan by name. Fixed names: "quickstart-md", "md-4x4x1",
 /// "table3-md-8x8x8", "fig5-ping", "fft-pair-2x2x2".
