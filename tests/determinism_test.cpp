@@ -6,7 +6,9 @@
 // on: all fault randomness lives in the plan's own RNG, drawn in the
 // deterministic traversal order of the event kernel. Two seeded storms and a
 // short MD run are also pinned to recorded digests of their outcomes and of
-// their executed (t, seq) order (Simulator::scheduleDigest).
+// their executed (t, seq) order (Simulator::scheduleDigest), and so are two
+// recovery-armed serve jobs: an idle quickstart MD run and a lossy 8x8x8
+// all-reduce whose waits time out and replay.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -19,6 +21,8 @@
 #include "net/machine.hpp"
 #include "pinned_digest.hpp"
 #include "sim/rng.hpp"
+#include "serve/job_spec.hpp"
+#include "serve/runner.hpp"
 #include "sim/simulator.hpp"
 #include "trace/activity.hpp"
 
@@ -382,6 +386,48 @@ TEST(Determinism, MdRecoveryArmedButIdleIsTimingInvisible) {
     EXPECT_EQ(bare.sys.velocities[std::size_t(i)],
               armed.sys.velocities[std::size_t(i)]);
   }
+}
+
+// --- armed schedule pins ------------------------------------------------------
+// The pins above run with recovery disarmed. An armed wait races its counter
+// against a cancellable deadline, and each deadline takes a seq even when it
+// is cancelled, so an armed run's (t, seq) order is its own. These pin the
+// armed path: a quickstart MD job with nothing lost, and the fault-sweep
+// all-reduce at 8x8x8 and BER 1e-4, where waits time out and the lost
+// packets are replayed. The outcome digests cover every job metric.
+constexpr std::uint64_t kArmedIdleMdScheduleDigest = 0x09845996425528c6ULL;
+constexpr std::uint64_t kArmedIdleMdOutcomeDigest = 0x6c9fb58a4497dd9dULL;
+constexpr std::uint64_t kLossyAllReduceScheduleDigest = 0x36a981b4f0d42dbbULL;
+constexpr std::uint64_t kLossyAllReduceOutcomeDigest = 0xf7a33a9754495959ULL;
+
+TEST(Determinism, ArmedIdleMdMatchesItsPinnedScheduleDigest) {
+  sim::Simulator arena;
+  serve::RunOutcome r = serve::runJob(serve::quickstartMdSpec(), arena);
+  EXPECT_EQ(r.metrics.at("drops"), 0.0);
+  EXPECT_EQ(r.metrics.at("resends"), 0.0);
+  EXPECT_EQ(arena.scheduleDigest(), kArmedIdleMdScheduleDigest)
+      << "got " << util::hex64(arena.scheduleDigest());
+  EXPECT_EQ(r.digest, kArmedIdleMdOutcomeDigest)
+      << "got " << util::hex64(r.digest);
+  // The same job disarmed computes the same outcome on another schedule.
+  serve::JobSpec unarmed = serve::quickstartMdSpec();
+  unarmed.recoveryTimeoutUs = 0.0;
+  sim::Simulator bare;
+  EXPECT_EQ(serve::runJob(unarmed, bare).digest, r.digest);
+  EXPECT_NE(bare.scheduleDigest(), arena.scheduleDigest());
+}
+
+TEST(Determinism, LossyArmedAllReduceMatchesItsPinnedScheduleDigest) {
+  sim::Simulator arena;
+  serve::RunOutcome r =
+      serve::runJob(serve::faultSweepSpec({8, 8, 8}, 1e-4), arena);
+  EXPECT_GT(r.metrics.at("resends"), 0.0) << "recovery never fired";
+  EXPECT_EQ(r.metrics.at("hard_failures"), 0.0);
+  EXPECT_EQ(r.metrics.at("correct"), 1.0);
+  EXPECT_EQ(arena.scheduleDigest(), kLossyAllReduceScheduleDigest)
+      << "got " << util::hex64(arena.scheduleDigest());
+  EXPECT_EQ(r.digest, kLossyAllReduceOutcomeDigest)
+      << "got " << util::hex64(r.digest);
 }
 
 }  // namespace
