@@ -2,12 +2,8 @@
 // Anton model, paper-vs-measured table assembly, CSV output location.
 #pragma once
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -15,6 +11,7 @@
 #include "net/probe.hpp"
 #include "sim/simulator.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace anton::bench {
@@ -55,46 +52,15 @@ class JsonReporter {
   void record(const std::string& metric, double paper, double measured,
               const std::string& unit) {
     double dev = paper != 0.0 ? (measured - paper) / paper : 0.0;
-    out_ << "{\"bench\":" << quoted(bench_) << ",\"metric\":" << quoted(metric)
-         << ",\"paper\":" << number(paper) << ",\"measured\":" << number(measured)
-         << ",\"deviation\":" << number(dev) << ",\"unit\":" << quoted(unit)
-         << "}\n";
+    out_ << "{\"bench\":" << util::json::quoted(bench_)
+         << ",\"metric\":" << util::json::quoted(metric)
+         << ",\"paper\":" << util::json::number(paper)
+         << ",\"measured\":" << util::json::number(measured)
+         << ",\"deviation\":" << util::json::number(dev)
+         << ",\"unit\":" << util::json::quoted(unit) << "}\n";
     if (!out_)
       throw std::runtime_error("JsonReporter: write to BENCH_" + bench_ +
                                ".json failed");
-  }
-
-  /// Full-precision JSON number, or null for non-finite values.
-  static std::string number(double v) {
-    if (!std::isfinite(v)) return "null";
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << v;
-    return os.str();
-  }
-
-  /// JSON string literal: quotes, backslashes and control characters escaped.
-  static std::string quoted(const std::string& s) {
-    std::string out = "\"";
-    for (unsigned char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (c < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-          } else {
-            out += char(c);
-          }
-      }
-    }
-    out += '"';
-    return out;
   }
 
  private:

@@ -18,7 +18,6 @@
 
 #include "core/allreduce.hpp"
 #include "core/recovery.hpp"
-#include "core/watchdog.hpp"
 #include "fault/plan.hpp"
 #include "fault/report.hpp"
 #include "fft/distributed.hpp"
@@ -360,12 +359,10 @@ int main() {
     sim::Simulator sim;
     net::Machine m(sim, {4, 4, 4});
     net::NetworkClient& dst = m.client({0, net::kSlice0});
+    const verify::SourceCount owed[] = {{1, 2}, {2, 2}};
     core::WatchdogReport report;
     auto waiter = [&]() -> sim::Task {
-      core::CountedWriteWatchdog wd(dst, 0, sim::us(5));
-      wd.expectFrom(1, 2);
-      wd.expectFrom(2, 2);
-      report = co_await wd.wait(4);
+      report = co_await core::watchCounter(dst, 0, 4, sim::us(5), owed);
     };
     sim.spawn(waiter());
     net::NetworkClient::SendArgs args;

@@ -7,9 +7,17 @@
 
 namespace anton::cluster {
 
+namespace {
+
+/// Extra software time charged per all-reduce round, calibrated so the
+/// 512-node 32-byte all-reduce lands near the 35.5 us the paper measured
+/// on its DDR2 InfiniBand cluster (§IV-B4).
+constexpr double kPerRoundOverheadUs = 1.6;
+
+}  // namespace
+
 sim::Task allReduce(ClusterMachine& m, int node, std::vector<double> in,
-                    std::vector<double>* out, CollectiveConfig cfg,
-                    int tagBase) {
+                    std::vector<double>* out, int tagBase) {
   const int n = m.numNodes();
   if (!std::has_single_bit(unsigned(n)))
     throw std::invalid_argument("recursive doubling needs power-of-two nodes");
@@ -21,15 +29,14 @@ sim::Task allReduce(ClusterMachine& m, int node, std::vector<double> in,
     int partner = node ^ (1 << r);
     auto payload = std::make_shared<const std::vector<double>>(cur);
     co_await m.send(node, partner, tagBase + r, bytes, payload);
-    ClusterMachine::Message msg = co_await m.recv(
-        node, partner, tagBase + r, sim::us(cfg.recvTimeoutUs));
+    ClusterMachine::Message msg = co_await m.recv(node, partner, tagBase + r);
     if (msg.data) {
       const std::vector<double>& theirs = *msg.data;
       bool mineFirst = ((node >> r) & 1) == 0;
       for (std::size_t w = 0; w < cur.size() && w < theirs.size(); ++w)
         cur[w] = mineFirst ? cur[w] + theirs[w] : theirs[w] + cur[w];
     }
-    co_await m.sim().delay(sim::us(cfg.perRoundOverheadUs));
+    co_await m.sim().delay(sim::us(kPerRoundOverheadUs));
   }
   if (out != nullptr) *out = std::move(cur);
 }
@@ -58,9 +65,8 @@ std::string appendAllReducePlan(verify::CommPlan& plan, int numNodes,
   for (int r = 0; r < rounds; ++r) {
     plan.addPhaseEdge(prev, schedule.names[std::size_t(r)]);
     prev = schedule.names[std::size_t(r)];
-    // Reliable transport (MPI semantics), and the recv carries an optional
-    // deadline (CollectiveConfig::recvTimeoutUs) that fails loudly on loss:
-    // every wait counts as recovery-armed.
+    // Reliable transport (MPI semantics): every wait counts as
+    // recovery-armed.
     schedule.appendTo(plan, r, r, true);
   }
   return prev;

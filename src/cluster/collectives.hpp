@@ -17,25 +17,11 @@
 
 namespace anton::cluster {
 
-struct CollectiveConfig {
-  /// Extra software time charged per collective round, calibrated so the
-  /// 512-node 32-byte all-reduce lands near the 35.5 us the paper measured
-  /// on its DDR2 InfiniBand cluster (§IV-B4).
-  double perRoundOverheadUs = 1.6;
-  /// Per-recv deadline (microseconds); 0 disables. Armed, a lost partner
-  /// message fails loudly with a diagnostic naming (node, partner, tag)
-  /// instead of hanging the collective forever — the cluster-side analogue
-  /// of the counted-write watchdog. Disabled, no event is scheduled and
-  /// timing is bit-identical.
-  double recvTimeoutUs = 0.0;
-};
-
 /// Recursive-doubling all-reduce (requires power-of-two node count).
 /// Collective: every node spawns one task. Sums element-wise with a fixed
 /// operand order so results are identical on all nodes.
 sim::Task allReduce(ClusterMachine& m, int node, std::vector<double> in,
-                    std::vector<double>* out, CollectiveConfig cfg = {},
-                    int tagBase = 1000);
+                    std::vector<double>* out, int tagBase = 1000);
 
 /// Static message plan of the recursive-doubling all-reduce in the
 /// verifier's counted-write vocabulary: the cluster is modeled as an

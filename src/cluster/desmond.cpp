@@ -58,8 +58,7 @@ DesmondTimes measureDesmond(const DesmondWorkload& w) {
 
   // Thermostat: kinetic-energy all-reduce plus the rescale round trip.
   double reduce = phaseTime(w.numNodes, [&](ClusterMachine& m, int n) {
-    return allReduce(m, n, std::vector<double>(4, double(n)), nullptr,
-                     w.collective);
+    return allReduce(m, n, std::vector<double>(4, double(n)), nullptr);
   });
   t.thermostatUs = 2.0 * reduce;
 

@@ -23,7 +23,6 @@ struct DesmondWorkload {
   int fftGrid = 32;           ///< FFT grid extent (cubed)
   int fftGroup = 32;          ///< nodes per all-to-all transpose group
   double imbalanceFactor = 1.75;
-  CollectiveConfig collective;
 };
 
 /// Per-phase critical-path communication times in microseconds.

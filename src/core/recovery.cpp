@@ -1,9 +1,80 @@
 #include "core/recovery.hpp"
 
+#include <map>
+#include <memory>
+#include <sstream>
+
 #include "net/machine.hpp"
 #include "sim/simulator.hpp"
 
 namespace anton::core {
+
+// --- the deadline race ------------------------------------------------------
+
+std::string WatchdogReport::describe() const {
+  std::ostringstream os;
+  os << "counted write on node " << dst.node << "/client " << dst.client
+     << " counter " << counterId << (timedOut ? " TIMED OUT" : " resolved")
+     << " at " << sim::toNs(resolvedAt) << " ns: " << arrived << "/"
+     << expected << " arrived";
+  if (!missing.empty()) {
+    os << "; missing:";
+    for (const MissingSource& m : missing)
+      os << " node " << m.node << " (" << m.arrived << "/" << m.expected
+         << ")";
+  }
+  return os.str();
+}
+
+namespace {
+
+WatchdogReport diagnose(const WatchedWait& w, bool timedOut) {
+  WatchdogReport r;
+  r.timedOut = timedOut;
+  r.expected = w.target;
+  r.arrived = w.client.counterValue(w.counterId);
+  r.resolvedAt = w.client.machine().sim().now();
+  r.dst = w.client.addr();
+  r.counterId = w.counterId;
+  const std::map<int, std::uint64_t> sources =
+      w.client.counterSources(w.counterId);
+  for (const verify::SourceCount& s : w.owed) {
+    auto it = sources.find(s.src);
+    const std::uint64_t got = it == sources.end() ? 0 : it->second;
+    if (got < s.packets) r.missing.push_back({s.src, s.packets, got});
+  }
+  return r;
+}
+
+}  // namespace
+
+void WatchedWait::await_suspend(std::coroutine_handle<> h) {
+  // The first racer to fire settles the race and retracts the other — the
+  // counter path cancels the deadline (a surviving dead deadline would
+  // stretch run() to the full timeout), the deadline path cancels the
+  // waiter (counters never reset, so an unmet threshold would pin the
+  // callback forever). The waiter registers before the deadline is
+  // scheduled; the armed schedule pins (determinism_test) hold that order.
+  auto settled = std::make_shared<bool>(false);
+  auto deadline = std::make_shared<sim::Simulator::EventHandle>();
+  auto token = std::make_shared<std::uint64_t>(0);
+
+  *token = client.onCounter(counterId, target, [this, settled, deadline, h] {
+    if (*settled) return;
+    *settled = true;
+    sim::Simulator::cancel(*deadline);
+    report = diagnose(*this, /*timedOut=*/false);
+    h.resume();
+  });
+  *deadline = client.machine().sim().afterCancellable(
+      timeout, [this, settled, token, h] {
+        if (*settled) return;
+        *settled = true;
+        client.cancelCounterWaiter(counterId, *token);
+        report = diagnose(*this, /*timedOut=*/true);
+        h.resume();
+      });
+}
 
 // --- DropRegistry -----------------------------------------------------------
 
@@ -68,64 +139,56 @@ std::size_t resendFromRegistry(net::Machine& machine, DropRegistry& registry,
 
 // --- the retry loop ---------------------------------------------------------
 
-sim::Task RecoverableCountedWrite::await(std::uint64_t target,
-                                         const ResendFn& resend) {
-  std::uint64_t lastSeen = client_.counterValue(counterId_);
-  for (int spent = 0;;) {
-    // A spent round waits timeout + spent*backoff: the wait stays armed
-    // continuously (no blind window between rounds) and cascaded
-    // recoveries — a waiter whose upstream sender is itself recovering —
-    // get linearly more patience instead of burning the budget at a fixed
-    // cadence.
-    CountedWriteWatchdog wd(client_, counterId_,
-                            cfg_.timeout + sim::Time(spent) * cfg_.resendBackoff);
-    for (const auto& [node, want] : expected_) wd.expectFrom(node, want);
-    wd.rerouteOnTimeout(cfg_.rerouteOnTimeout);
-    WatchdogReport r = co_await wd.wait(target);
-    if (!r.timedOut) co_return;
-    ++stats_.timeouts;
-    const std::uint64_t seen = client_.counterValue(counterId_);
-    const bool progressed = seen > lastSeen;
-    lastSeen = seen;
-    if (!progressed && spent >= cfg_.maxResends) {
-      ++stats_.hardFailures;
-      throw RecoveryFailure(std::move(r));
-    }
-    const std::size_t replayed = resend(r);
-    stats_.resends += replayed;
-    if (progressed && replayed == 0) {
-      // The counter advanced during the round and the registry owed us
-      // nothing: the shortfall is progress-bound, not loss-bound —
-      // typically an upstream sender mid-recovery still draining toward
-      // us. Re-arm without charging the resend budget; a trickling
-      // cascade must not be escalated into a hard failure while it is
-      // visibly making progress. (A round that actually replayed packets
-      // is charged even when it also progressed: real loss was found.)
-      ++stats_.progressRounds;
-      continue;
-    }
-    ++spent;
-  }
-}
-
 sim::Task recoverCounted(net::NetworkClient& client, int counterId,
                          std::uint64_t target,
-                         std::span<const verify::SourceCount> bySource,
+                         std::span<const verify::SourceCount> owed,
                          const RecoveryHooks& hooks) {
-  RecoverableCountedWrite rcw(client, counterId, hooks.config);
-  for (const verify::SourceCount& s : bySource) rcw.expectFrom(s.src, s.packets);
-  net::Machine& machine = client.machine();
-  DropRegistry& registry = *hooks.registry;
-  auto replay = [&machine, &registry](const WatchdogReport& r) {
-    return resendFromRegistry(machine, registry, r);
+  const RecoveryConfig& cfg = hooks.config;
+  RecoveryStats stats;
+  auto flushStats = [&] {
+    if (hooks.stats != nullptr) hooks.stats->accumulate(stats);
   };
+  std::uint64_t lastSeen = client.counterValue(counterId);
   try {
-    co_await rcw.await(target, replay);
+    for (int spent = 0;;) {
+      // A spent round waits timeout + spent*backoff: the wait stays armed
+      // continuously (no blind window between rounds) and cascaded
+      // recoveries — a waiter whose upstream sender is itself recovering —
+      // get linearly more patience instead of burning the budget at a
+      // fixed cadence.
+      WatchdogReport r = co_await watchCounter(
+          client, counterId, target,
+          cfg.timeout + sim::Time(spent) * cfg.resendBackoff, owed);
+      if (!r.timedOut) break;
+      ++stats.timeouts;
+      const std::uint64_t seen = client.counterValue(counterId);
+      const bool progressed = seen > lastSeen;
+      lastSeen = seen;
+      if (!progressed && spent >= cfg.maxResends) {
+        ++stats.hardFailures;
+        throw RecoveryFailure(std::move(r));
+      }
+      const std::size_t replayed =
+          resendFromRegistry(client.machine(), *hooks.registry, r);
+      stats.resends += replayed;
+      if (progressed && replayed == 0) {
+        // The counter advanced during the round and the registry owed us
+        // nothing: the shortfall is progress-bound, not loss-bound —
+        // typically an upstream sender mid-recovery still draining toward
+        // us. Re-arm without charging the resend budget; a trickling
+        // cascade must not be escalated into a hard failure while it is
+        // visibly making progress. (A round that actually replayed packets
+        // is charged even when it also progressed: real loss was found.)
+        ++stats.progressRounds;
+        continue;
+      }
+      ++spent;
+    }
   } catch (...) {
-    if (hooks.stats != nullptr) hooks.stats->accumulate(rcw.stats());
+    flushStats();
     throw;
   }
-  if (hooks.stats != nullptr) hooks.stats->accumulate(rcw.stats());
+  flushStats();
 }
 
 }  // namespace anton::core

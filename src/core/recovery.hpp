@@ -1,21 +1,24 @@
 // End-to-end erasure recovery for counted remote writes.
 //
-// Link-level CRC retransmission repairs bit errors, but a traversal that
-// exhausts the retransmit cap *drops* its packet replica — an erasure the
-// lossless-network software model would otherwise wait on forever. This
-// layer closes the loop in software, the way the machine's firmware would:
+// Anton's counted remote writes synchronize by counter thresholds alone, so
+// a lost packet turns a phase barrier into a silent deadlock. Link-level CRC
+// retransmission repairs bit errors, but a traversal that exhausts the
+// retransmit cap *drops* its packet replica — an erasure the lossless-network
+// software model would otherwise wait on forever. This layer closes the loop
+// in software, the way the machine's firmware would:
 //
+//   - watchCounter: races a counter wait against a simulated-time deadline
+//     and, on timeout, diagnoses *which sources are short* from the client's
+//     per-source arrival tally — "node 2 still owes 2 packets on counter 0"
+//     instead of "the simulation hung".
 //   - DropRegistry: a sender-side replay buffer fed by the machine's drop
 //     observer. Every dropped replica is recorded per denied receiver (for
 //     multicast, only the subtree beyond the failed link is denied — the
 //     receivers before it got their copy and must not be re-bumped).
-//   - CountedWriteWatchdog (core/watchdog.hpp): diagnoses which sources a
-//     timed-out counted wait is still owed packets from.
-//   - RecoverableCountedWrite / recoverCounted: the retry loop — wait with a
-//     deadline, diagnose, replay exactly the lost payloads from the
-//     registry (degraded-routed, so replays avoid the link that ate the
-//     original), and hard-fail with a full report when the bounded resend
-//     budget is exhausted.
+//   - recoverCounted: the retry loop — wait with a deadline, diagnose,
+//     replay exactly the lost payloads from the registry (degraded-routed,
+//     so replays avoid the link that ate the original), and hard-fail with a
+//     full report when the bounded resend budget is exhausted.
 //
 // Disarmed (no registry), every wait degenerates to a plain counter poll
 // with bit-identical timing — the zero-fault path is untouched. The counted
@@ -24,14 +27,12 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "core/watchdog.hpp"
 #include "net/client.hpp"
 #include "net/packet.hpp"
 #include "sim/task.hpp"
@@ -46,11 +47,61 @@ namespace anton::core {
 
 /// Per-wait recovery policy.
 struct RecoveryConfig {
-  sim::Time timeout = 0;          ///< per-attempt watchdog deadline
-  int maxResends = 4;             ///< replay rounds before hard failure
-  sim::Time resendBackoff = 0;    ///< extra deadline added per retry round
-  bool rerouteOnTimeout = false;  ///< flip degraded routing on first timeout
+  sim::Time timeout = 0;        ///< per-attempt deadline
+  int maxResends = 4;           ///< replay rounds before hard failure
+  sim::Time resendBackoff = 0;  ///< extra deadline added per retry round
 };
+
+/// Outcome of a watched counted-write wait: how it resolved, and — when it
+/// timed out — the per-source shortfall diagnosis. Carries the waiting
+/// client and counter so the replay can locate the lost replicas.
+struct WatchdogReport {
+  bool timedOut = false;
+  std::uint64_t expected = 0;  ///< the counter threshold waited for
+  std::uint64_t arrived = 0;   ///< counter value when the race settled
+  sim::Time resolvedAt = 0;    ///< simulated time of resolution
+  net::ClientAddr dst;         ///< the waiting client
+  int counterId = net::kNoCounter;
+
+  /// One source that delivered fewer counted packets than it owes.
+  struct MissingSource {
+    int node = 0;
+    std::uint64_t expected = 0;
+    std::uint64_t arrived = 0;
+  };
+  std::vector<MissingSource> missing;
+
+  /// Human-readable one-line summary ("... TIMED OUT ...; missing: node 2
+  /// (0/2)").
+  std::string describe() const;
+};
+
+/// Awaitable race of one counter threshold against a deadline: resumes with
+/// the report when counters[counterId] >= target or `timeout` elapses,
+/// whichever comes first, and retracts the loser — no stale waiter pins the
+/// counter, no dead deadline stretches the timeline (Simulator::run drains
+/// the queue). `owed` holds the cumulative per-source counts by ascending
+/// source; the diagnosis names each source that delivered fewer. Sources
+/// are tallied from counter creation, so packets that arrived before the
+/// wait began are credited. `owed` is a view and must outlive the co_await.
+struct WatchedWait {
+  net::NetworkClient& client;
+  int counterId;
+  std::uint64_t target;
+  sim::Time timeout;
+  std::span<const verify::SourceCount> owed;
+  WatchdogReport report;
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h);
+  WatchdogReport await_resume() noexcept { return std::move(report); }
+};
+
+inline WatchedWait watchCounter(net::NetworkClient& client, int counterId,
+                                std::uint64_t target, sim::Time timeout,
+                                std::span<const verify::SourceCount> owed = {}) {
+  return {client, counterId, target, timeout, owed, {}};
+}
 
 /// Aggregate recovery activity (all exactly zero on a fault-free run).
 struct RecoveryStats {
@@ -70,7 +121,7 @@ struct RecoveryStats {
 
 /// Sender-side replay buffer: installs itself as the machine's drop
 /// observer and records every dropped replica per denied receiver, keyed by
-/// (counter, source node, receiver) for the watchdog diagnosis to consume.
+/// (counter, source node, receiver) for the timeout diagnosis to consume.
 class DropRegistry {
  public:
   explicit DropRegistry(net::Machine& machine);
@@ -126,41 +177,6 @@ class RecoveryFailure : public std::runtime_error {
 std::size_t resendFromRegistry(net::Machine& machine, DropRegistry& registry,
                                const WatchdogReport& report);
 
-/// One counted-write wait with bounded erasure recovery: watchdog-guarded
-/// attempts, a resend callback per timeout, RecoveryFailure on exhaustion.
-class RecoverableCountedWrite {
- public:
-  using ResendFn = std::function<std::size_t(const WatchdogReport&)>;
-
-  RecoverableCountedWrite(net::NetworkClient& client, int counterId,
-                          RecoveryConfig cfg)
-      : client_(client), counterId_(counterId), cfg_(cfg) {}
-
-  /// Declare the cumulative per-source expectation (see
-  /// CountedWriteWatchdog::expectFrom).
-  void expectFrom(int srcNode, std::uint64_t expected) {
-    expected_[srcNode] = expected;
-  }
-
-  /// Await counters[id] >= target. Each timeout invokes `resend` with the
-  /// diagnosis (typically resendFromRegistry) and re-arms with the deadline
-  /// stretched by resendBackoff per charged round. A round during which the
-  /// counter advanced AND the replay found nothing lost is progress-bound
-  /// (an upstream cascade still draining) and is forgiven — it does not
-  /// count against maxResends; after maxResends charged rounds the wait
-  /// throws RecoveryFailure.
-  sim::Task await(std::uint64_t target, const ResendFn& resend);
-
-  const RecoveryStats& stats() const { return stats_; }
-
- private:
-  net::NetworkClient& client_;
-  int counterId_;
-  RecoveryConfig cfg_;
-  std::map<int, std::uint64_t> expected_;
-  RecoveryStats stats_;
-};
-
 /// One shared arming handle for a subsystem's counted waits: a registry to
 /// replay from, the retry policy, and an optional stats sink aggregated
 /// across every wait. Default-constructed hooks are disarmed.
@@ -193,13 +209,19 @@ class [[nodiscard]] CountedWait {
   sim::Task armed_;
 };
 
-/// The armed form of a counted wait: a RecoverableCountedWrite against the
-/// hooks' registry, its stats accumulated into the hooks' sink. `bySource`
-/// (cumulative per-source expectations, by ascending source) is a view and
-/// must outlive the co_await.
+/// The armed form of a counted wait: await counters[counterId] >= target
+/// in rounds of watchCounter. Each timeout replays the diagnosed shortfall
+/// from the hooks' registry (resendFromRegistry) and re-arms with the
+/// deadline stretched by resendBackoff per charged round. A round during
+/// which the counter advanced AND the replay found nothing lost is
+/// progress-bound (an upstream cascade still draining) and is forgiven — it
+/// does not count against maxResends; after maxResends charged rounds the
+/// wait throws RecoveryFailure. The wait's stats are accumulated into the
+/// hooks' sink on either exit. `owed` (see WatchedWait) is a view and must
+/// outlive the co_await.
 sim::Task recoverCounted(net::NetworkClient& client, int counterId,
                          std::uint64_t target,
-                         std::span<const verify::SourceCount> bySource,
+                         std::span<const verify::SourceCount> owed,
                          const RecoveryHooks& hooks);
 
 }  // namespace anton::core

@@ -7,8 +7,8 @@
 //     Shim et al.), charging a calibrated penalty per replay;
 //   * link outage windows — an outgoing link is unusable for [from, until);
 //     packets either stall at the adapter or, in degraded mode
-//     (Machine::setFaultReroute), route around it via a non-preferred
-//     dimension order;
+//     (MachineConfig::faultReroute, and every recovery replay), route
+//     around it via a non-preferred dimension order;
 //   * stalled-router intervals — a node's on-chip ring holds all traffic
 //     entering it until the window closes.
 //

@@ -176,10 +176,9 @@ class AntonMdApp {
   /// spreading, the potential halo, the migration FIFO lanes, flush and
   /// count multicast), every counter expectation and every receive buffer.
   /// The FFT pair and the all-reduce append copies of their own schedules
-  /// the same way. Waits are marked
-  /// recovery-armed exactly where the live app arms a
-  /// RecoverableCountedWrite (every counted wait when recovery is on; FIFO
-  /// migration payloads remain the unrecoverable lane).
+  /// the same way. Waits are marked recovery-armed exactly where the live
+  /// app arms core::recoverCounted (every counted wait when recovery is on;
+  /// FIFO migration payloads remain the unrecoverable lane).
   verify::CommPlan extractCommPlan() const;
 
   /// Total atoms migrated since construction.

@@ -125,7 +125,8 @@ class NetworkClient {
 
   /// One-shot callback: invoke `fn` (after this client's poll latency) once
   /// counters[id] >= target; scheduled immediately if already met. The
-  /// machinery behind the counted-write watchdog (core/watchdog.hpp).
+  /// machinery behind the counted wait's deadline race
+  /// (core::watchCounter, core/recovery.hpp).
   /// Returns a token for cancelCounterWaiter, or 0 when the threshold was
   /// already met (the callback is then a scheduled event, not a waiter).
   std::uint64_t onCounter(int id, std::uint64_t target, std::function<void()> fn);
@@ -144,9 +145,9 @@ class NetworkClient {
 
   /// Arrival tally (source node -> packets) of a counter. Sources are
   /// tracked from counter creation — every counted delivery records its
-  /// source node — so a watchdog attaching mid-stream (expectFrom after
-  /// packets already arrived) still sees the full history and does not
-  /// overstate the missing packets.
+  /// source node — so a deadline race that starts mid-stream (after packets
+  /// already arrived) still sees the full history and does not overstate
+  /// the missing packets.
   std::map<int, std::uint64_t> counterSources(int id) const;
 
   /// Latency of one successful poll of this client's counters, as seen by
@@ -207,8 +208,8 @@ class NetworkClient {
   /// counted delivery onward: a flat open-addressing table of (key, count)
   /// cells keyed by (id << 32 | node), grown by doubling at half load, plus
   /// a memo of the last cell hit for same-source streams. The bump is on
-  /// the delivery hot path; the per-counter view the watchdogs read is
-  /// assembled on demand in counterSources().
+  /// the delivery hot path; the per-counter view the timeout diagnosis
+  /// reads is assembled on demand in counterSources().
   struct TallyCell {
     std::uint64_t key;
     std::uint64_t count;

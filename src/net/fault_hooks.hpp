@@ -54,7 +54,8 @@ class FaultModel {
 
   /// Whether the outgoing link of `nodeIdx` in (dim, sign) is inside an
   /// outage window at `t`. Consulted by degraded-mode routing
-  /// (Machine::setFaultReroute) to pick a non-preferred dimension order.
+  /// (MachineConfig::faultReroute, Packet::degradedRoute) to pick a
+  /// non-preferred dimension order.
   virtual bool linkDown(int nodeIdx, int dim, int sign, sim::Time t) const = 0;
 
   /// Earliest time >= t at which the on-chip ring of `nodeIdx` is usable

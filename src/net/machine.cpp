@@ -84,8 +84,7 @@ Machine::Machine(sim::Simulator& sim, util::TorusShape shape, MachineConfig cfg)
       shape_(shape),
       cfg_(cfg),
       delays_(cfg.latency),
-      clientMem_(clientMemoryBytes(shape, cfg)),
-      faultReroute_(cfg.faultReroute) {
+      clientMem_(clientMemoryBytes(shape, cfg)) {
   const std::size_t nodeMem = cfg.clientMemBytes * kClientsPerNode;
   const std::size_t n = std::size_t(shape.size());
   nodes_.reserve(n);
@@ -243,7 +242,7 @@ void Machine::routeFrom(const PacketPtr& p, int nodeIdx, int entryRouter,
       prefDim = dim;
       prefSign = sign;
     }
-    if ((faultReroute_ || p->degradedRoute) && fault_ != nullptr &&
+    if ((cfg_.faultReroute || p->degradedRoute) && fault_ != nullptr &&
         fault_->linkDown(nodeIdx, dim, sign, t))
       continue;
     if (p->degradedRoute && linkMarkedFailed(nodeIdx, dim, sign)) continue;

@@ -144,11 +144,6 @@ class Machine {
   /// to the fault-free machine.
   void setFaultModel(FaultModel* f) { fault_ = f; }
 
-  /// Toggle degraded-mode routing at runtime (initially
-  /// MachineConfig::faultReroute). Only affects packets routed afterwards.
-  void setFaultReroute(bool on) { faultReroute_ = on; }
-  bool faultReroute() const { return faultReroute_; }
-
   /// Whether the outgoing link of `nodeIdx` in (dim, sign) has dropped a
   /// packet at retransmit-cap exhaustion. The mark is sticky: recovery
   /// replays (Packet::degradedRoute) route around marked links instead of
@@ -285,7 +280,6 @@ class Machine {
   int traceLinkFailKind_ = 0;
   int traceFaultUnit_ = 0;
   FaultModel* fault_ = nullptr;
-  bool faultReroute_ = false;
   DropHandler dropHandler_;
   /// multicastReceivers' scratch: its result, stack and visited marks.
   mutable std::vector<ClientAddr> walkReached_;

@@ -451,8 +451,8 @@ VerifyResult verifyPlan(const CommPlan& plan, const VerifyOptions& opts) {
     if (const auto& [armed, unarmed, ctr] = siteArm[si]; unarmed > 0)
       add("recovery-coverage", Severity::kLint, plan.nameOf(si),
           std::to_string(unarmed) + " counted-wait record(s) at site '" +
-              plan.nameOf(si) + "' have no RecoverableCountedWrite armed; "
-              "a dropped packet hangs the step",
+              plan.nameOf(si) + "' wait unarmed (no recoverCounted "
+              "deadline); a dropped packet hangs the step",
           -1, ctr);
 
   // ---- check 4: deadlock freedom of unicast routes ----------------------

@@ -21,8 +21,8 @@
 //   4. deadlock freedom    — every unicast route, including degraded-mode
 //                            reroutes around down links, stays
 //                            dimension-ordered; stalls are reported.
-//   5. recovery coverage   — counted-wait sites with no
-//                            RecoverableCountedWrite armed become lints.
+//   5. recovery coverage   — counted-wait sites not armed with
+//                            recovery (core::recoverCounted) become lints.
 //   6. static deadlock     — a cycle in the happens-before event graph
 //                            (wait-before-send loops and friends) is
 //                            reported with the full cycle in the diagnostic.

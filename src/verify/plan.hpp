@@ -22,7 +22,8 @@
 //                  same row is a core::CountedSchedule send.
 //   * expectations — counter wait sites: client, counter, per-round target
 //                  increment, per-source breakdown (a Range of `sources`),
-//                  and whether a RecoverableCountedWrite is armed on it.
+//                  and whether recovery (core::recoverCounted) is armed
+//                  on it.
 //   * multicasts — the per-node MulticastEntry rows of each pattern a write
 //                  references (a Range of `treeRows`, sorted by node), with
 //                  the fan-out's declared destination set (a Range of
@@ -108,8 +109,8 @@ struct CounterExpectation {
   /// Optional per-source breakdown: CommPlan::sources rows by ascending
   /// source, each source once.
   Range bySource{};
-  /// Whether a RecoverableCountedWrite watchdog is armed on this wait; a
-  /// false value is reported as a recovery-coverage lint.
+  /// Whether recovery (core::recoverCounted) is armed on this wait; a false
+  /// value is reported as a recovery-coverage lint.
   bool recoveryArmed = false;
   /// Intra-phase position of the wait (see PlannedWrite::seq): waits default
   /// to 0 so they precede the phase's sends unless the extractor says

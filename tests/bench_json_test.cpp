@@ -1,8 +1,10 @@
 // bench::JsonReporter must emit strict JSON: the perf-trajectory tooling
 // parses BENCH_*.json with an ordinary JSON parser, so bare nan/inf tokens,
-// unescaped quotes in metric names, or truncated doubles silently corrupt
-// the trajectory. These tests exercise the escaping and number formatting
-// helpers and round-trip a full record through a minimal JSON reader.
+// unescaped quotes in metric names, locale decimal commas or truncated
+// doubles silently corrupt the trajectory. These tests exercise the
+// escaping and number formatting helpers the reporter writes with
+// (util/json.hpp) and round-trip full records through a minimal JSON
+// reader.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -12,10 +14,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <locale>
 #include <map>
 #include <string>
 
 #include "bench_common.hpp"
+#include "util/json.hpp"
 
 namespace anton::bench {
 namespace {
@@ -100,29 +104,29 @@ bool parseFlatObject(const std::string& line,
 }
 
 TEST(JsonReporter, NonFiniteValuesBecomeNull) {
-  EXPECT_EQ(JsonReporter::number(std::nan("")), "null");
-  EXPECT_EQ(JsonReporter::number(std::numeric_limits<double>::infinity()),
+  EXPECT_EQ(util::json::number(std::nan("")), "null");
+  EXPECT_EQ(util::json::number(std::numeric_limits<double>::infinity()),
             "null");
-  EXPECT_EQ(JsonReporter::number(-std::numeric_limits<double>::infinity()),
+  EXPECT_EQ(util::json::number(-std::numeric_limits<double>::infinity()),
             "null");
 }
 
 TEST(JsonReporter, NumbersRoundTripAtFullPrecision) {
   for (double v : {162.0, 1.0 / 3.0, 9.869604401089358e-7, -0.0, 1e300,
                    0.1 + 0.2, 5e-324}) {
-    std::string s = JsonReporter::number(v);
+    std::string s = util::json::number(v);
     double back = std::strtod(s.c_str(), nullptr);
     EXPECT_EQ(back, v) << "lossy: " << s;
   }
 }
 
 TEST(JsonReporter, StringsAreEscaped) {
-  EXPECT_EQ(JsonReporter::quoted("plain"), "\"plain\"");
-  EXPECT_EQ(JsonReporter::quoted("say \"hi\""), "\"say \\\"hi\\\"\"");
-  EXPECT_EQ(JsonReporter::quoted("a\\b"), "\"a\\\\b\"");
-  EXPECT_EQ(JsonReporter::quoted("line\nbreak\ttab"),
+  EXPECT_EQ(util::json::quoted("plain"), "\"plain\"");
+  EXPECT_EQ(util::json::quoted("say \"hi\""), "\"say \\\"hi\\\"\"");
+  EXPECT_EQ(util::json::quoted("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(util::json::quoted("line\nbreak\ttab"),
             "\"line\\nbreak\\ttab\"");
-  EXPECT_EQ(JsonReporter::quoted(std::string("nul\x01" "byte")),
+  EXPECT_EQ(util::json::quoted(std::string("nul\x01" "byte")),
             "\"nul\\u0001byte\"");
 }
 
@@ -166,6 +170,30 @@ TEST(JsonReporter, RecordedLinesParseAndRoundTrip) {
 
   EXPECT_FALSE(std::getline(in, line)) << "unexpected extra output";
   std::remove(("BENCH_" + bench + ".json").c_str());
+}
+
+/// A locale that writes 1234.5 as "1.234,5".
+struct CommaDecimal : std::numpunct<char> {
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+TEST(JsonReporter, RecordsIgnoreTheGlobalLocale) {
+  const std::locale previous = std::locale::global(
+      std::locale(std::locale::classic(), new CommaDecimal));
+  {
+    JsonReporter rep("json_locale");
+    rep.record("m", 1234.5, 0.25, "us");
+  }
+  std::locale::global(previous);
+
+  std::ifstream in("BENCH_json_locale.json");
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_NE(line.find("\"paper\":1234.5,"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"measured\":0.25,"), std::string::npos) << line;
+  std::remove("BENCH_json_locale.json");
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "core/recovery.hpp"
-#include "core/watchdog.hpp"
 #include "fault/plan.hpp"
 #include "fault/report.hpp"
 #include "net/machine.hpp"
@@ -221,31 +220,28 @@ struct DeadLink final : net::FaultModel {
 
 TEST(FaultPlan, RerouteOnTimeoutRecoversAroundDeadLink) {
   // Combined outage + drop: the X+ link out of the origin holds the packet
-  // for the outage window, then drops it. The machine starts with degraded
-  // routing OFF, so the recovery path must do all three steps itself —
-  // the watchdog timeout flips rerouteOnTimeout, the registry replays the
-  // lost payload, and the resend routes Y-first around the dead link.
+  // for the outage window, then drops it. The machine runs with degraded
+  // routing OFF, so the recovery path must do both steps itself — the
+  // timeout's diagnosis replays the lost payload from the registry, and the
+  // replay (degradedRoute) routes Y-first around the dead link.
   Fixture f({4, 4, 4});
   core::DropRegistry reg(f.machine);
   DeadLink fm(f.nodeAt(0, 0, 0), /*dim=*/0, /*sign=*/+1);
   f.machine.setFaultModel(&fm);
-  EXPECT_FALSE(f.machine.faultReroute());
 
   const int srcNode = f.nodeAt(0, 0, 0);
   ClientAddr dst{f.nodeAt(1, 1, 0), kSlice0};
   NetworkClient& dstClient = f.machine.client(dst);
-  core::RecoveryConfig rc;
-  rc.timeout = sim::us(2);
-  rc.maxResends = 3;
-  rc.resendBackoff = sim::us(1);
-  rc.rerouteOnTimeout = true;
-  core::RecoverableCountedWrite rcw(dstClient, 0, rc);
-  rcw.expectFrom(srcNode, 1);
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks{
+      .registry = &reg,
+      .config = {.timeout = sim::us(2), .maxResends = 3,
+                 .resendBackoff = sim::us(1)},
+      .stats = &stats};
+  const verify::SourceCount owed[] = {{srcNode, 1}};
   bool done = false;
   auto waiter = [&]() -> Task {
-    co_await rcw.await(1, [&](const core::WatchdogReport& r) {
-      return core::resendFromRegistry(f.machine, reg, r);
-    });
+    co_await core::recoverCounted(dstClient, 0, 1, owed, hooks);
     done = true;
   };
   f.sim.spawn(waiter());
@@ -259,15 +255,14 @@ TEST(FaultPlan, RerouteOnTimeoutRecoversAroundDeadLink) {
   f.sim.run();
 
   EXPECT_TRUE(done) << "rerouted step never completed";
-  EXPECT_TRUE(f.machine.faultReroute()) << "timeout did not flip reroute";
   EXPECT_EQ(dstClient.counterValue(0), 1u);
   EXPECT_EQ(dstClient.read<std::uint64_t>(0), 0x162u);
   // The original attempt: one outage stall, then the drop.
   EXPECT_EQ(f.machine.stats().outageStalls, 1u);
   EXPECT_EQ(f.machine.stats().linkFailures, 1u);
-  EXPECT_EQ(rcw.stats().timeouts, 1u);
-  EXPECT_EQ(rcw.stats().resends, 1u);
-  EXPECT_EQ(rcw.stats().hardFailures, 0u);
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.resends, 1u);
+  EXPECT_EQ(stats.hardFailures, 0u);
   // The resend deviated from the dead preferred dimension: Y-first, and the
   // dead X+ link saw only the doomed original traversal.
   EXPECT_GE(f.machine.stats().faultReroutes, 1u);
@@ -315,12 +310,10 @@ TEST(FaultPlan, FaultEventsAreTraced) {
 TEST(Watchdog, TimesOutWithDiagnosticInsteadOfDeadlock) {
   Fixture f({4, 4, 4});
   NetworkClient& dst = f.machine.client({0, kSlice0});
+  const verify::SourceCount owed[] = {{1, 1}, {2, 2}};
   core::WatchdogReport report;
   auto waiter = [&]() -> Task {
-    core::CountedWriteWatchdog wd(dst, 0, sim::us(2));
-    wd.expectFrom(1, 1);
-    wd.expectFrom(2, 2);
-    report = co_await wd.wait(3);
+    report = co_await core::watchCounter(dst, 0, 3, sim::us(2), owed);
   };
   f.sim.spawn(waiter());
   // Node 1 sends its packet; node 2 never does.
@@ -347,8 +340,7 @@ TEST(Watchdog, ResolvesNormallyWhenTrafficArrives) {
   NetworkClient& dst = f.machine.client({0, kSlice1});
   core::WatchdogReport report;
   auto waiter = [&]() -> Task {
-    core::CountedWriteWatchdog wd(dst, 0, sim::us(100));
-    report = co_await wd.wait(2);
+    report = co_await core::watchCounter(dst, 0, 2, sim::us(100));
   };
   f.sim.spawn(waiter());
   NetworkClient::SendArgs args;
@@ -362,20 +354,6 @@ TEST(Watchdog, ResolvesNormallyWhenTrafficArrives) {
   EXPECT_EQ(report.arrived, 2u);
   // Resolution is prompt (counter path), not at the 100 us deadline.
   EXPECT_LT(toNs(report.resolvedAt), 1000.0);
-}
-
-TEST(Watchdog, TimeoutCanEnableDegradedRouting) {
-  Fixture f({4, 4, 4});
-  NetworkClient& dst = f.machine.client({0, kSlice0});
-  EXPECT_FALSE(f.machine.faultReroute());
-  auto waiter = [&]() -> Task {
-    core::CountedWriteWatchdog wd(dst, 0, sim::us(1));
-    wd.rerouteOnTimeout(true);
-    co_await wd.wait(1);  // nothing is ever sent
-  };
-  f.sim.spawn(waiter());
-  f.sim.run();
-  EXPECT_TRUE(f.machine.faultReroute());
 }
 
 TEST(FaultReport, SummaryReflectsCounters) {

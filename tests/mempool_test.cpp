@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/recovery.hpp"
-#include "core/watchdog.hpp"
 #include "net/machine.hpp"
 #include "net/packet.hpp"
 #include "sim/event_fn.hpp"

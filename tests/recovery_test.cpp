@@ -1,8 +1,8 @@
 // End-to-end erasure recovery: link-failure drops must be observable and
-// recoverable. Covers the watchdog race-loser cancellation (no stale counter
-// waiters, no deadline stretching the timeline), expectFrom diagnosis over
-// the full arrival history, the DropRegistry replay buffer, and the
-// RecoverableCountedWrite retry loop — including exact multicast recovery
+// recoverable. Covers the deadline race's loser cancellation (no stale
+// counter waiters, no deadline stretching the timeline), the per-source
+// diagnosis over the full arrival history, the DropRegistry replay buffer,
+// and the recoverCounted retry loop — including exact multicast recovery
 // (only denied receivers are re-sent to) and the bounded-budget hard
 // failure.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "core/allreduce.hpp"
 #include "core/recovery.hpp"
-#include "core/watchdog.hpp"
 #include "fft/distributed.hpp"
 #include "fft/grid3d.hpp"
 #include "md/anton_app.hpp"
@@ -144,8 +143,7 @@ TEST(Watchdog, TimeoutCancelsTheCounterWaiter) {
   NetworkClient& dst = f.machine.client({0, kSlice0});
   core::WatchdogReport report;
   auto waiter = [&]() -> Task {
-    core::CountedWriteWatchdog wd(dst, 0, sim::us(1));
-    report = co_await wd.wait(5);  // nothing is ever sent
+    report = co_await core::watchCounter(dst, 0, 5, sim::us(1));  // no sends
   };
   f.sim.spawn(waiter());
   f.sim.run();
@@ -161,8 +159,7 @@ TEST(Watchdog, CounterWinCancelsTheDeadline) {
   NetworkClient& dst = f.machine.client({0, kSlice0});
   core::WatchdogReport report;
   auto waiter = [&]() -> Task {
-    core::CountedWriteWatchdog wd(dst, 0, sim::us(1000));
-    report = co_await wd.wait(1);
+    report = co_await core::watchCounter(dst, 0, 1, sim::us(1000));
   };
   f.sim.spawn(waiter());
   NetworkClient::SendArgs args;
@@ -175,11 +172,11 @@ TEST(Watchdog, CounterWinCancelsTheDeadline) {
   EXPECT_LT(f.sim.now(), sim::us(1000)) << "dead deadline stretched the run";
 }
 
-TEST(Watchdog, ExpectFromAfterArrivalsSeesFullHistory) {
-  // Sources are tallied from counter creation, so a watchdog declaring its
-  // expectations after packets have already arrived must still credit them
-  // (the old per-call opt-in lost every pre-tracking increment and
-  // overstated the missing packets).
+TEST(Watchdog, OwedAfterArrivalsSeesFullHistory) {
+  // Sources are tallied from counter creation, so a wait that starts after
+  // packets have already arrived must still credit them (the old per-call
+  // opt-in lost every pre-tracking increment and overstated the missing
+  // packets).
   Fixture f;
   NetworkClient& dst = f.machine.client({0, kSlice0});
   const int src1 = f.nodeAt(1, 0, 0), src2 = f.nodeAt(2, 0, 0);
@@ -191,12 +188,11 @@ TEST(Watchdog, ExpectFromAfterArrivalsSeesFullHistory) {
   f.machine.client({src2, kSlice0}).post(args);
   f.sim.run();  // all three arrive BEFORE any expectation is declared
 
+  const verify::SourceCount owed[] = {{src1, 2}, {src2, 2}};
   core::WatchdogReport report;
   auto waiter = [&]() -> Task {
-    core::CountedWriteWatchdog wd(dst, 0, sim::us(1));
-    wd.expectFrom(src1, 2);
-    wd.expectFrom(src2, 2);
-    report = co_await wd.wait(4);  // 3 arrived; src1 still owes one
+    // 3 arrived; src1 still owes one
+    report = co_await core::watchCounter(dst, 0, 4, sim::us(1), owed);
   };
   f.sim.spawn(waiter());
   f.sim.run();
@@ -252,17 +248,16 @@ TEST(Recovery, DroppedCountedWriteIsResentAndCompletes) {
   const int srcNode = f.nodeAt(1, 0, 0);
   ClientAddr dst{0, kSlice0};
   NetworkClient& dstClient = f.machine.client(dst);
-  core::RecoveryConfig rc;
-  rc.timeout = sim::us(2);
-  rc.maxResends = 3;
-  rc.resendBackoff = sim::us(1);
-  core::RecoverableCountedWrite rcw(dstClient, 0, rc);
-  rcw.expectFrom(srcNode, 3);
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks{
+      .registry = &reg,
+      .config = {.timeout = sim::us(2), .maxResends = 3,
+                 .resendBackoff = sim::us(1)},
+      .stats = &stats};
+  const verify::SourceCount owed[] = {{srcNode, 3}};
   bool done = false;
   auto waiter = [&]() -> Task {
-    co_await rcw.await(3, [&](const core::WatchdogReport& r) {
-      return core::resendFromRegistry(f.machine, reg, r);
-    });
+    co_await core::recoverCounted(dstClient, 0, 3, owed, hooks);
     done = true;
   };
   f.sim.spawn(waiter());
@@ -281,9 +276,9 @@ TEST(Recovery, DroppedCountedWriteIsResentAndCompletes) {
   EXPECT_TRUE(done);
   EXPECT_EQ(dstClient.counterValue(0), 3u);
   EXPECT_EQ(f.machine.stats().linkFailures, 1u);
-  EXPECT_EQ(rcw.stats().timeouts, 1u);
-  EXPECT_EQ(rcw.stats().resends, 1u);
-  EXPECT_EQ(rcw.stats().hardFailures, 0u);
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.resends, 1u);
+  EXPECT_EQ(stats.hardFailures, 0u);
   for (std::uint64_t i = 0; i < 3; ++i)
     EXPECT_EQ(dstClient.read<std::uint64_t>(std::uint32_t(i) * 8), 0xabc0 + i)
         << "slot " << i;
@@ -311,17 +306,16 @@ TEST(Recovery, MulticastResendTargetsOnlyDeniedReceivers) {
 
   NetworkClient& r1 = f.machine.client({n1, kSlice0});
   NetworkClient& r2 = f.machine.client({n2, kSlice0});
-  core::RecoveryConfig rc;
-  rc.timeout = sim::us(2);
-  rc.maxResends = 2;
-  rc.resendBackoff = sim::us(1);
-  core::RecoverableCountedWrite rcw(r2, 0, rc);
-  rcw.expectFrom(n0, 1);
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks{
+      .registry = &reg,
+      .config = {.timeout = sim::us(2), .maxResends = 2,
+                 .resendBackoff = sim::us(1)},
+      .stats = &stats};
+  const verify::SourceCount owed[] = {{n0, 1}};
   bool done = false;
   auto waiter = [&]() -> Task {
-    co_await rcw.await(1, [&](const core::WatchdogReport& r) {
-      return core::resendFromRegistry(f.machine, reg, r);
-    });
+    co_await core::recoverCounted(r2, 0, 1, owed, hooks);
     done = true;
   };
   f.sim.spawn(waiter());
@@ -338,7 +332,7 @@ TEST(Recovery, MulticastResendTargetsOnlyDeniedReceivers) {
   EXPECT_EQ(r1.counterValue(0), 1u) << "already-served receiver re-bumped";
   EXPECT_EQ(r2.counterValue(0), 1u);
   EXPECT_EQ(r2.read<std::uint64_t>(0), 0xfeedu);
-  EXPECT_EQ(rcw.stats().resends, 1u);
+  EXPECT_EQ(stats.resends, 1u);
   EXPECT_EQ(f.machine.stats().linkFailures, 1u);
 }
 
@@ -348,22 +342,22 @@ TEST(Recovery, TrickleProgressRoundsDoNotChargeTheResendBudget) {
   // round observes the counter advancing. Such progress rounds must be
   // forgiven — with maxResends = 0 the old fixed-budget loop would have
   // hard-failed on the very first timeout, even though nothing was lost.
+  // Nothing is dropped, so every round's replay finds the registry empty.
   Fixture f;
+  core::DropRegistry reg(f.machine);
   const int srcNode = f.nodeAt(1, 0, 0);
   ClientAddr dst{0, kSlice0};
   NetworkClient& dstClient = f.machine.client(dst);
-  core::RecoveryConfig rc;
-  rc.timeout = sim::us(2);
-  rc.maxResends = 0;  // zero budget: only progress keeps the wait alive
-  core::RecoverableCountedWrite rcw(dstClient, 0, rc);
-  rcw.expectFrom(srcNode, 4);
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks{
+      .registry = &reg,
+      // zero budget: only progress keeps the wait alive
+      .config = {.timeout = sim::us(2), .maxResends = 0},
+      .stats = &stats};
+  const verify::SourceCount owed[] = {{srcNode, 4}};
   bool done = false;
-  int diagnoses = 0;
   auto waiter = [&]() -> Task {
-    co_await rcw.await(4, [&](const core::WatchdogReport&) -> std::size_t {
-      ++diagnoses;
-      return 0;  // nothing in the registry: no packet was actually lost
-    });
+    co_await core::recoverCounted(dstClient, 0, 4, owed, hooks);
     done = true;
   };
   f.sim.spawn(waiter());
@@ -386,50 +380,42 @@ TEST(Recovery, TrickleProgressRoundsDoNotChargeTheResendBudget) {
 
   EXPECT_TRUE(done);
   EXPECT_EQ(dstClient.counterValue(0), 4u);
-  EXPECT_EQ(rcw.stats().timeouts, 3u);        // deadlines at 2, 4, 6 us
-  EXPECT_EQ(rcw.stats().progressRounds, 3u);  // every one forgiven
-  EXPECT_EQ(diagnoses, 3);                    // each round still diagnosed
-  EXPECT_EQ(rcw.stats().resends, 0u);
-  EXPECT_EQ(rcw.stats().hardFailures, 0u);
+  EXPECT_EQ(stats.timeouts, 3u);        // deadlines at 2, 4, 6 us
+  EXPECT_EQ(stats.progressRounds, 3u);  // every one forgiven
+  EXPECT_EQ(stats.resends, 0u);
+  EXPECT_EQ(stats.hardFailures, 0u);
 }
 
 TEST(Recovery, StalledTrickleStillExhaustsTheBudget) {
   // The forgiveness must not defeat the bound: once the trickle stops, the
   // counter stops advancing and the stalled rounds burn the budget as
-  // before — a genuinely lost packet still hard-fails.
+  // before — a packet the registry cannot replay still hard-fails.
   Fixture f;
-  DropTraversals fm({1});  // second packet is eaten
-  f.machine.setFaultModel(&fm);
+  core::DropRegistry reg(f.machine);
   const int srcNode = f.nodeAt(1, 0, 0);
   NetworkClient& dstClient = f.machine.client({0, kSlice0});
-  core::RecoveryConfig rc;
-  rc.timeout = sim::us(2);
-  rc.maxResends = 1;
-  core::RecoverableCountedWrite rcw(dstClient, 0, rc);
-  rcw.expectFrom(srcNode, 2);
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks{
+      .registry = &reg,
+      .config = {.timeout = sim::us(2), .maxResends = 1},
+      .stats = &stats};
+  const verify::SourceCount owed[] = {{srcNode, 2}};
   auto waiter = [&]() -> Task {
-    co_await rcw.await(2, [](const core::WatchdogReport&) -> std::size_t {
-      return 0;  // registry intentionally empty: nothing to replay
-    });
+    co_await core::recoverCounted(dstClient, 0, 2, owed, hooks);
   };
   f.sim.spawn(waiter());
   NetworkClient::SendArgs args;
   args.dst = {0, kSlice0};
   args.counterId = 0;
   args.inOrder = true;
-  f.machine.client({srcNode, kSlice0}).post(args);  // arrives: progress
-  f.sim.after(sim::us(1), [&f, srcNode] {
-    NetworkClient::SendArgs a;
-    a.dst = {0, kSlice0};
-    a.counterId = 0;
-    a.inOrder = true;
-    f.machine.client({srcNode, kSlice0}).post(a);  // dropped: stall
-  });
+  // The first packet arrives (progress); the second is never sent, so the
+  // registry holds nothing to replay and the rounds after it stall.
+  f.machine.client({srcNode, kSlice0}).post(args);
 
   EXPECT_THROW(f.sim.run(), core::RecoveryFailure);
-  EXPECT_EQ(rcw.stats().hardFailures, 1u);
-  EXPECT_EQ(rcw.stats().progressRounds, 1u);  // round 1 saw the first packet
-  EXPECT_EQ(rcw.stats().timeouts, 3u);  // progress round + initial + 1 resend
+  EXPECT_EQ(stats.hardFailures, 1u);
+  EXPECT_EQ(stats.progressRounds, 1u);  // round 1 saw the first packet
+  EXPECT_EQ(stats.timeouts, 3u);  // progress round + initial + 1 resend
 }
 
 TEST(Recovery, ExhaustedResendBudgetHardFailsWithReport) {
@@ -443,16 +429,15 @@ TEST(Recovery, ExhaustedResendBudgetHardFailsWithReport) {
 
   const int srcNode = f.nodeAt(1, 0, 0);
   NetworkClient& dst = f.machine.client({0, kSlice0});
-  core::RecoveryConfig rc;
-  rc.timeout = sim::us(1);
-  rc.maxResends = 2;
-  rc.resendBackoff = sim::us(1);
-  core::RecoverableCountedWrite rcw(dst, 0, rc);
-  rcw.expectFrom(srcNode, 1);
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks{
+      .registry = &reg,
+      .config = {.timeout = sim::us(1), .maxResends = 2,
+                 .resendBackoff = sim::us(1)},
+      .stats = &stats};
+  const verify::SourceCount owed[] = {{srcNode, 1}};
   auto waiter = [&]() -> Task {
-    co_await rcw.await(1, [&](const core::WatchdogReport& r) {
-      return core::resendFromRegistry(f.machine, reg, r);
-    });
+    co_await core::recoverCounted(dst, 0, 1, owed, hooks);
   };
   f.sim.spawn(waiter());
   NetworkClient::SendArgs args;
@@ -472,8 +457,8 @@ TEST(Recovery, ExhaustedResendBudgetHardFailsWithReport) {
     EXPECT_EQ(e.report.missing[0].node, srcNode);
     EXPECT_NE(std::string(e.what()).find("TIMED OUT"), std::string::npos);
   }
-  EXPECT_EQ(rcw.stats().hardFailures, 1u);
-  EXPECT_EQ(rcw.stats().timeouts, 3u);  // initial attempt + 2 resend rounds
+  EXPECT_EQ(stats.hardFailures, 1u);
+  EXPECT_EQ(stats.timeouts, 3u);  // initial attempt + 2 resend rounds
   EXPECT_GE(f.machine.stats().linkFailures, 3u);  // original + both resends
 }
 
@@ -493,17 +478,16 @@ TEST(Recovery, ReplayRoutesAroundALinkMarkedFailed) {
 
   ClientAddr dst{f.nodeAt(1, 1, 0), kSlice0};
   NetworkClient& dstClient = f.machine.client(dst);
-  core::RecoveryConfig rc;
-  rc.timeout = sim::us(2);
-  rc.maxResends = 2;
-  rc.resendBackoff = sim::us(1);
-  core::RecoverableCountedWrite rcw(dstClient, 0, rc);
-  rcw.expectFrom(0, 1);
+  core::RecoveryStats stats;
+  const core::RecoveryHooks hooks{
+      .registry = &reg,
+      .config = {.timeout = sim::us(2), .maxResends = 2,
+                 .resendBackoff = sim::us(1)},
+      .stats = &stats};
+  const verify::SourceCount owed[] = {{0, 1}};
   bool done = false;
   auto waiter = [&]() -> Task {
-    co_await rcw.await(1, [&](const core::WatchdogReport& r) {
-      return core::resendFromRegistry(f.machine, reg, r);
-    });
+    co_await core::recoverCounted(dstClient, 0, 1, owed, hooks);
     done = true;
   };
   f.sim.spawn(waiter());
@@ -519,8 +503,8 @@ TEST(Recovery, ReplayRoutesAroundALinkMarkedFailed) {
   EXPECT_TRUE(done);
   EXPECT_EQ(dstClient.counterValue(0), 1u);
   EXPECT_EQ(dstClient.read<std::uint64_t>(0), 0xbeefu);
-  EXPECT_EQ(rcw.stats().resends, 1u) << "one replay must suffice";
-  EXPECT_EQ(rcw.stats().hardFailures, 0u);
+  EXPECT_EQ(stats.resends, 1u) << "one replay must suffice";
+  EXPECT_EQ(stats.hardFailures, 0u);
   EXPECT_EQ(f.machine.stats().linkFailures, 1u)
       << "the replay must never touch the marked link";
   EXPECT_GE(f.machine.stats().faultReroutes, 1u)

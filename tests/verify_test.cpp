@@ -425,7 +425,7 @@ TEST(VerifyPlan, ExtractedMdPlanVerifiesCleanly) {
   cfg.ewald.grid = 16;
   cfg.homeBoxMarginFrac = 0.10;
   cfg.thermostatTau = 0.0;
-  cfg.recoveryTimeoutUs = 5000.0;  // arm RecoverableCountedWrite sites
+  cfg.recoveryTimeoutUs = 5000.0;  // arm recovery on the wait sites
 
   sim::Simulator sim;
   net::Machine machine(sim, {4, 4, 4});

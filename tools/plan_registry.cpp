@@ -127,7 +127,7 @@ md::AntonMdConfig quickstartMdConfig() {
   cfg.ewald.grid = 16;
   cfg.thermostatTau = 0.05;
   cfg.homeBoxMarginFrac = 0.10;
-  cfg.recoveryTimeoutUs = 5000;  // arm RecoverableCountedWrite on the waits
+  cfg.recoveryTimeoutUs = 5000;  // arm recovery on every counted wait
   cfg.recoveryMaxResends = 6;
   return cfg;
 }

@@ -63,6 +63,7 @@
 #include "net/probe.hpp"
 #include "plan_registry.hpp"
 #include "sim/simulator.hpp"
+#include "util/json.hpp"
 #include "verify/checks.hpp"
 #include "verify/snapshot.hpp"
 #include "verify/timing.hpp"
@@ -76,6 +77,7 @@ namespace net = anton::net;
 namespace core = anton::core;
 namespace sim = anton::sim;
 namespace tools = anton::tools;
+namespace json = anton::util::json;
 
 struct Emitter {
   JsonReporter file;
@@ -104,15 +106,14 @@ std::string shapeStr(const anton::util::TorusShape& s) {
 std::string findingLine(const std::string& plan, const verify::Violation& v) {
   std::ostringstream os;
   os << "{\"kind\":"
-     << JsonReporter::quoted(v.severity == verify::Severity::kError
-                                 ? "violation"
-                                 : "lint")
-     << ",\"plan\":" << JsonReporter::quoted(plan)
-     << ",\"check\":" << JsonReporter::quoted(v.check)
-     << ",\"site\":" << JsonReporter::quoted(v.site) << ",\"node\":" << v.node
+     << json::quoted(v.severity == verify::Severity::kError ? "violation"
+                                                            : "lint")
+     << ",\"plan\":" << json::quoted(plan)
+     << ",\"check\":" << json::quoted(v.check)
+     << ",\"site\":" << json::quoted(v.site) << ",\"node\":" << v.node
      << ",\"counter\":" << v.counterId << ",\"pattern\":" << v.patternId
      << ",\"count\":" << v.count
-     << ",\"detail\":" << JsonReporter::quoted(v.detail) << "}";
+     << ",\"detail\":" << json::quoted(v.detail) << "}";
   return os.str();
 }
 
@@ -128,8 +129,8 @@ verify::VerifyResult runPlan(Emitter& em, Totals& t,
   for (const verify::Violation& v : r.lints)
     if (v.check == "recovery-coverage") ++t.recoveryLints;
   std::ostringstream os;
-  os << "{\"kind\":\"plan\",\"plan\":" << JsonReporter::quoted(plan.name)
-     << ",\"shape\":" << JsonReporter::quoted(shapeStr(plan.shape))
+  os << "{\"kind\":\"plan\",\"plan\":" << json::quoted(plan.name)
+     << ",\"shape\":" << json::quoted(shapeStr(plan.shape))
      << ",\"phases\":" << plan.phases.size()
      << ",\"writes\":" << plan.writes.size()
      << ",\"expectations\":" << plan.expectations.size()
@@ -332,8 +333,8 @@ void runSelfTests(Emitter& em, Totals& t) {
     ++t.selftests;
     if (!fired) ++t.selftestFailures;
     std::ostringstream os;
-    os << "{\"kind\":\"selftest\",\"plan\":" << JsonReporter::quoted(st.name)
-       << ",\"expected\":" << JsonReporter::quoted(st.expect)
+    os << "{\"kind\":\"selftest\",\"plan\":" << json::quoted(st.name)
+       << ",\"expected\":" << json::quoted(st.expect)
        << ",\"violations\":" << r.violations.size()
        << ",\"fired\":" << (fired ? "true" : "false") << "}";
     em.line(os.str());
@@ -344,17 +345,17 @@ void runSelfTests(Emitter& em, Totals& t) {
 
 std::string timingLine(const verify::TimingReport& r) {
   std::ostringstream os;
-  os << "{\"kind\":\"timing\",\"plan\":" << JsonReporter::quoted(r.plan)
+  os << "{\"kind\":\"timing\",\"plan\":" << json::quoted(r.plan)
      << ",\"rounds\":" << r.rounds << ",\"events\":" << r.eventsModeled
-     << ",\"criticalPathNs\":" << JsonReporter::number(r.criticalPathNs)
-     << ",\"perRoundNs\":" << JsonReporter::number(r.perRoundNs)
+     << ",\"criticalPathNs\":" << json::number(r.criticalPathNs)
+     << ",\"perRoundNs\":" << json::number(r.perRoundNs)
      << ",\"linksUsed\":" << r.linksUsed
-     << ",\"maxLinkDemandNs\":" << JsonReporter::number(r.maxLinkDemandNs)
+     << ",\"maxLinkDemandNs\":" << json::number(r.maxLinkDemandNs)
      << ",\"hotspots\":" << r.hotspots.size();
   if (r.degradedAnalyzed)
     os << ",\"degradedCriticalPathNs\":"
-       << JsonReporter::number(r.degradedCriticalPathNs)
-       << ",\"inflation\":" << JsonReporter::number(r.inflation)
+       << json::number(r.degradedCriticalPathNs)
+       << ",\"inflation\":" << json::number(r.inflation)
        << ",\"degradedStalled\":" << (r.degradedStalled ? "true" : "false");
   os << ",\"violations\":" << r.violations.size()
      << ",\"ok\":" << (r.ok() ? "true" : "false") << "}";
@@ -371,15 +372,15 @@ void emitTiming(Emitter& em, const verify::TimingReport& r) {
   for (std::size_t i = 0; i < hcap; ++i) {
     const verify::LinkLoad& h = r.hotspots[i];
     std::ostringstream os;
-    os << "{\"kind\":\"hotspot\",\"plan\":" << JsonReporter::quoted(r.plan)
+    os << "{\"kind\":\"hotspot\",\"plan\":" << json::quoted(r.plan)
        << ",\"node\":" << h.node << ",\"link\":"
-       << JsonReporter::quoted(std::string(1, "xyz"[std::size_t(h.dim)]) +
-                               (h.sign > 0 ? "+" : "-"))
-       << ",\"phase\":" << JsonReporter::quoted(h.phase)
+       << json::quoted(std::string(1, "xyz"[std::size_t(h.dim)]) +
+                       (h.sign > 0 ? "+" : "-"))
+       << ",\"phase\":" << json::quoted(h.phase)
        << ",\"packets\":" << h.packets
-       << ",\"occupancyNs\":" << JsonReporter::number(h.occupancyNs)
-       << ",\"windowNs\":" << JsonReporter::number(h.windowNs)
-       << ",\"utilization\":" << JsonReporter::number(h.utilization) << "}";
+       << ",\"occupancyNs\":" << json::number(h.occupancyNs)
+       << ",\"windowNs\":" << json::number(h.windowNs)
+       << ",\"utilization\":" << json::number(h.utilization) << "}";
     em.line(os.str());
   }
   std::size_t pcap = std::min<std::size_t>(6, r.bottleneckPath.size());
@@ -388,10 +389,10 @@ void emitTiming(Emitter& em, const verify::TimingReport& r) {
     const verify::PathStep& s = r.bottleneckPath[i];
     std::ostringstream os;
     os << "{\"kind\":\"critical-event\",\"plan\":"
-       << JsonReporter::quoted(r.plan) << ",\"index\":" << i
-       << ",\"event\":" << JsonReporter::quoted(s.event)
-       << ",\"arrivalNs\":" << JsonReporter::number(s.arrivalNs)
-       << ",\"edgeNs\":" << JsonReporter::number(s.edgeNs) << "}";
+       << json::quoted(r.plan) << ",\"index\":" << i
+       << ",\"event\":" << json::quoted(s.event)
+       << ",\"arrivalNs\":" << json::number(s.arrivalNs)
+       << ",\"edgeNs\":" << json::number(s.edgeNs) << "}";
     em.line(os.str());
   }
 }
@@ -524,11 +525,11 @@ int runTiming(const std::string& outPath = "VERIFY_timing.json") {
     ++selftests;
     if (!fired) ++selftestFailures;
     std::ostringstream os;
-    os << "{\"kind\":\"selftest\",\"plan\":" << JsonReporter::quoted(st.name)
-       << ",\"expected\":" << JsonReporter::quoted(st.expect)
+    os << "{\"kind\":\"selftest\",\"plan\":" << json::quoted(st.name)
+       << ",\"expected\":" << json::quoted(st.expect)
        << ",\"violations\":" << r.violations.size()
        << ",\"fired\":" << (fired ? "true" : "false")
-       << ",\"detail\":" << JsonReporter::quoted(detail) << "}";
+       << ",\"detail\":" << json::quoted(detail) << "}";
     em.line(os.str());
   }
 
@@ -697,12 +698,12 @@ int runTimingOracle() {
     violations += int(vs.size());
     std::ostringstream os;
     os << "{\"kind\":\"timing-oracle\",\"family\":"
-       << JsonReporter::quoted(c.family)
-       << ",\"case\":" << JsonReporter::quoted(c.name)
-       << ",\"measuredNs\":" << JsonReporter::number(c.measuredNs)
-       << ",\"boundNs\":" << JsonReporter::number(c.boundNs)
-       << ",\"ratio\":" << JsonReporter::number(ratio)
-       << ",\"maxRatio\":" << JsonReporter::number(env.maxRatio)
+       << json::quoted(c.family)
+       << ",\"case\":" << json::quoted(c.name)
+       << ",\"measuredNs\":" << json::number(c.measuredNs)
+       << ",\"boundNs\":" << json::number(c.boundNs)
+       << ",\"ratio\":" << json::number(ratio)
+       << ",\"maxRatio\":" << json::number(env.maxRatio)
        << ",\"violations\":" << vs.size()
        << ",\"ok\":" << (vs.empty() ? "true" : "false") << "}";
     em.line(os.str());
@@ -725,10 +726,10 @@ int runTimingOracle() {
     if (!fired) ++selftestFailures;
     std::ostringstream os;
     os << "{\"kind\":\"selftest\",\"plan\":"
-       << JsonReporter::quoted("bad-timing-inflated-bound")
-       << ",\"expected\":" << JsonReporter::quoted("timing.bound")
-       << ",\"claimedNs\":" << JsonReporter::number(claimed)
-       << ",\"measuredNs\":" << JsonReporter::number(measured1HopNs)
+       << json::quoted("bad-timing-inflated-bound")
+       << ",\"expected\":" << json::quoted("timing.bound")
+       << ",\"claimedNs\":" << json::number(claimed)
+       << ",\"measuredNs\":" << json::number(measured1HopNs)
        << ",\"fired\":" << (fired ? "true" : "false") << "}";
     em.line(os.str());
   }
@@ -779,9 +780,9 @@ int runDiff(const std::string& a, const std::string& b) {
 }
 
 /// --plan-keys: one "<name> <planKeyHex>" line per shipped golden plan.
-/// The hex is verify::planKey over the canonical snapshot bytes — the same
-/// stable identity the serve cache folds into its job keys, pinned as
-/// constants by golden_plan_test.
+/// The hex is verify::planKey over the canonical snapshot bytes, the plan's
+/// stable identity, pinned as constants by golden_plan_test. (Serve keys a
+/// job by its spec alone; plan keys are not part of job keys.)
 int runPlanKeys() {
   for (const std::string& name : tools::goldenPlanNames())
     std::cout << name << " "
