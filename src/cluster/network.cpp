@@ -40,10 +40,8 @@ void ClusterMachine::RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
   NodeState& node = m.nodes_[std::size_t(dst)];
   node.waiters.push_back({src, tag, this, h});
   if (timeout > 0) {
-    // Deadline for the match. Cancelled (discarded without advancing time)
-    // when a message matches first, so a met deadline never shows up in the
-    // timeline; see Watchdog::CounterWinCancelsTheDeadline for the idiom.
-    deadline = m.sim_.afterCancellable(timeout, [this, h] {
+    // Deadline for the match; a message that matches first cancels it.
+    deadline = m.sim_.armDeadline(m.sim_.now() + timeout, [this, h] {
       NodeState& nd = m.nodes_[std::size_t(dst)];
       std::erase_if(nd.waiters,
                     [this](const Waiter& w) { return w.awaiter == this; });
@@ -74,7 +72,7 @@ void ClusterMachine::tryMatch(NodeState& node) {
     }
     w->awaiter->result = std::move(*msg);
     node.arrived.erase(msg);
-    sim::Simulator::cancel(w->awaiter->deadline);  // the match won the race
+    sim_.cancelDeadline(w->awaiter->deadline);  // the match won the race
     // Receiver software completes the match after o_r.
     sim_.resumeAfter(sim::us(params_.recvOverheadUs), w->handle);
     w = node.waiters.erase(w);

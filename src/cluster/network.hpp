@@ -60,11 +60,11 @@ class ClusterMachine {
 
   /// Awaitable receive: matches (src, tag) FIFO; resumes o_r after the
   /// message has arrived. src = kAnySource matches any sender. A nonzero
-  /// `timeout` arms a cancellable deadline: if no matching message lands in
+  /// `timeout` arms a kernel deadline: if no matching message lands in
   /// time the waiter is retracted and await_resume throws a diagnostic
   /// naming (dst, src, tag) — a lost message becomes a loud failure instead
-  /// of a silent hang. With timeout 0 (default) no event is scheduled and
-  /// timing is bit-identical to the deadline-free receive.
+  /// of a silent hang. A match retracts the deadline, which then leaves no
+  /// trace; with timeout 0 (default) none is armed.
   static constexpr int kAnySource = -1;
   struct RecvAwaiter {
     ClusterMachine& m;
@@ -74,13 +74,13 @@ class ClusterMachine {
     Message result;
     sim::Time timeout = 0;
     bool timedOut = false;
-    sim::Simulator::EventHandle deadline;
+    sim::Simulator::DeadlineId deadline = 0;
     bool await_ready() noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h);
     Message await_resume();
   };
   RecvAwaiter recv(int dst, int src, int tag, sim::Time timeout = 0) {
-    return RecvAwaiter{*this, dst, src, tag, {}, timeout, false, {}};
+    return RecvAwaiter{*this, dst, src, tag, {}, timeout};
   }
 
   std::uint64_t messagesSent() const { return messagesSent_; }

@@ -1,7 +1,6 @@
 #include "core/recovery.hpp"
 
 #include <map>
-#include <memory>
 #include <sstream>
 
 #include "net/machine.hpp"
@@ -36,6 +35,7 @@ WatchdogReport diagnose(const WatchedWait& w, bool timedOut) {
   r.resolvedAt = w.client.machine().sim().now();
   r.dst = w.client.addr();
   r.counterId = w.counterId;
+  if (!timedOut) return r;  // a counter win needs no shortfall
   const std::map<int, std::uint64_t> sources =
       w.client.counterSources(w.counterId);
   for (const verify::SourceCount& s : w.owed) {
@@ -49,31 +49,23 @@ WatchdogReport diagnose(const WatchedWait& w, bool timedOut) {
 }  // namespace
 
 void WatchedWait::await_suspend(std::coroutine_handle<> h) {
-  // The first racer to fire settles the race and retracts the other — the
-  // counter path cancels the deadline (a surviving dead deadline would
-  // stretch run() to the full timeout), the deadline path cancels the
-  // waiter (counters never reset, so an unmet threshold would pin the
-  // callback forever). The waiter registers before the deadline is
-  // scheduled; the armed schedule pins (determinism_test) hold that order.
-  auto settled = std::make_shared<bool>(false);
-  auto deadline = std::make_shared<sim::Simulator::EventHandle>();
-  auto token = std::make_shared<std::uint64_t>(0);
-
-  *token = client.onCounter(counterId, target, [this, settled, deadline, h] {
-    if (*settled) return;
-    *settled = true;
-    sim::Simulator::cancel(*deadline);
+  // Whichever racer runs first retracts the other: the counter wake cancels
+  // the deadline; the deadline cancels the counter waiter, which stays
+  // retractable until its wake runs (counters never reset, so an unmet
+  // threshold would pin the callback forever). A threshold already met
+  // resumes after the poll latency with no deadline armed.
+  waiter = client.onCounter(counterId, target, [this, h] {
+    client.machine().sim().cancelDeadline(deadline);
     report = diagnose(*this, /*timedOut=*/false);
     h.resume();
   });
-  *deadline = client.machine().sim().afterCancellable(
-      timeout, [this, settled, token, h] {
-        if (*settled) return;
-        *settled = true;
-        client.cancelCounterWaiter(counterId, *token);
-        report = diagnose(*this, /*timedOut=*/true);
-        h.resume();
-      });
+  if (waiter == 0) return;
+  sim::Simulator& sim = client.machine().sim();
+  deadline = sim.armDeadline(sim.now() + timeout, [this, h] {
+    client.cancelCounterWaiter(counterId, waiter);
+    report = diagnose(*this, /*timedOut=*/true);
+    h.resume();
+  });
 }
 
 // --- DropRegistry -----------------------------------------------------------

@@ -7,10 +7,11 @@
 // software model would otherwise wait on forever. This layer closes the loop
 // in software, the way the machine's firmware would:
 //
-//   - watchCounter: races a counter wait against a simulated-time deadline
-//     and, on timeout, diagnoses *which sources are short* from the client's
-//     per-source arrival tally — "node 2 still owes 2 packets on counter 0"
-//     instead of "the simulation hung".
+//   - watchCounter: races a counter wait against a kernel deadline
+//     (Simulator::armDeadline) and, on timeout, diagnoses *which sources are
+//     short* from the client's per-source arrival tally — "node 2 still owes
+//     2 packets on counter 0" instead of "the simulation hung". A counter
+//     win cancels the deadline, which then leaves no trace in the schedule.
 //   - DropRegistry: a sender-side replay buffer fed by the machine's drop
 //     observer. Every dropped replica is recorded per denied receiver (for
 //     multicast, only the subtree beyond the failed link is denied — the
@@ -21,7 +22,8 @@
 //     full report when the bounded resend budget is exhausted.
 //
 // Disarmed (no registry), every wait degenerates to a plain counter poll
-// with bit-identical timing — the zero-fault path is untouched. The counted
+// with bit-identical timing — the zero-fault path is untouched. Armed, a
+// run that loses nothing keeps the disarmed run's exact schedule. The counted
 // waits themselves are CountedSchedule::awaitRound (core/schedule.hpp).
 #pragma once
 
@@ -35,6 +37,7 @@
 
 #include "net/client.hpp"
 #include "net/packet.hpp"
+#include "sim/simulator.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "verify/plan.hpp"
@@ -79,11 +82,12 @@ struct WatchdogReport {
 /// Awaitable race of one counter threshold against a deadline: resumes with
 /// the report when counters[counterId] >= target or `timeout` elapses,
 /// whichever comes first, and retracts the loser — no stale waiter pins the
-/// counter, no dead deadline stretches the timeline (Simulator::run drains
-/// the queue). `owed` holds the cumulative per-source counts by ascending
-/// source; the diagnosis names each source that delivered fewer. Sources
-/// are tallied from counter creation, so packets that arrived before the
-/// wait began are credited. `owed` is a view and must outlive the co_await.
+/// counter, and a cancelled deadline leaves no trace in the schedule. A
+/// timeout is diagnosed: `owed` holds the cumulative per-source counts by
+/// ascending source, and the report names each source that delivered fewer.
+/// Sources are tallied from counter creation, so packets that arrived
+/// before the wait began are credited. `owed` is a view and must outlive
+/// the co_await.
 struct WatchedWait {
   net::NetworkClient& client;
   int counterId;
@@ -91,6 +95,8 @@ struct WatchedWait {
   sim::Time timeout;
   std::span<const verify::SourceCount> owed;
   WatchdogReport report;
+  std::uint64_t waiter = 0;  ///< counter waiter token (0: met at once)
+  sim::Simulator::DeadlineId deadline = 0;  ///< 0: none armed
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h);

@@ -100,13 +100,29 @@ void NetworkClient::bumpCounter(int id, sim::Time /*now*/, int srcNode) {
   // Wake every poller whose threshold is now met; each resumes after the
   // polling latency of this client's counter bank.
   for (auto it = c.waiters.begin(); it != c.waiters.end();) {
-    if (it->target <= c.value) {
+    if (it->due || it->target > c.value) {
+      ++it;
+    } else if (it->token != 0) {
+      it->due = true;
+      machine_.sim().after(pollLatency(),
+                           [this, id, token = it->token] { wakeDue(id, token); });
+      ++it;
+    } else {
       machine_.sim().after(pollLatency(), std::move(it->wake));
       it = c.waiters.erase(it);
-    } else {
-      ++it;
     }
   }
+}
+
+void NetworkClient::wakeDue(int id, std::uint64_t token) {
+  std::vector<SyncCounter::Waiter>& ws = counter(id).waiters;
+  auto it = std::find_if(ws.begin(), ws.end(), [token](const auto& w) {
+    return w.token == token;
+  });
+  if (it == ws.end()) return;  // retracted while its poll was in flight
+  std::function<void()> wake = std::move(it->wake);
+  ws.erase(it);
+  wake();
 }
 
 void NetworkClient::deliver(const PacketPtr& p) {

@@ -57,13 +57,16 @@ class RecyclingQueue {
 /// and watchdog callbacks alike). Waiters carry a cancellation token so the
 /// loser of a counter/deadline race can be retracted instead of lingering
 /// forever (counters never reset, so an unmet threshold would otherwise pin
-/// its callback for the life of the client).
+/// its callback for the life of the client). A cancellable waiter whose
+/// threshold is met stays parked, `due`, until its wake runs a poll latency
+/// later, so it can be retracted up to that moment.
 struct SyncCounter {
   std::uint64_t value = 0;
   struct Waiter {
     std::uint64_t target;
     std::uint64_t token;  ///< cancellation handle (0 = not cancellable)
     std::function<void()> wake;
+    bool due = false;     ///< met; its wake is scheduled
   };
   std::vector<Waiter> waiters;
 };
@@ -131,8 +134,9 @@ class NetworkClient {
   /// already met (the callback is then a scheduled event, not a waiter).
   std::uint64_t onCounter(int id, std::uint64_t target, std::function<void()> fn);
 
-  /// Retract a pending onCounter callback by its token. Returns true if the
-  /// waiter was found (and removed) before it fired. Cancelling an
+  /// Retract a pending onCounter callback by its token: one still waiting
+  /// for its threshold, or met with its wake not yet run. Returns true if
+  /// the waiter was found (and removed) before it fired. Cancelling an
   /// already-woken or unknown token is a harmless no-op.
   bool cancelCounterWaiter(int id, std::uint64_t token);
 
@@ -195,6 +199,9 @@ class NetworkClient {
   std::span<std::byte> mem_;
 
  private:
+  /// Run and unpark the due waiter `token` of counter `id`, unless it was
+  /// retracted meanwhile.
+  void wakeDue(int id, std::uint64_t token);
   /// Counter `id` (unchecked), sizing the bank on first use.
   SyncCounter& counter(int id) {
     if (counters_.empty()) counters_.resize(std::size_t(numCounters_));

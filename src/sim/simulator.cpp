@@ -127,44 +127,27 @@ void Simulator::EventQueue::drain(F&& visit) {
 
 // --- slot arena -------------------------------------------------------------
 
-std::uint32_t Simulator::park(Callback&& fn, EventHandle&& cancelled) {
+std::uint32_t Simulator::park(Callback&& fn) {
   if (!freeSlots_.empty()) {
     std::uint32_t idx = freeSlots_.back();
     freeSlots_.pop_back();
-    slots_[idx].fn = std::move(fn);
-    slots_[idx].cancelled = std::move(cancelled);
+    slots_[idx] = std::move(fn);
     return idx;
   }
-  slots_.push_back(Slot{std::move(fn), std::move(cancelled)});
+  slots_.push_back(std::move(fn));
   return std::uint32_t(slots_.size() - 1);
 }
 
 void Simulator::release(std::uint32_t idx) {
-  slots_[idx].fn = Callback{};
-  if (slots_[idx].cancelled) {
-    slots_[idx].cancelled.reset();
-    --liveCancellable_;
-  }
+  slots_[idx] = Callback{};
   freeSlots_.push_back(idx);
-}
-
-void Simulator::purgeCancelled() {
-  // Cancelled events are discarded unexecuted and leave the clock untouched:
-  // a retracted deadline must not stretch the simulated timeline. With no
-  // cancellable events pending there is nothing to purge — and no reason to
-  // touch the slot arena per step.
-  if (liveCancellable_ == 0) return;
-  while (!queue_.empty() && slotCancelled(queue_.top().slot)) {
-    release(queue_.top().slot);
-    queue_.pop();
-  }
 }
 
 // --- scheduling -------------------------------------------------------------
 
 void Simulator::at(Time t, Callback fn) {
   if (t < now_) throw std::logic_error("Simulator::at: event scheduled in the past");
-  std::uint32_t slot = park(std::move(fn), nullptr);
+  std::uint32_t slot = park(std::move(fn));
   queue_.push(Event{t, nextSeq_++, slot});
 }
 
@@ -173,18 +156,27 @@ void Simulator::atReserved(Time t, std::uint64_t seq, Callback fn) {
     throw std::logic_error("Simulator::atReserved: event scheduled in the past");
   if (seq >= nextSeq_)
     throw std::logic_error("Simulator::atReserved: seq was not reserved");
-  std::uint32_t slot = park(std::move(fn), nullptr);
+  std::uint32_t slot = park(std::move(fn));
   queue_.push(Event{t, seq, slot});
 }
 
-Simulator::EventHandle Simulator::atCancellable(Time t, Callback fn) {
-  EventHandle h = EventHandle::make(eventHandlePool(), false);
+Simulator::DeadlineId Simulator::armDeadline(Time t, Callback fn) {
   if (t < now_)
-    throw std::logic_error("Simulator::atCancellable: event scheduled in the past");
-  std::uint32_t slot = park(std::move(fn), EventHandle(h));
-  ++liveCancellable_;
-  queue_.push(Event{t, nextSeq_++, slot});
-  return h;
+    throw std::logic_error("Simulator::armDeadline: deadline in the past");
+  deadlines_.push_back(Event{t, ++lastDeadline_, park(std::move(fn))});
+  std::push_heap(deadlines_.begin(), deadlines_.end(), Later{});
+  return lastDeadline_;
+}
+
+bool Simulator::cancelDeadline(DeadlineId id) {
+  auto it = std::find_if(deadlines_.begin(), deadlines_.end(),
+                         [id](const Event& d) { return d.seq == id; });
+  if (it == deadlines_.end()) return false;
+  release(it->slot);
+  *it = deadlines_.back();
+  deadlines_.pop_back();
+  std::make_heap(deadlines_.begin(), deadlines_.end(), Later{});
+  return true;
 }
 
 void Simulator::spawn(Task task) {
@@ -207,19 +199,29 @@ void Simulator::reapRoots() {
 // --- execution --------------------------------------------------------------
 
 bool Simulator::step() {
-  purgeCancelled();
-  if (queue_.empty()) return false;
-  const Event ev = queue_.top();
-  // The next event's slot was written when it was scheduled, often tens of
-  // thousands of events ago: start loading it now, while this event runs.
-  if (const Event* next = queue_.pop()) {
-    const char* p = reinterpret_cast<const char*>(&slots_[next->slot]);
-    __builtin_prefetch(p);
-    __builtin_prefetch(p + sizeof(Slot) - 1);
+  Event ev;
+  // The earliest deadline runs only once no queued event is at or before it.
+  if (!deadlines_.empty() &&
+      (queue_.empty() || queue_.top().t > deadlines_.front().t)) {
+    ev = deadlines_.front();
+    std::pop_heap(deadlines_.begin(), deadlines_.end(), Later{});
+    deadlines_.pop_back();
+    ev.seq = nextSeq_++;  // a deadline's place in the schedule: when it fires
+  } else if (queue_.empty()) {
+    return false;
+  } else {
+    ev = queue_.top();
+    // The next event's slot was written when it was scheduled, often tens
+    // of thousands of events ago: start loading it now, while this runs.
+    if (const Event* next = queue_.pop()) {
+      const char* p = reinterpret_cast<const char*>(&slots_[next->slot]);
+      __builtin_prefetch(p);
+      __builtin_prefetch(p + sizeof(Callback) - 1);
+    }
   }
   // Move the callback out before running it: the callback may itself
   // schedule events, reusing (or growing) the slot arena.
-  Callback fn = std::move(slots_[ev.slot].fn);
+  Callback fn = std::move(slots_[ev.slot]);
   release(ev.slot);
   now_ = ev.t;
   ++processed_;
@@ -238,28 +240,23 @@ std::uint64_t Simulator::run() {
   return n;
 }
 
-std::uint64_t Simulator::runUntil(Time deadline) {
+std::uint64_t Simulator::runUntil(Time until) {
   std::uint64_t n = 0;
-  while (true) {
-    purgeCancelled();
-    if (queue_.empty() || queue_.top().t > deadline) break;
+  while ((!queue_.empty() && queue_.top().t <= until) ||
+         (!deadlines_.empty() && deadlines_.front().t <= until)) {
     step();
     if (++n % kReapInterval == 0) reapRoots();
   }
-  if (now_ < deadline) now_ = deadline;
+  if (now_ < until) now_ = until;
   reapRoots();
   return n;
 }
 
 std::size_t Simulator::reset() {
-  // Sweep the WHOLE queue, not just the purgeable top: a retracted deadline
-  // buried under a live event is discarded-but-clean, and counting it would
-  // trip the serve layer's arenaDirtyResets == 0 audit with a false leak.
-  std::size_t discarded = roots_.size();
-  queue_.drain([&](const Event& ev) {
-    if (!slotCancelled(ev.slot)) ++discarded;
-    release(ev.slot);
-  });  // capacity is retained for arena reuse
+  std::size_t discarded = roots_.size() + queue_.size() + deadlines_.size();
+  queue_.drain([&](const Event& ev) { release(ev.slot); });
+  for (const Event& d : deadlines_) release(d.slot);
+  deadlines_.clear();  // capacity is retained for arena reuse
   // Destroying a suspended root unwinds its frame without resuming it; any
   // events it scheduled are already gone with the queue.
   roots_.clear();

@@ -7,13 +7,21 @@
 //
 // The hot path is allocation-free in steady state: queue entries are 24
 // trivially-copyable bytes (callbacks park in a recycled slot arena as
-// inline-capture sim::EventFn), cancellable-event flags come from a slab
-// pool, and every backing vector keeps its capacity across reset(). Callers
-// that batch same-source events (net::Machine's link drains) reserve
-// sequence numbers up front via reserveSeq()/atReserved() so batching
-// cannot perturb the (time, seq) schedule. The queue itself is a bucketed
+// inline-capture sim::EventFn), and every backing vector keeps its capacity
+// across reset(). Callers that batch same-source events (net::Machine's link
+// drains) reserve sequence numbers up front via reserveSeq()/atReserved() so
+// batching cannot perturb the (time, seq) schedule. The queue itself is a bucketed
 // calendar (DESIGN.md §10, "Event queue"): only the current ~1 ns bucket
 // is kept heap-ordered, so a 60k-deep queue costs a small heap per pop.
+//
+// Deadlines (armDeadline) are the one retractable kind of work. They wait
+// outside the (time, seq) queue, in their own (time, arming order) heap, and
+// take a sequence number only when they fire: a deadline cancelled first
+// leaves the clock, the sequence counter, the processed tally and the
+// schedule digest exactly as if it had never been armed. Tie rule: a
+// deadline at t fires only once no queued event is at or before t, so work
+// that lands exactly on the deadline (a counter wake, a message) wins the
+// race; deadlines at one instant fire in the order they were armed.
 #pragma once
 
 #include <coroutine>
@@ -27,30 +35,14 @@
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "util/json.hpp"
-#include "util/slab_pool.hpp"
 
 namespace anton::sim {
-
-/// Slab pool behind cancellable-event flags (one recycled slot per flag
-/// and its handle count).
-inline util::SlabPool& eventHandlePool() {
-  thread_local util::SlabPool pool("event-handle");
-  return pool;
-}
 
 class Simulator {
  public:
   using Callback = EventFn;
-
-  /// Handle of a cancellable event: call cancel() (or set *handle = true) to
-  /// retract it. A cancelled event is discarded without executing and —
-  /// crucially — without advancing simulated time, so retracting a pending
-  /// deadline leaves the timeline bit-identical to never scheduling it.
-  /// Like packets, handles are single-threaded (util::PoolRef).
-  using EventHandle = util::PoolRef<bool>;
-  static void cancel(const EventHandle& h) {
-    if (h) *h = true;
-  }
+  /// Names an armed deadline for cancelDeadline(); 0 names none.
+  using DeadlineId = std::uint64_t;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -62,9 +54,9 @@ class Simulator {
   /// order, since construction or the last reset(). Two runs with equal
   /// digests executed the same schedule (tests/determinism_test.cpp pins it).
   std::uint64_t scheduleDigest() const { return digest_; }
-  bool empty() const { return queue_.empty(); }
-  /// Events in the queue (cancelled ones not yet purged included).
-  std::size_t pending() const { return queue_.size(); }
+  bool empty() const { return queue_.empty() && deadlines_.empty(); }
+  /// Queued events plus armed deadlines.
+  std::size_t pending() const { return queue_.size() + deadlines_.size(); }
   /// Root tasks not yet reaped (live coroutine frames held by the kernel).
   std::size_t liveRoots() const { return roots_.size(); }
 
@@ -89,12 +81,12 @@ class Simulator {
   /// same-time events.
   void atReserved(Time t, std::uint64_t seq, Callback fn);
 
-  /// Cancellable forms of at()/after() (deadline timers that may be
-  /// retracted by whichever signal wins a race).
-  EventHandle atCancellable(Time t, Callback fn);
-  EventHandle afterCancellable(Time delay, Callback fn) {
-    return atCancellable(now() + delay, std::move(fn));
-  }
+  /// Arm a deadline: run `fn` at absolute time `t` (must be >= now) unless
+  /// cancelDeadline() retracts it first. See the tie rule above.
+  DeadlineId armDeadline(Time t, Callback fn);
+  /// Retract an armed deadline. Returns false (and does nothing) when it has
+  /// already fired, was already cancelled, or `id` is 0.
+  bool cancelDeadline(DeadlineId id);
 
   /// Resume a suspended coroutine after `delay`.
   void resumeAfter(Time delay, std::coroutine_handle<> h) {
@@ -109,24 +101,22 @@ class Simulator {
   /// root task. Returns the number of events processed by this call.
   std::uint64_t run();
 
-  /// Run until the queue drains or simulated time would exceed `deadline`.
-  /// Events at exactly `deadline` are executed.
-  std::uint64_t runUntil(Time deadline);
+  /// Run until no work is left or simulated time would exceed `until`.
+  /// Work at exactly `until` is executed.
+  std::uint64_t runUntil(Time until);
 
   /// Execute a single event if one is pending; returns false when idle.
   bool step();
 
-  /// Return the kernel to its just-constructed state: pending events are
-  /// discarded unexecuted, live root-task frames are destroyed (their
-  /// destructors run; no callbacks fire), and the clock, sequence counter,
-  /// processed tally and schedule digest restart. The explicit arena-reuse
+  /// Return the kernel to its just-constructed state: pending events and
+  /// armed deadlines are discarded unexecuted, live root-task frames are
+  /// destroyed (their destructors run; no callbacks fire), and the clock,
+  /// sequence counter, processed tally and schedule digest restart. The explicit arena-reuse
   /// audit point for workers that run many jobs on one Simulator
   /// (src/serve): a reset kernel is indistinguishable from a fresh one, so
   /// job results cannot depend on what ran before. Returns the number of
-  /// pending *live* events plus live roots that were discarded (0 = the
-  /// arena was already clean). Cancelled events anywhere in the queue —
-  /// even buried under live ones, where purging cannot reach them — are
-  /// retracted timers, not leaked work, and never count as dirty.
+  /// pending events, armed deadlines and live roots that were discarded
+  /// (0 = the arena was already clean).
   std::size_t reset();
 
   /// Awaitable for `co_await simctx.delay(...)`-style use; see delay().
@@ -145,11 +135,11 @@ class Simulator {
   DelayAwaiter delay(Time duration) { return DelayAwaiter{*this, duration}; }
 
  private:
-  /// Queue entries are deliberately trivial: the callback (and cancel flag)
-  /// live in a slot arena off to the side, so queue operations move 24
-  /// plain bytes instead of a type-erased capture. The order is exactly
-  /// (t, seq) — the slot index is payload, never a key — so the indirection
-  /// cannot perturb the schedule.
+  /// Queue entries are deliberately trivial: the callback lives in a slot
+  /// arena off to the side, so queue operations move 24 plain bytes instead
+  /// of a type-erased capture. The order is exactly (t, seq) — the slot
+  /// index is payload, never a key — so the indirection cannot perturb the
+  /// schedule.
   struct Event {
     Time t;
     std::uint64_t seq;
@@ -234,20 +224,8 @@ class Simulator {
     std::vector<Event> far_;
   };
 
-  /// One parked callback; recycled through freeSlots_ (LIFO), so the slot
-  /// arena stops growing once it covers the peak in-flight event count.
-  struct Slot {
-    Callback fn;
-    EventHandle cancelled;  ///< null for ordinary (non-cancellable) events
-  };
-
-  std::uint32_t park(Callback&& fn, EventHandle&& cancelled);
+  std::uint32_t park(Callback&& fn);
   void release(std::uint32_t idx);
-  bool slotCancelled(std::uint32_t idx) const {
-    const EventHandle& c = slots_[idx].cancelled;
-    return c != nullptr && *c;
-  }
-  void purgeCancelled();
   void reapRoots();
 
   Time now_ = 0;
@@ -255,11 +233,15 @@ class Simulator {
   std::uint64_t processed_ = 0;
   std::uint64_t digest_ = util::kFnvOffsetBasis;
   EventQueue queue_;
-  std::vector<Slot> slots_;
+  /// Parked callbacks, recycled through freeSlots_ (LIFO), so the arena
+  /// stops growing once it covers the peak in-flight event count.
+  std::vector<Callback> slots_;
   std::vector<std::uint32_t> freeSlots_;
-  /// Pending events that carry a cancel flag. Zero on the common path, so
-  /// purging can skip the per-event slot lookup entirely.
-  std::size_t liveCancellable_ = 0;
+  /// Armed deadlines: a (t, id) min-heap whose `seq` field holds the
+  /// DeadlineId (arming order). Ids keep counting across reset(), so a
+  /// stale id can never retract a later deadline.
+  std::vector<Event> deadlines_;
+  DeadlineId lastDeadline_ = 0;
   std::vector<Task> roots_;
 };
 

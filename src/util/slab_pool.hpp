@@ -5,9 +5,9 @@
 // never give back) and recycles freed slots through per-size-class
 // freelists. Once the working set has been touched, every alloc/free is a
 // pointer pop/push — no malloc, ever — which is what lets the event kernel
-// run packets, payload buffers, coroutine frames and cancellable-event
-// handles without touching the host allocator (ndn-dpdk's DPDK mempool
-// idiom, applied to simulated packets).
+// run packets, payload buffers and coroutine frames without touching the
+// host allocator (ndn-dpdk's DPDK mempool idiom, applied to simulated
+// packets).
 //
 // Requests over kMaxSlotBytes fall back to the heap. Every block carries a
 // 16-byte header tagging its origin (pool bucket or heap fallback, and the
@@ -15,9 +15,9 @@
 // its pool from the pointer alone.
 //
 // PoolRef is the single-threaded refcounted handle to a pooled object (the
-// simulated packets, payload buffers and cancellable-event flags): the
-// count lives in the object's own slot, so copying a handle is a plain
-// increment — no atomics, no separate control block.
+// simulated packets and payload buffers): the count lives in the object's
+// own slot, so copying a handle is a plain increment — no atomics, no
+// separate control block.
 //
 // SlabPools are single-owner: each simulation arena (and its serve worker
 // thread) owns its own pools, and only the thread that constructed a pool

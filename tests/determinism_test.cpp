@@ -390,31 +390,35 @@ TEST(Determinism, MdRecoveryArmedButIdleIsTimingInvisible) {
 
 // --- armed schedule pins ------------------------------------------------------
 // The pins above run with recovery disarmed. An armed wait races its counter
-// against a cancellable deadline, and each deadline takes a seq even when it
-// is cancelled, so an armed run's (t, seq) order is its own. These pin the
-// armed path: a quickstart MD job with nothing lost, and the fault-sweep
-// all-reduce at 8x8x8 and BER 1e-4, where waits time out and the lost
-// packets are replayed. The outcome digests cover every job metric.
-constexpr std::uint64_t kArmedIdleMdScheduleDigest = 0x09845996425528c6ULL;
+// against a kernel deadline, which takes a seq only when it fires, so arming
+// leaves the schedule of a run that loses nothing untouched. These pin the
+// armed path: a quickstart MD job with nothing lost, whose schedule must be
+// the disarmed job's, and the fault-sweep all-reduce at 8x8x8 and BER 1e-4,
+// where waits time out and the lost packets are replayed. The outcome
+// digests cover every job metric.
+constexpr std::uint64_t kIdleMdScheduleDigest = 0x6d583be5293913a4ULL;
+constexpr std::uint64_t kIdleMdEvents = 185'788;
 constexpr std::uint64_t kArmedIdleMdOutcomeDigest = 0x6c9fb58a4497dd9dULL;
-constexpr std::uint64_t kLossyAllReduceScheduleDigest = 0x36a981b4f0d42dbbULL;
-constexpr std::uint64_t kLossyAllReduceOutcomeDigest = 0xf7a33a9754495959ULL;
+constexpr std::uint64_t kLossyAllReduceScheduleDigest = 0xb31be5e1c818f1efULL;
+constexpr std::uint64_t kLossyAllReduceOutcomeDigest = 0x8190e7049bc230ceULL;
 
 TEST(Determinism, ArmedIdleMdMatchesItsPinnedScheduleDigest) {
   sim::Simulator arena;
   serve::RunOutcome r = serve::runJob(serve::quickstartMdSpec(), arena);
   EXPECT_EQ(r.metrics.at("drops"), 0.0);
   EXPECT_EQ(r.metrics.at("resends"), 0.0);
-  EXPECT_EQ(arena.scheduleDigest(), kArmedIdleMdScheduleDigest)
+  EXPECT_EQ(arena.scheduleDigest(), kIdleMdScheduleDigest)
       << "got " << util::hex64(arena.scheduleDigest());
+  EXPECT_EQ(arena.eventsProcessed(), kIdleMdEvents);
   EXPECT_EQ(r.digest, kArmedIdleMdOutcomeDigest)
       << "got " << util::hex64(r.digest);
-  // The same job disarmed computes the same outcome on another schedule.
+  // The same job disarmed runs the same schedule to the same outcome.
   serve::JobSpec unarmed = serve::quickstartMdSpec();
   unarmed.recoveryTimeoutUs = 0.0;
   sim::Simulator bare;
   EXPECT_EQ(serve::runJob(unarmed, bare).digest, r.digest);
-  EXPECT_NE(bare.scheduleDigest(), arena.scheduleDigest());
+  EXPECT_EQ(bare.scheduleDigest(), arena.scheduleDigest());
+  EXPECT_EQ(bare.eventsProcessed(), arena.eventsProcessed());
 }
 
 TEST(Determinism, LossyArmedAllReduceMatchesItsPinnedScheduleDigest) {

@@ -172,6 +172,62 @@ TEST(Watchdog, CounterWinCancelsTheDeadline) {
   EXPECT_LT(f.sim.now(), sim::us(1000)) << "dead deadline stretched the run";
 }
 
+/// One counted packet from node (1,0,0) to node 0's slice, awaited with a
+/// plain counter poll or, when `timeout` > 0, through watchCounter.
+struct OnePacketWait {
+  Fixture f;
+  NetworkClient& dst = f.machine.client({0, kSlice0});
+  core::WatchdogReport report;
+  sim::Time resumedAt = -1;
+  explicit OnePacketWait(sim::Time timeout) {
+    auto waiter = [](OnePacketWait& w, sim::Time t) -> Task {
+      if (t > 0)
+        w.report = co_await core::watchCounter(w.dst, 0, 1, t);
+      else
+        co_await w.dst.waitCounter(0, 1);
+      w.resumedAt = w.f.sim.now();
+    };
+    f.sim.spawn(waiter(*this, timeout));
+    NetworkClient::SendArgs args;
+    args.dst = dst.addr();
+    args.counterId = 0;
+    f.machine.client({f.nodeAt(1, 0, 0), kSlice0}).post(args);
+    f.sim.run();
+  }
+};
+
+TEST(Watchdog, CounterWinLeavesThePlainWaitsSchedule) {
+  // The retracted deadline took no seq: the armed wait runs the plain
+  // poll's exact schedule.
+  OnePacketWait plain(0);
+  OnePacketWait armed(sim::us(1000));
+  EXPECT_FALSE(armed.report.timedOut);
+  EXPECT_EQ(armed.report.arrived, 1u);
+  EXPECT_EQ(armed.report.resolvedAt, plain.resumedAt);
+  EXPECT_EQ(armed.resumedAt, plain.resumedAt);
+  EXPECT_EQ(armed.f.sim.eventsProcessed(), plain.f.sim.eventsProcessed());
+  EXPECT_EQ(armed.f.sim.scheduleDigest(), plain.f.sim.scheduleDigest());
+}
+
+TEST(Watchdog, DeadlineInsideTheWakesPollTimesOutAndATieGoesToTheCounter) {
+  // The packet lands a poll latency before the plain wait resumes. A
+  // deadline between the two still wins: it retracts the met waiter, whose
+  // wake then runs as a no-op. A deadline on the wake's own instant loses
+  // (the tie rule), so the wait resolves exactly as the plain one.
+  const sim::Time resumes = OnePacketWait(0).resumedAt;
+  OnePacketWait inside(resumes - 1);
+  ASSERT_GT(inside.dst.pollLatency(), 1);
+  EXPECT_TRUE(inside.report.timedOut);
+  EXPECT_EQ(inside.report.arrived, 1u) << "the counter was already met";
+  EXPECT_TRUE(inside.report.missing.empty());
+  EXPECT_EQ(inside.resumedAt, resumes - 1);
+  EXPECT_EQ(inside.dst.counterWaiters(0), 0u);
+
+  OnePacketWait tie(resumes);
+  EXPECT_FALSE(tie.report.timedOut);
+  EXPECT_EQ(tie.resumedAt, resumes);
+}
+
 TEST(Watchdog, OwedAfterArrivalsSeesFullHistory) {
   // Sources are tallied from counter creation, so a wait that starts after
   // packets have already arrived must still credit them (the old per-call

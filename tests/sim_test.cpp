@@ -2,7 +2,7 @@
 
 #include <functional>
 #include <limits>
-#include <memory>
+#include <map>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -213,50 +213,99 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(var, 1.0, 0.03);
 }
 
-TEST(Simulator, CancellableEventFiresWhenNotCancelled) {
+TEST(Simulator, DeadlineFiresWhenNotCancelled) {
   Simulator sim;
   int fired = 0;
-  Simulator::EventHandle h = sim.atCancellable(ns(10), [&] { ++fired; });
-  (void)h;
-  sim.run();
+  sim.armDeadline(ns(10), [&] { ++fired; });
+  EXPECT_FALSE(sim.empty());
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.now(), ns(10));
+  EXPECT_EQ(sim.eventsProcessed(), 1u);
+  EXPECT_EQ(sim.nextSeq(), 1u) << "a fired deadline takes one seq";
+  EXPECT_THROW(sim.armDeadline(ns(5), [] {}), std::logic_error);
 }
 
-TEST(Simulator, CancelledEventDoesNotRunOrAdvanceTime) {
-  // A retracted deadline must leave the timeline bit-identical to never
-  // scheduling it: no callback, no now() advance, no processed count.
+TEST(Simulator, CancelledDeadlineLeavesNoTrace) {
+  // A retracted deadline must leave the run bit-identical to never arming
+  // it: no callback, and the clock, processed tally, seq counter and
+  // schedule digest all as in a run without it.
+  auto runWith = [](bool arm) {
+    Simulator sim;
+    int fired = 0;
+    sim.at(ns(10), [] {});
+    Simulator::DeadlineId d = 0;
+    if (arm) d = sim.armDeadline(ns(20), [&] { ++fired; });
+    // Cancel from within an earlier event (the common race pattern).
+    sim.at(ns(15), [&sim, d, arm] { EXPECT_EQ(sim.cancelDeadline(d), arm); });
+    sim.at(ns(30), [] {});
+    sim.run();
+    EXPECT_EQ(fired, 0);
+    EXPECT_FALSE(sim.cancelDeadline(d)) << "a second cancel is a no-op";
+    return std::tuple{sim.now(), sim.eventsProcessed(), sim.nextSeq(),
+                      sim.scheduleDigest()};
+  };
+  EXPECT_EQ(runWith(true), runWith(false));
+
   Simulator sim;
   int fired = 0;
-  Simulator::EventHandle h = sim.atCancellable(ns(100), [&] { ++fired; });
-  Simulator::cancel(h);
+  Simulator::DeadlineId d = sim.armDeadline(ns(5), [&] { ++fired; });
   sim.run();
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(sim.now(), 0);
-  EXPECT_EQ(sim.eventsProcessed(), 0u);
+  EXPECT_FALSE(sim.cancelDeadline(d)) << "cancel after firing is harmless";
+  EXPECT_FALSE(sim.cancelDeadline(0));
+  EXPECT_EQ(fired, 1);
 }
 
-TEST(Simulator, CancelledEventAmongOthersIsInvisible) {
+TEST(Simulator, EventAtTheDeadlinesInstantRunsFirst) {
+  // The tie rule: a deadline at t fires only once no queued event is at or
+  // before t, even an event scheduled after the deadline was armed, or one
+  // that an event at t schedules for t.
   Simulator sim;
   std::vector<int> order;
-  sim.at(ns(10), [&] { order.push_back(1); });
-  Simulator::EventHandle h = sim.atCancellable(ns(20), [&] { order.push_back(99); });
-  sim.at(ns(30), [&] { order.push_back(3); });
-  // Cancel from within an earlier event (the common race pattern).
-  sim.at(ns(15), [&, h] { Simulator::cancel(h); });
+  sim.armDeadline(ns(20), [&] { order.push_back(9); });
+  sim.at(ns(20), [&] {
+    order.push_back(1);
+    sim.at(ns(20), [&] { order.push_back(2); });
+  });
+  sim.at(ns(21), [&] { order.push_back(3); });
   sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-  EXPECT_EQ(sim.now(), ns(30));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 9, 3}));
 }
 
-TEST(Simulator, CancelAfterFiringIsHarmless) {
+TEST(Simulator, DeadlinesAtOneInstantFireInArmingOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.armDeadline(ns(20), [&] { order.push_back(1); });
+  sim.armDeadline(ns(10), [&] { order.push_back(0); });
+  Simulator::DeadlineId d = sim.armDeadline(ns(20), [&] { order.push_back(2); });
+  sim.armDeadline(ns(20), [&] { order.push_back(3); });
+  sim.armDeadline(ns(20), [&] { order.push_back(4); });
+  EXPECT_TRUE(sim.cancelDeadline(d));
+  EXPECT_EQ(sim.runUntil(ns(20)), 4u) << "deadlines at the limit run";
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4}));
+  EXPECT_EQ(sim.nextSeq(), 4u);
+}
+
+TEST(Simulator, ResetDiscardsAPendingDeadline) {
+  // A pending deadline is live work: reset() discards it unexecuted and
+  // counts it, and the reset kernel is clean.
   Simulator sim;
   int fired = 0;
-  Simulator::EventHandle h = sim.atCancellable(ns(5), [&] { ++fired; });
+  sim.at(ns(40), [] {});
+  Simulator::DeadlineId d = sim.armDeadline(ns(50), [&] { ++fired; });
+  sim.runUntil(ns(30));
+  EXPECT_EQ(sim.reset(), 2u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_FALSE(sim.cancelDeadline(d)) << "reset already discarded it";
   sim.run();
-  Simulator::cancel(h);
-  Simulator::cancel(nullptr);  // null handle is a no-op too
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired, 0);
+
+  // Retracted before the reset, it is gone and not counted.
+  sim.at(ns(40), [] {});
+  EXPECT_TRUE(sim.cancelDeadline(sim.armDeadline(ns(50), [] {})));
+  sim.run();
+  EXPECT_EQ(sim.reset(), 0u);
 }
 
 TEST(Simulator, ResetReturnsTheKernelToAFreshState) {
@@ -309,28 +358,6 @@ TEST(Simulator, ResetReturnsTheKernelToAFreshState) {
   EXPECT_EQ(fromReset, replay(fresh));
 }
 
-TEST(Simulator, ResetIgnoresACancelledEventBuriedUnderALiveOne) {
-  // Regression: purgeCancelled() only drains cancelled events at the top of
-  // the heap, so a cancelled deadline sitting *under* a live event used to
-  // be counted as discarded work by reset() — tripping the serve layer's
-  // clean-arena audit on workers that had merely won a counter/deadline
-  // race. reset() must count live events only.
-  Simulator sim;
-  sim.at(ns(40), [] {});  // live, stays on top of the heap
-  Simulator::EventHandle h = sim.atCancellable(ns(50), [] {});
-  sim.runUntil(ns(30));   // nothing fires; both events still queued
-  Simulator::cancel(h);   // buried under the live ns(40) event
-  EXPECT_EQ(sim.reset(), 1u) << "cancelled tombstone counted as live work";
-
-  // Same race, fully drained: after the live event fires and the cancelled
-  // tombstone is purged, the reset must report a clean kernel.
-  sim.at(ns(40), [] {});
-  Simulator::EventHandle h2 = sim.atCancellable(ns(50), [] {});
-  Simulator::cancel(h2);
-  sim.run();
-  EXPECT_EQ(sim.reset(), 0u);
-}
-
 TEST(Simulator, ReservedSeqSlotsKeepTheirPlaceInTheSchedule) {
   // The batched-drain contract: an event scheduled later via atReserved()
   // with an earlier-reserved sequence number fires exactly where a plain
@@ -374,39 +401,49 @@ TEST(Simulator, RootsAreReapedIncrementally) {
 // (t, seq) min-heap below. One seeded program drives both and must observe
 // the same thing at every step: which event fires, the clock when it fires,
 // the clock after each runUntil(), the count each run returns and every
-// reset() verdict. The program mixes plain, reserved-seq and cancellable
-// events; same-time bursts of thousands; delays from zero through one
-// bucket, across the ring, and far beyond its horizon; deadlines that fall
-// between buckets; and resets with work still pending. Callbacks schedule
-// and cancel further events, so the queue is also fed while it pops.
+// reset() verdict. The program mixes plain and reserved-seq events with
+// deadlines; same-time bursts of thousands; delays from zero through one
+// bucket, across the ring, and far beyond its horizon; runUntil() limits
+// that fall between buckets; and resets with work still pending. Callbacks
+// schedule further events and arm and cancel deadlines, so the queue is
+// also fed while it pops. The reference holds deadlines in a (t, arming
+// order) map and fires one only when no queued event is at or before it,
+// drawing its seq then; every fire logs the next seq, so a deadline that
+// took a seq without firing (or fired without taking one) shows.
 class ReferenceKernel {
  public:
-  using EventHandle = std::shared_ptr<bool>;
+  using DeadlineId = std::uint64_t;
 
   Time now() const { return now_; }
+  std::uint64_t nextSeq() const { return nextSeq_; }
   std::uint64_t reserveSeq() { return nextSeq_++; }
   void at(Time t, std::function<void()> fn) {
-    push(t, nextSeq_++, std::move(fn), nullptr);
+    push(t, nextSeq_++, std::move(fn));
   }
   void atReserved(Time t, std::uint64_t seq, std::function<void()> fn) {
-    push(t, seq, std::move(fn), nullptr);
+    push(t, seq, std::move(fn));
   }
-  EventHandle atCancellable(Time t, std::function<void()> fn) {
-    EventHandle h = std::make_shared<bool>(false);
-    push(t, nextSeq_++, std::move(fn), h);
-    return h;
+  DeadlineId armDeadline(Time t, std::function<void()> fn) {
+    if (t < now_) throw std::logic_error("reference: deadline in the past");
+    deadlines_.emplace(std::pair{t, ++lastDeadline_}, std::move(fn));
+    return lastDeadline_;
   }
-  std::uint64_t runUntil(Time deadline) {
-    std::uint64_t n = drain(deadline);
-    if (now_ < deadline) now_ = deadline;
+  bool cancelDeadline(DeadlineId id) {
+    return std::erase_if(deadlines_, [id](const auto& d) {
+             return d.first.second == id;
+           }) != 0;
+  }
+  std::uint64_t runUntil(Time until) {
+    std::uint64_t n = drain(until);
+    if (now_ < until) now_ = until;
     return n;
   }
   std::uint64_t run() { return drain(std::numeric_limits<Time>::max()); }
   std::size_t reset() {
-    std::size_t live = 0;
-    for (; !q_.empty(); q_.pop()) live += *cancelled_[q_.top().idx] ? 0 : 1;
+    std::size_t live = q_.size() + deadlines_.size();
+    q_ = {};
     fns_.clear();
-    cancelled_.clear();
+    deadlines_.clear();
     now_ = 0;
     nextSeq_ = 0;
     return live;
@@ -423,25 +460,33 @@ class ReferenceKernel {
       return a.t != b.t ? a.t > b.t : a.seq > b.seq;
     }
   };
-  std::uint64_t drain(Time deadline) {
+  std::uint64_t drain(Time until) {
     std::uint64_t n = 0;
     for (;;) {
-      while (!q_.empty() && *cancelled_[q_.top().idx]) q_.pop();
-      if (q_.empty() || q_.top().t > deadline) break;
-      Entry e = q_.top();
-      q_.pop();
-      now_ = e.t;
+      const bool deadline =
+          !deadlines_.empty() &&
+          (q_.empty() || q_.top().t > deadlines_.begin()->first.first);
+      std::function<void()> fn;
+      if (deadline) {
+        if (deadlines_.begin()->first.first > until) break;
+        now_ = deadlines_.begin()->first.first;
+        fn = std::move(deadlines_.begin()->second);
+        deadlines_.erase(deadlines_.begin());
+        ++nextSeq_;
+      } else {
+        if (q_.empty() || q_.top().t > until) break;
+        now_ = q_.top().t;
+        fn = std::move(fns_[q_.top().idx]);
+        q_.pop();
+      }
       ++n;
-      std::function<void()> fn = std::move(fns_[e.idx]);
       fn();
     }
     return n;
   }
-  void push(Time t, std::uint64_t seq, std::function<void()> fn,
-            EventHandle h) {
+  void push(Time t, std::uint64_t seq, std::function<void()> fn) {
     if (t < now_) throw std::logic_error("reference: scheduled in the past");
     fns_.push_back(std::move(fn));
-    cancelled_.push_back(h ? h : std::make_shared<bool>(false));
     q_.push({t, seq, fns_.size() - 1});
   }
 
@@ -449,7 +494,8 @@ class ReferenceKernel {
   std::uint64_t nextSeq_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, Later> q_;
   std::vector<std::function<void()>> fns_;
-  std::vector<EventHandle> cancelled_;
+  std::map<std::pair<Time, DeadlineId>, std::function<void()>> deadlines_;
+  DeadlineId lastDeadline_ = 0;
 };
 
 /// The seeded program. Every decision comes from its own Rng, so two
@@ -478,8 +524,8 @@ class QueueProgram {
                      ? delay()
                      // just before, on, or just after a bucket edge
                      : Time(rng_.below(64) + 1) * 1024 + rng_.range(-1, 1);
-        Time deadline = k_.now() + std::max<Time>(d, 0);
-        note(kRunUntil, std::int64_t(k_.runUntil(deadline)));
+        Time until = k_.now() + std::max<Time>(d, 0);
+        note(kRunUntil, std::int64_t(k_.runUntil(until)));
         note(kClock, k_.now());
       } else {
         note(kReset, std::int64_t(k_.reset()));
@@ -499,6 +545,8 @@ class QueueProgram {
     kRunUntil = -2,
     kClock = -3,
     kReset = -4,
+    kSeq = -5,
+    kCancel = -6,
   };
   void note(Tag tag, std::int64_t v) {
     log_.push_back(tag);
@@ -524,6 +572,7 @@ class QueueProgram {
     return [this, id, depth] {
       note(kFire, id);
       note(kClock, k_.now());
+      note(kSeq, std::int64_t(k_.nextSeq()));
       if (depth >= 3) return;
       switch (rng_.below(6)) {
         case 0: schedule(depth + 1); break;
@@ -538,7 +587,7 @@ class QueueProgram {
   void schedule(int depth) {
     const Time t = k_.now() + delay();
     if (rng_.below(4) == 0)
-      handles_.push_back(k_.atCancellable(t, fire(depth)));
+      handles_.push_back(k_.armDeadline(t, fire(depth)));
     else
       k_.at(t, fire(depth));
   }
@@ -557,12 +606,13 @@ class QueueProgram {
   }
 
   void burst() {
-    // Thousands of events at one instant: their order is seq order alone.
+    // Thousands of events at one instant: the queued ones in seq order,
+    // then the deadlines in arming order.
     const Time t = k_.now() + delay();
     const int n = 1000 + int(rng_.below(3000));
     for (int i = 0; i < n; ++i) {
       if (i % 7 == 0)
-        handles_.push_back(k_.atCancellable(t, fire(3)));
+        handles_.push_back(k_.armDeadline(t, fire(3)));
       else
         k_.at(t, fire(3));
     }
@@ -571,7 +621,7 @@ class QueueProgram {
   void cancelOne() {
     if (handles_.empty()) return;
     std::size_t i = std::size_t(rng_.below(handles_.size()));
-    *handles_[i] = true;
+    note(kCancel, k_.cancelDeadline(handles_[i]));
     handles_[i] = handles_.back();
     handles_.pop_back();
   }
@@ -580,7 +630,7 @@ class QueueProgram {
   Rng rng_;
   std::int64_t nextId_ = 0;
   std::vector<std::uint64_t> reserved_;
-  std::vector<typename Kernel::EventHandle> handles_;
+  std::vector<typename Kernel::DeadlineId> handles_;
   std::vector<std::int64_t> log_;
 };
 

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "util/json.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/torus_coord.hpp"
 #include "util/vec3.hpp"
@@ -67,48 +66,6 @@ TEST(TorusCoord, Neighbor) {
   EXPECT_EQ(torusNeighbor({0, 0, 0}, 0, -1, s), (TorusCoord{3, 0, 0}));
   EXPECT_EQ(torusNeighbor({3, 0, 0}, 0, +1, s), (TorusCoord{0, 0, 0}));
   EXPECT_EQ(torusNeighbor({1, 1, 1}, 2, +1, s), (TorusCoord{1, 1, 2}));
-}
-
-TEST(Stats, Summary) {
-  std::vector<double> xs = {4, 1, 3, 2};
-  Summary s = summarize(xs);
-  EXPECT_EQ(s.n, 4u);
-  EXPECT_DOUBLE_EQ(s.min, 1);
-  EXPECT_DOUBLE_EQ(s.max, 4);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.median, 2.5);
-  EXPECT_NEAR(s.stddev, 1.29099, 1e-4);
-}
-
-TEST(Stats, SummaryEmpty) {
-  Summary s = summarize({});
-  EXPECT_EQ(s.n, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0);
-}
-
-TEST(Stats, Percentile) {
-  std::vector<double> xs = {10, 20, 30, 40, 50};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 10);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 50);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 30);
-  EXPECT_DOUBLE_EQ(percentile(xs, 25), 20);
-  EXPECT_DOUBLE_EQ(percentile(xs, 37.5), 25);
-}
-
-TEST(Stats, LinearFit) {
-  std::vector<double> xs = {0, 1, 2, 3};
-  std::vector<double> ys = {1, 3, 5, 7};  // y = 1 + 2x
-  LinearFit f = fitLine(xs, ys);
-  EXPECT_NEAR(f.intercept, 1.0, 1e-12);
-  EXPECT_NEAR(f.slope, 2.0, 1e-12);
-}
-
-TEST(Stats, LinearFitDegenerate) {
-  std::vector<double> xs = {2, 2};
-  std::vector<double> ys = {1, 3};
-  LinearFit f = fitLine(xs, ys);
-  EXPECT_DOUBLE_EQ(f.slope, 0.0);
-  EXPECT_DOUBLE_EQ(f.intercept, 2.0);
 }
 
 TEST(Table, Renders) {
